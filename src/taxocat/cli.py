@@ -395,6 +395,7 @@ def run_classification(
             labels = postprocess.postprocess_chain(
                 doc, labels, loaded, pt, gateway, config.postprocess,
                 rng=_doc_rng(config.seed, doc.doc_id),
+                include_descriptions=config.include_descriptions,
             )
             flags = list(labels.flags)
             if not labels.leaf_ids and postprocess.FLAG_NEEDS_REVIEW not in flags:

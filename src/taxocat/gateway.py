@@ -1,5 +1,6 @@
 """Uniform chat-completion gateway: prompt assembly, strict JSON extraction,
-retries with schema reminders, and a deterministic mock provider.
+one retry loop for unparseable replies and provider errors, and a
+deterministic mock provider.
 
 Prompt templates live as text assets under taxocat/prompts, keyed by
 template id, so they can be versioned and audited independently of code.
@@ -13,7 +14,7 @@ import logging
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from importlib import resources
@@ -38,19 +39,29 @@ class ConfigError(GatewayError):
 
 
 class ProviderError(GatewayError):
-    """Transport-level failure talking to a provider."""
+    """Transport-level failure talking to a provider; `retryable` ones may pass on retry."""
+
+    retryable = False
 
 
 class TransportError(ProviderError):
-    pass
+    """Connection failure, malformed reply, or HTTP 408, 429 or 5xx."""
+
+    retryable = True
+
+
+class ClientError(TransportError):
+    """HTTP 4xx other than 401, 403, 408 and 429: the request is rejected as sent."""
+
+    retryable = False
 
 
 class ProviderTimeout(ProviderError):
-    pass
+    retryable = True
 
 
 class AuthError(ProviderError):
-    pass
+    """HTTP 401 or 403, or the credential variable is not set."""
 
 
 class ResponseParseError(GatewayError):
@@ -125,19 +136,14 @@ class PromptSpec:
     template_id: TemplateId
     user_payload: Mapping[str, Any]
     system_text: str = ""
-    expected_schema: ResponseSchema | None = None
 
     def __post_init__(self):
         if not self.system_text:
             object.__setattr__(self, "system_text", load_template(self.template_id))
-        required = SCHEMA_FOR_TEMPLATE[self.template_id]
-        if self.expected_schema is None:
-            object.__setattr__(self, "expected_schema", required)
-        elif self.expected_schema is not required:
-            raise ConfigError(
-                f"template {self.template_id.value} produces {required.value}, "
-                f"not {self.expected_schema.value}"
-            )
+
+    @property
+    def expected_schema(self) -> ResponseSchema:
+        return SCHEMA_FOR_TEMPLATE[self.template_id]
 
 
 # -- parsed responses ------------------------------------------------------------
@@ -557,39 +563,16 @@ class MockProvider:
 # -- HTTP provider ---------------------------------------------------------------------
 
 
-class TokenBucket:
-    """Blocking token-bucket limiter bounding request rate per provider."""
-
-    def __init__(self, rate_per_sec: float, burst: int = 1):
-        if rate_per_sec <= 0 or burst < 1:
-            raise ConfigError("rate_per_sec must be > 0 and burst >= 1")
-        self.rate = rate_per_sec
-        self.capacity = float(burst)
-        self._tokens = float(burst)
-        self._stamp = time.monotonic()
-        self._lock = threading.Lock()
-
-    def acquire(self) -> None:
-        while True:
-            with self._lock:
-                now = time.monotonic()
-                self._tokens = min(self.capacity, self._tokens + (now - self._stamp) * self.rate)
-                self._stamp = now
-                if self._tokens >= 1.0:
-                    self._tokens -= 1.0
-                    return
-                wait = (1.0 - self._tokens) / self.rate
-            time.sleep(wait)
-
-
 class HttpProvider:
-    """Chat-completions HTTP client (OpenAI-style request/response shape)."""
+    """Chat-completions HTTP client (OpenAI-style request/response shape).
 
-    def __init__(self, config: ProviderConfig, limiter: TokenBucket | None = None, session=None):
+    One POST per call; failures become typed ProviderErrors for the gateway to retry.
+    """
+
+    def __init__(self, config: ProviderConfig, session=None):
         if config.endpoint.startswith("mock://"):
             raise ConfigError("HttpProvider needs a real endpoint")
         self.config = config
-        self.limiter = limiter
         if session is None:
             import requests
 
@@ -619,38 +602,29 @@ class HttpProvider:
                 {"role": "user", "content": user_text},
             ],
         }
-        last_error: ProviderError | None = None
-        for attempt in range(self.config.max_retries + 1):
-            if attempt:
-                time.sleep(min(0.5 * 2 ** (attempt - 1), 8.0))
-            if self.limiter is not None:
-                self.limiter.acquire()
-            try:
-                response = self.session.post(
-                    self.config.endpoint,
-                    json=body,
-                    headers=self._headers(),
-                    timeout=self.config.timeout,
-                )
-            except requests.Timeout as exc:
-                last_error = ProviderTimeout(str(exc))
-                continue
-            except requests.RequestException as exc:
-                last_error = TransportError(str(exc))
-                continue
-            if response.status_code in (401, 403):
-                last_error = AuthError(f"HTTP {response.status_code}")
-                continue
-            if response.status_code >= 400:
-                last_error = TransportError(f"HTTP {response.status_code}: {response.text[:200]}")
-                continue
-            try:
-                return response.json()["choices"][0]["message"]["content"]
-            except (ValueError, KeyError, IndexError, TypeError) as exc:
-                last_error = TransportError(f"malformed provider response: {exc}")
-                continue
-        assert last_error is not None
-        raise last_error
+        try:
+            response = self.session.post(
+                self.config.endpoint,
+                json=body,
+                headers=self._headers(),
+                timeout=self.config.timeout,
+            )
+        except requests.Timeout as exc:
+            raise ProviderTimeout(str(exc)) from exc
+        except requests.RequestException as exc:
+            raise TransportError(str(exc)) from exc
+        status = response.status_code
+        if status in (401, 403):
+            raise AuthError(f"HTTP {status}")
+        if status >= 400:
+            error = f"HTTP {status}: {response.text[:200]}"
+            if status >= 500 or status in (408, 429):
+                raise TransportError(error)
+            raise ClientError(error)
+        try:
+            return response.json()["choices"][0]["message"]["content"]
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            raise TransportError(f"malformed provider response: {exc}") from exc
 
 
 # -- audit log -------------------------------------------------------------------------
@@ -711,38 +685,49 @@ class LlmGateway:
             self.characters_out += sent
             self.characters_in += len(raw)
 
-    def complete(self, spec: PromptSpec, reminder: str | None = None) -> str:
-        raw = self.provider.complete(spec, reminder=reminder)
-        self._count(spec, raw)
-        return raw
-
     def call_with_retry(self, spec: PromptSpec) -> ParsedResponse:
-        """complete + extract_response, retrying parse failures with a schema reminder."""
+        """The one retry loop: one provider.complete per attempt, max_retries retries.
+
+        Unparseable replies are retried at once with a schema reminder;
+        retryable ProviderErrors after a backoff (0.5 s, doubling, capped at
+        8 s); other ProviderErrors are raised at once. An exhausted budget
+        raises the last failure (RetryExhaustedError for a parse failure).
+        """
         attempts = self.config.max_retries + 1
         reminder = None
-        last_raw = ""
-        last_error: ResponseParseError | None = None
+        provider_failures = 0
+        last_error: GatewayError | None = None
         doc_id = None
         document = spec.user_payload.get("document")
         if isinstance(document, Mapping):
             doc_id = document.get("doc_id")
         for attempt in range(1, attempts + 1):
-            last_raw = self.provider.complete(spec, reminder=reminder)
-            self._count(spec, last_raw)
             try:
-                parsed = extract_response(last_raw, spec.expected_schema)
-            except ResponseParseError as exc:
+                raw = self.provider.complete(spec, reminder=reminder)
+            except ProviderError as exc:
+                self._audit(spec, doc_id, attempt, f"provider_error:{type(exc).__name__}")
+                if not exc.retryable:
+                    raise
                 last_error = exc
-                reminder = schema_reminder(spec.expected_schema)
+                if attempt < attempts:
+                    time.sleep(min(0.5 * 2**provider_failures, 8.0))
+                provider_failures += 1
+                continue
+            self._count(spec, raw)
+            try:
+                parsed = extract_response(raw, spec.expected_schema)
+            except ResponseParseError as exc:
                 self._audit(spec, doc_id, attempt, f"parse_error:{type(exc).__name__}")
+                last_error = RetryExhaustedError(
+                    f"{attempts} attempts failed for {spec.template_id.value}: {exc}",
+                    last_raw=raw,
+                )
+                reminder = schema_reminder(spec.expected_schema)
                 continue
             self._audit(spec, doc_id, attempt, "ok")
             return parsed
         assert last_error is not None
-        raise RetryExhaustedError(
-            f"{attempts} attempts failed for {spec.template_id.value}: {last_error}",
-            last_raw=last_raw,
-        )
+        raise last_error
 
     def _audit(self, spec: PromptSpec, doc_id: str | None, attempt: int, outcome: str) -> None:
         if self.audit_log is not None:
@@ -753,11 +738,10 @@ class LlmGateway:
 
 def mock_gateway(
     threshold: float = DEFAULT_OVERLAP_THRESHOLD,
-    max_retries: int = 3,
     audit_log: AuditLog | None = None,
 ) -> LlmGateway:
     return LlmGateway(
         provider=MockProvider(threshold=threshold),
-        config=ProviderConfig(max_retries=max_retries),
+        config=ProviderConfig(),
         audit_log=audit_log,
     )

@@ -16,7 +16,7 @@ from typing import Mapping
 from . import gateway as gw
 from .documents import Document
 from .retrieval import PrunedTaxonomy
-from .strategies import LabelSet, Method, with_flags
+from .strategies import LabelSet, Method, _node_payload, with_flags
 from .taxonomy import Taxonomy
 
 logger = logging.getLogger(__name__)
@@ -72,16 +72,9 @@ def decrease_labels(
     payloads = []
     for node_id in candidates:
         node = taxonomy.node(node_id)
-        payload = {
-            "id": node.id,
-            "name": node.name,
-            "description": node.description if include_descriptions else None,
-        }
+        payload = _node_payload(node, include_descriptions)
         if node.parent_id is not None:
-            parent = taxonomy.node(node.parent_id)
-            payload["parent_name"] = parent.name
-            if include_descriptions and parent.description:
-                payload["parent_description"] = parent.description
+            payload["parent_name"] = taxonomy.node(node.parent_id).name
         payloads.append(payload)
 
     flags: list[str] = []
@@ -215,6 +208,7 @@ def postprocess_chain(
     gateway: gw.LlmGateway,
     config: PostProcessConfig,
     rng: random.Random | None = None,
+    include_descriptions: bool = True,
 ) -> LabelSet:
     """Full refinement chain: decrease to max_labels, then sibling diversity.
 
@@ -232,7 +226,9 @@ def postprocess_chain(
         if config.random_decrease:
             out = random_decrease(out, config.max_labels, rng or random.Random(0))
         else:
-            out = decrease_labels(doc, out, taxonomy, gateway, config.max_labels)
+            out = decrease_labels(
+                doc, out, taxonomy, gateway, config.max_labels, include_descriptions
+            )
     if config.apply_sibling:
         out = enforce_sibling_diversity(out, taxonomy, pt, config.sibling_cap)
     return out

@@ -170,6 +170,9 @@ class HttpEmbedder:
         return EmbeddingVector(values=np.array(values, dtype=np.float64), model_tag=self.model_tag)
 
 
+_NUMBER_TYPES = frozenset({int, float})  # exact types: rejects bools and numeric strings
+
+
 class EmbeddingStore:
     """Node-id keyed vector store; concurrent reads, exclusive batch writes."""
 
@@ -237,6 +240,17 @@ class EmbeddingStore:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise RetrievalError(f"embedding cache line {lineno}: invalid JSON") from exc
+            if not (
+                isinstance(record, dict)
+                and isinstance(record.get("node_id"), str)
+                and isinstance(record.get("model_tag"), str)
+                and isinstance(record.get("vector"), list)
+                and set(map(type, record["vector"])) <= _NUMBER_TYPES
+            ):
+                raise RetrievalError(
+                    f"embedding cache line {lineno}: expected "
+                    "{node_id, model_tag, vector: [numbers]}"
+                )
             tag = record["model_tag"]
             if model_tag is not None and tag != model_tag:
                 raise RetrievalError(
@@ -400,11 +414,15 @@ def load_gold_labels(source: str | Path | IO[str]) -> dict[str, frozenset[str]]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise RetrievalError(f"gold file line {lineno}: invalid JSON") from exc
-        doc_id = record.get("doc_id")
-        labels = record.get("gold")
-        if not isinstance(doc_id, str) or not isinstance(labels, list):
-            raise RetrievalError(f"gold file line {lineno}: expected {{doc_id, gold: [...]}}")
+        if not (
+            isinstance(record, dict)
+            and isinstance(record.get("doc_id"), str)
+            and isinstance(record.get("gold"), list)
+            and all(isinstance(label, str) for label in record["gold"])
+        ):
+            raise RetrievalError(f"gold file line {lineno}: expected {{doc_id, gold: [leaf ids]}}")
+        doc_id = record["doc_id"]
         if doc_id in gold:
             raise RetrievalError(f"gold file line {lineno}: duplicate doc_id {doc_id!r}")
-        gold[doc_id] = frozenset(labels)
+        gold[doc_id] = frozenset(record["gold"])
     return gold

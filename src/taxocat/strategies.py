@@ -111,7 +111,6 @@ def classify_trav_select(
     taxonomy: Taxonomy,
     gateway: gw.LlmGateway,
     include_descriptions: bool = True,
-    per_round_cap: int | None = None,
 ) -> LabelSet:
     """Layer-by-layer traversal: present each frontier, descend into chosen parents.
 
@@ -127,8 +126,6 @@ def classify_trav_select(
         nodes = [_node_payload(taxonomy.node(nid), include_descriptions) for nid in frontier]
         parsed = gateway.call_with_retry(gw.build_trav_select_spec(doc, nodes))
         chosen = _known_ids(parsed.ids, set(frontier), f"trav_select[{doc.doc_id}]")
-        if per_round_cap is not None:
-            chosen = chosen[:per_round_cap]
         rounds.append({"frontier": list(frontier), "selected": list(chosen)})
         if len(rounds) == 1 and not chosen:
             flags.append(FLAG_EMPTY_RESULT)

@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from taxocat import cli, strategies
-from taxocat.taxonomy import save_taxonomy
+from taxocat import cli, gateway as gw, strategies
+from taxocat.taxonomy import Taxonomy, TaxonomyNode, save_taxonomy
 
 from .util import (
     make_doc,
@@ -213,6 +213,34 @@ class TestClassify:
         assert "hard-failure" in bad["flags"] and "needs-review" in bad["flags"]
         assert all("hard-failure" not in r["flags"] for r in records if r["doc_id"] != poison)
 
+    def test_no_description_ablation_reaches_decrease_prompt(self, tmp_path, monkeypatch):
+        # Seven leaves that all fit the document, so one-pass keeps seven and
+        # the decrease step has to pick five.
+        nodes = [TaxonomyNode(id="root", name="auction", description="parentdesc markets")]
+        nodes += [TaxonomyNode(id=f"leaf{i}", name="auction", description=f"leafdesc{i} bids",
+                               parent_id="root") for i in range(7)]
+        save_taxonomy(Taxonomy(nodes), tmp_path / "taxonomy.ndjson")
+        write_ndjson(tmp_path / "docs.ndjson",
+                     [{"doc_id": "d1", "title": "auction", "keywords": [], "abstract": ""}])
+        gateways = []
+        real_mock_gateway = gw.mock_gateway
+
+        def recording_mock_gateway(**kwargs):
+            gateways.append(real_mock_gateway(**kwargs))
+            return gateways[-1]
+
+        monkeypatch.setattr(cli.gw, "mock_gateway", recording_mock_gateway)
+        code, _ = self._run(tmp_path, ["--strategy", "one-pass", "--top-k", "10",
+                                       "--ablation", "no-description"])
+        assert code == 0
+        specs = gateways[0].provider.calls
+        templates = [spec.template_id for spec in specs]
+        assert templates == [gw.TemplateId.SELECT_ONE_PASS, gw.TemplateId.DECREASE_LABELS]
+        for spec in specs:
+            prompt = gw.render_user_text(spec)
+            assert "desc" not in prompt
+            assert all(not node.get("description") for node in spec.user_payload["nodes"])
+
     def test_config_file_provides_defaults(self, workdir):
         tmp, _, _ = workdir
         config = tmp / "run.json"
@@ -319,6 +347,30 @@ class TestEvaluateAndRank:
         )
         assert code == 1
         assert "missing gold" in capsys.readouterr().err
+
+    def test_rank_malformed_gold_line_fails_cleanly(self, workdir, capsys, tmp_path):
+        tmp, _, _ = workdir
+        gold_path = tmp_path / "gold.ndjson"
+        gold_path.write_text("[1, 2]\n")
+        code = cli.main(
+            ["rank", "--documents", str(tmp / "docs.ndjson"),
+             "--taxonomy", str(tmp / "taxonomy.ndjson"),
+             "--gold", str(gold_path), "--mock"]
+        )
+        assert code == 1
+        assert "gold file line 1" in capsys.readouterr().err
+
+    def test_classify_malformed_embedding_cache_fails_cleanly(self, workdir, capsys):
+        tmp, _, _ = workdir
+        cache = tmp / "emb.ndjson"
+        cache.write_text(json.dumps({"node_id": "n", "vector": [1.0]}) + "\n")
+        code = cli.main(
+            ["classify", "--taxonomy", str(tmp / "taxonomy.ndjson"),
+             "--documents", str(tmp / "docs.ndjson"), "--output", str(tmp / "out.ndjson"),
+             "--strategy", "one-pass", "--mock", "--embedding-cache", str(cache)]
+        )
+        assert code == 1
+        assert "embedding cache line 1" in capsys.readouterr().err
 
     def test_rank_single_depth(self, workdir, capsys, tmp_path):
         tmp, tax, docs = workdir

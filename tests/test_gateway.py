@@ -12,6 +12,7 @@ from taxocat.gateway import (
     AuditLog,
     AuthError,
     BestLabels,
+    ClientError,
     ConfigError,
     Description,
     DuplicateIdError,
@@ -30,7 +31,6 @@ from taxocat.gateway import (
     Scores,
     ScoreRangeError,
     TemplateId,
-    TokenBucket,
     TopFive,
     TransportError,
     build_rerank_spec,
@@ -55,14 +55,6 @@ class TestTemplatesAndSpecs:
         spec = PromptSpec(template_id=TemplateId.SELECTP_LEAF, user_payload={})
         assert spec.expected_schema is ResponseSchema.LEAF_VERDICT
         assert spec.system_text
-
-    def test_spec_rejects_inconsistent_schema(self):
-        with pytest.raises(ConfigError):
-            PromptSpec(
-                template_id=TemplateId.RERANK,
-                user_payload={},
-                expected_schema=ResponseSchema.BEST_LABELS,
-            )
 
     def test_rerank_spec_fills_counts(self):
         doc = make_doc("d", "auctions")
@@ -349,91 +341,183 @@ class _FakeResponse:
         return {"choices": [{"message": {"content": self._content}}]}
 
 
-class TestHttpProvider:
-    def _config(self, **kw):
-        defaults = dict(endpoint="https://api.example/chat", model_name="m",
-                        max_retries=1, timeout=5.0)
-        defaults.update(kw)
-        return ProviderConfig(**defaults)
+class _NoChoicesResponse(_FakeResponse):
+    def json(self):
+        return {"choices": []}
 
+
+class _ScriptedSession:
+    """Fake requests session: each POST takes the next scripted outcome, the last repeats.
+
+    An outcome is a response or an exception instance to raise. Request
+    bodies are recorded.
+    """
+
+    def __init__(self, *outcomes):
+        self._outcomes = list(outcomes)
+        self.bodies = []
+
+    @property
+    def posts(self):
+        return len(self.bodies)
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.bodies.append(json)
+        outcome = self._outcomes.pop(0) if len(self._outcomes) > 1 else self._outcomes[0]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+
+_OK = _FakeResponse(content='{"best_labels": []}')
+_JUNK = _FakeResponse(content="junk")
+_HTTP_500 = _FakeResponse(status_code=500)
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """Backoff delays requested through time.sleep, recorded instead of slept."""
+    delays = []
+    monkeypatch.setattr("taxocat.gateway.time.sleep", delays.append)
+    return delays
+
+
+def _http_gateway(session, audit_log=None, **kw):
+    fields = dict(endpoint="https://api.example/chat", model_name="m", max_retries=3, timeout=5.0)
+    fields.update(kw)
+    config = ProviderConfig(**fields)
+    return LlmGateway(HttpProvider(config, session=session), config, audit_log)
+
+
+def _empty_spec():
+    return build_trav_select_spec(make_doc("d", "t"), [])
+
+
+class TestHttpProvider:
     def test_rejects_mock_endpoint(self):
         with pytest.raises(ConfigError):
             HttpProvider(ProviderConfig())
 
     def test_happy_path_and_reminder(self):
-        seen = {}
-
-        class Session:
-            def post(self, url, json=None, headers=None, timeout=None):
-                seen["body"] = json
-                return _FakeResponse(content='{"best_labels": []}')
-
-        provider = HttpProvider(self._config(), session=Session())
+        session = _ScriptedSession(_OK)
+        provider = HttpProvider(ProviderConfig(endpoint="https://api.example/chat"),
+                                session=session)
         spec = build_trav_select_spec(make_doc("d", "t"), [{"id": "a", "name": "t"}])
         raw = provider.complete(spec, reminder="Reminder: schema")
         assert raw == '{"best_labels": []}'
-        assert seen["body"]["messages"][0]["role"] == "system"
-        assert seen["body"]["messages"][1]["content"].endswith("Reminder: schema")
+        assert session.bodies[0]["messages"][0]["role"] == "system"
+        assert session.bodies[0]["messages"][1]["content"].endswith("Reminder: schema")
 
-    def test_auth_error(self):
-        class Session:
-            def post(self, *a, **k):
-                return _FakeResponse(status_code=401)
-
-        provider = HttpProvider(self._config(max_retries=0), session=Session())
+    def test_auth_error(self, sleeps):
+        session = _ScriptedSession(_FakeResponse(status_code=401))
         with pytest.raises(AuthError):
-            provider.complete(build_trav_select_spec(make_doc("d", "t"), []))
+            _http_gateway(session, max_retries=0).call_with_retry(_empty_spec())
 
-    def test_server_error_retries_then_fails(self):
-        calls = []
-
-        class Session:
-            def post(self, *a, **k):
-                calls.append(1)
-                return _FakeResponse(status_code=500)
-
-        provider = HttpProvider(self._config(max_retries=2), session=Session())
+    def test_server_error_retries_then_fails(self, sleeps):
+        session = _ScriptedSession(_HTTP_500)
         with pytest.raises(TransportError):
-            provider.complete(build_trav_select_spec(make_doc("d", "t"), []))
-        assert len(calls) == 3
+            _http_gateway(session, max_retries=2).call_with_retry(_empty_spec())
+        assert session.posts == 3
 
-    def test_timeout_maps_to_provider_timeout(self):
+    def test_timeout_maps_to_provider_timeout(self, sleeps):
         import requests
 
-        class Session:
-            def post(self, *a, **k):
-                raise requests.Timeout("too slow")
-
-        provider = HttpProvider(self._config(max_retries=0), session=Session())
+        session = _ScriptedSession(requests.Timeout("too slow"))
         with pytest.raises(ProviderTimeout):
-            provider.complete(build_trav_select_spec(make_doc("d", "t"), []))
+            _http_gateway(session, max_retries=0).call_with_retry(_empty_spec())
 
-    def test_missing_credentials_env(self, monkeypatch):
+    def test_missing_credentials_env(self, monkeypatch, sleeps):
         monkeypatch.delenv("MY_SECRET", raising=False)
-
-        class Session:
-            def post(self, *a, **k):
-                return _FakeResponse()
-
-        provider = HttpProvider(self._config(credentials="MY_SECRET"), session=Session())
+        session = _ScriptedSession(_OK)
         with pytest.raises(AuthError, match="MY_SECRET"):
-            provider.complete(build_trav_select_spec(make_doc("d", "t"), []))
+            _http_gateway(session, credentials="MY_SECRET").call_with_retry(_empty_spec())
+        assert session.posts == 0 and sleeps == []
 
 
-class TestTokenBucket:
-    def test_burst_then_throttle(self):
-        import time
+class TestRetryPolicy:
+    """LlmGateway.call_with_retry over HttpProvider with max_retries=3."""
 
-        bucket = TokenBucket(rate_per_sec=50.0, burst=2)
-        start = time.monotonic()
-        bucket.acquire()
-        bucket.acquire()
-        fast = time.monotonic() - start
-        bucket.acquire()  # must wait ~1/50s for a refill
-        slow = time.monotonic() - start
-        assert fast < 0.015
-        assert slow >= 0.015
+    @pytest.mark.parametrize("status, error", [
+        (400, ClientError), (401, AuthError), (403, AuthError), (404, ClientError),
+    ])
+    def test_client_errors_fail_fast(self, sleeps, status, error):
+        session = _ScriptedSession(_FakeResponse(status_code=status), _OK)
+        with pytest.raises(error):
+            _http_gateway(session).call_with_retry(_empty_spec())
+        assert session.posts == 1
+        assert sleeps == []
 
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            TokenBucket(rate_per_sec=0)
+    def test_server_error_on_every_attempt_exhausts_budget(self, sleeps):
+        session = _ScriptedSession(_HTTP_500)
+        gateway = _http_gateway(session)
+        with pytest.raises(TransportError) as err:
+            gateway.call_with_retry(_empty_spec())
+        assert not isinstance(err.value, ClientError)
+        assert session.posts == 4
+        assert sleeps == [0.5, 1.0, 2.0]
+        assert gateway.calls_made == 0
+
+    @pytest.mark.parametrize("failure", ["429", "408", "503", "timeout", "connection",
+                                         "no-choices"])
+    def test_transient_failures_are_retried(self, sleeps, failure):
+        import requests
+
+        outcome = {
+            "429": _FakeResponse(status_code=429),
+            "408": _FakeResponse(status_code=408),
+            "503": _FakeResponse(status_code=503),
+            "timeout": requests.Timeout("slow"),
+            "connection": requests.ConnectionError("refused"),
+            "no-choices": _NoChoicesResponse(),
+        }[failure]
+        session = _ScriptedSession(outcome, outcome, _OK)
+        gateway = _http_gateway(session)
+        assert gateway.call_with_retry(_empty_spec()) == BestLabels(ids=())
+        assert session.posts == 3
+        assert sleeps == [0.5, 1.0]
+        assert gateway.calls_made == 1
+
+    def test_mixed_failures_share_one_budget(self, sleeps):
+        session = _ScriptedSession(_HTTP_500, _JUNK, _HTTP_500, _JUNK)
+        with pytest.raises(RetryExhaustedError) as err:
+            _http_gateway(session).call_with_retry(_empty_spec())
+        assert session.posts == 4
+        assert err.value.last_raw == "junk"
+        assert sleeps == [0.5, 1.0]  # after provider errors only, none after parse failures
+
+    def test_provider_error_on_last_attempt_is_raised(self, sleeps):
+        session = _ScriptedSession(_JUNK, _JUNK, _JUNK, _FakeResponse(status_code=502))
+        with pytest.raises(TransportError):
+            _http_gateway(session).call_with_retry(_empty_spec())
+        assert session.posts == 4
+
+    def test_reminder_survives_provider_error(self, sleeps):
+        session = _ScriptedSession(_JUNK, _HTTP_500, _OK)
+        _http_gateway(session).call_with_retry(_empty_spec())
+        user_texts = [body["messages"][1]["content"] for body in session.bodies]
+        assert "Reminder" not in user_texts[0]
+        assert all("Reminder" in text for text in user_texts[1:])
+
+    def test_every_attempt_writes_one_audit_line(self, sleeps, tmp_path):
+        log_path = tmp_path / "audit.ndjson"
+        session = _ScriptedSession(_HTTP_500, _JUNK, _OK)
+        _http_gateway(session, AuditLog(log_path)).call_with_retry(_empty_spec())
+        records = [json.loads(line) for line in log_path.read_text().splitlines()]
+        assert [(r["attempt"], r["outcome"]) for r in records] == [
+            (1, "provider_error:TransportError"), (2, "parse_error:NoJsonError"), (3, "ok"),
+        ]
+
+    def test_fail_fast_error_is_audited(self, sleeps, tmp_path):
+        log_path = tmp_path / "audit.ndjson"
+        session = _ScriptedSession(_FakeResponse(status_code=401))
+        with pytest.raises(AuthError):
+            _http_gateway(session, AuditLog(log_path)).call_with_retry(_empty_spec())
+        records = [json.loads(line) for line in log_path.read_text().splitlines()]
+        assert [(r["attempt"], r["outcome"]) for r in records] == [(1, "provider_error:AuthError")]
+
+    def test_backoff_doubles_to_a_cap(self, sleeps):
+        session = _ScriptedSession(_HTTP_500)
+        with pytest.raises(TransportError):
+            _http_gateway(session, max_retries=7).call_with_retry(_empty_spec())
+        assert session.posts == 8
+        assert sleeps == [0.5, 1.0, 2.0, 4.0, 8.0, 8.0, 8.0]

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import io
+import json
 import math
 import random
 
@@ -23,6 +24,7 @@ from taxocat.retrieval import (
     build_pruned_taxonomy,
     cosine_similarity,
     embed_taxonomy_leaves,
+    load_gold_labels,
     node_text,
     rank_leaves,
     recall_at_k,
@@ -399,3 +401,31 @@ class TestRecallAtK:
     def test_missing_gold_entry(self):
         with pytest.raises(RetrievalError, match="missing gold"):
             recall_at_k([_ranking("d", ["a"])], {}, [1])
+
+
+class TestMalformedRecords:
+    """Bad gold and embedding-cache lines raise RetrievalError naming the line."""
+
+    def test_gold_line_not_an_object(self):
+        text = '{"doc_id": "a", "gold": ["x"]}\n[1, 2]\n'
+        with pytest.raises(RetrievalError, match="gold file line 2"):
+            load_gold_labels(io.StringIO(text))
+
+    def test_gold_labels_must_be_ids(self):
+        with pytest.raises(RetrievalError, match="gold file line 1"):
+            load_gold_labels(io.StringIO('{"doc_id": "a", "gold": [{"id": "x"}]}\n'))
+
+    def test_cache_line_without_model_tag(self):
+        line = json.dumps({"node_id": "n", "vector": [1.0, 0.0]})
+        with pytest.raises(RetrievalError, match="embedding cache line 1"):
+            EmbeddingStore.load(io.StringIO(line + "\n"))
+
+    def test_cache_line_not_an_object(self):
+        with pytest.raises(RetrievalError, match="embedding cache line 1"):
+            EmbeddingStore.load(io.StringIO("[1]\n"))
+
+    @pytest.mark.parametrize("vector", [[1.0, "2"], [True, 1.0], [[1.0, 0.0]], "1.0", None])
+    def test_cache_vector_must_be_numbers(self, vector):
+        line = json.dumps({"node_id": "n", "model_tag": "t", "vector": vector})
+        with pytest.raises(RetrievalError, match="embedding cache line 1"):
+            EmbeddingStore.load(io.StringIO(line + "\n"))

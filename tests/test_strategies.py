@@ -171,15 +171,6 @@ class TestTravSelect:
         labels = classify_trav_select(make_doc("d", "x"), self._two_branch_taxonomy(), gateway)
         assert labels.leaf_ids == ()
 
-    def test_per_round_cap(self):
-        gateway, provider = scripted_gateway('{"best_labels": ["b1", "b2"]}', '{"best_labels": []}')
-        classify_trav_select(
-            make_doc("d", "x"), self._two_branch_taxonomy(), gateway, per_round_cap=1
-        )
-        # Round 2 frontier comes from b1 only.
-        second = provider.calls[1][0].user_payload["nodes"]
-        assert [n["id"] for n in second] == ["b1l1", "b1l2"]
-
 
 class TestSelectOnePass:
     def test_pass_through_of_known_leaf(self, ternary):
