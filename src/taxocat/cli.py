@@ -136,6 +136,10 @@ def _provider_config(args: argparse.Namespace) -> gw.ProviderConfig:
         config = replace(config, model_name=model)
     if config.credentials is None and os.environ.get("TAXOCAT_API_KEY") is not None:
         config = replace(config, credentials="TAXOCAT_API_KEY")
+    if not config.endpoint.startswith("mock://") and config.model_name == "mock":
+        raise gw.ConfigError(
+            f"endpoint {config.endpoint!r} needs a model: set model_name or TAXOCAT_MODEL"
+        )
     return config
 
 
@@ -371,7 +375,7 @@ def run_classification(
                     doc, loaded, gateway, include_descriptions=config.include_descriptions
                 )
             else:
-                ranking = retrieval.rank_leaves(doc, loaded, store, embedder)
+                ranking = retrieval.rank_leaves(doc, loaded, store, embedder, k=config.top_k)
                 pt = retrieval.build_pruned_taxonomy(loaded, ranking, config.top_k)
                 if method is strategies.Method.SELECT_ONE_PASS:
                     labels = strategies.classify_select_one_pass(
@@ -408,6 +412,8 @@ def run_classification(
                 "flags": flags,
             }
         except Exception as exc:  # per-document isolation: one failure must not kill the batch
+            if isinstance(exc, gw.ProviderError) and not exc.retryable:
+                raise  # every later document would be rejected the same way
             logger.exception("document %s failed", doc.doc_id)
             return {
                 "doc_id": doc.doc_id,
@@ -421,7 +427,11 @@ def run_classification(
         records = [classify_one(doc) for doc in docs]
     else:
         with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            records = list(pool.map(classify_one, docs))  # map preserves input order
+            try:
+                records = list(pool.map(classify_one, docs))  # map preserves input order
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
 
     with config.output_path.open("w", encoding="utf-8") as fh:
         for record in records:
@@ -513,7 +523,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
     store = _embedding_store(args, loaded, embedder)
     if embedder is None:
         raise CliError("document embedding requires --mock or an embedding provider")
-    rankings = [retrieval.rank_leaves(doc, loaded, store, embedder) for doc in docs]
+    k = max(depths)
+    rankings = [retrieval.rank_leaves(doc, loaded, store, embedder, k=k) for doc in docs]
     try:
         rows = retrieval.recall_at_k(rankings, gold, depths)
     except retrieval.RetrievalError as exc:
@@ -549,7 +560,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return cmd_rank(args)
         parser.error(f"unknown command {args.command!r}")
     except (CliError, tax.TaxonomyError, DocumentError, retrieval.RetrievalError,
-            gw.ConfigError) as exc:
+            gw.ConfigError, gw.ProviderError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

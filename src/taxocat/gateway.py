@@ -212,8 +212,11 @@ def load_provider_config(path: str | Path) -> ProviderConfig:
     if not isinstance(data, dict):
         raise ConfigError("provider config must be a JSON object")
     known = {"endpoint", "model_name", "temperature", "max_retries", "timeout", "credentials"}
-    fields = {k: v for k, v in data.items() if k in known}
-    return ProviderConfig(**fields)
+    # The CLI's embedder set-up reads the embedding keys from the same file.
+    unknown = sorted(set(data) - known - {"embedding_endpoint", "embedding_model"})
+    if unknown:
+        raise ConfigError(f"unknown provider config keys: {', '.join(unknown)}")
+    return ProviderConfig(**{k: v for k, v in data.items() if k in known})
 
 
 # -- user-message rendering ----------------------------------------------------------

@@ -1,10 +1,10 @@
 """Embedding-based leaf ranking and pruned-taxonomy construction.
 
 Leaf nodes are embedded once per taxonomy version (name plus description),
-documents on the fly; cosine similarity ranks all leaves and the top-k
-leaves plus their root paths form the pruned taxonomy handed to the LLM
-strategies. All vectors are unit-normalized at ingest so similarity is a
-dot product.
+documents on the fly. The leaf vectors are one matrix of unit-norm rows, so
+a document's cosine similarity to every leaf is one matrix-vector
+contraction; the top-k leaves plus their root paths form the pruned
+taxonomy handed to the LLM strategies.
 """
 from __future__ import annotations
 
@@ -13,12 +13,20 @@ import json
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Protocol, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
 from .documents import Document, document_text
 from .taxonomy import Taxonomy, TaxonomyNode
+
+# Similarities are compared at this many decimals, so float noise in the
+# last bits cannot break an exact tie; ties then go to the lower leaf id.
+SIM_DECIMALS = 12
+# Texts per embeddings request.
+EMBED_BATCH = 128
+# Words whose hash-bag coordinate one HashBagEmbedder remembers.
+SLOT_MEMO_SIZE = 1 << 16
 
 
 class RetrievalError(Exception):
@@ -53,20 +61,6 @@ class EmbeddingVector:
         return int(self.values.shape[0])
 
 
-def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    """dot(a, b) / (||a|| * ||b||), clipped to [-1, 1] against float drift."""
-    if a.model_tag != b.model_tag:
-        raise RetrievalError(f"model_tag mismatch: {a.model_tag!r} vs {b.model_tag!r}")
-    if a.dim != b.dim:
-        raise RetrievalError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    norm_a = float(np.linalg.norm(a.values))
-    norm_b = float(np.linalg.norm(b.values))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise RetrievalError("cosine similarity undefined for zero-norm vector")
-    sim = float(np.dot(a.values, b.values) / (norm_a * norm_b))
-    return max(-1.0, min(1.0, sim))
-
-
 def node_text(node: TaxonomyNode) -> str:
     """Text a node is embedded as: name, plus ': description' when present."""
     if node.description:
@@ -79,6 +73,8 @@ class Embedder(Protocol):
     def model_tag(self) -> str: ...
 
     def embed(self, text: str) -> EmbeddingVector: ...
+
+    def embed_many(self, texts: Iterable[str]) -> Iterator[EmbeddingVector]: ...
 
 
 class HashBagEmbedder:
@@ -93,6 +89,8 @@ class HashBagEmbedder:
         if dim < 2:
             raise ValueError("dim must be >= 2")
         self.dim = dim
+        # Texts share most of their words, so each word is hashed once.
+        self._slots: dict[str, int] = {}
 
     @property
     def model_tag(self) -> str:
@@ -101,15 +99,24 @@ class HashBagEmbedder:
     def embed(self, text: str) -> EmbeddingVector:
         from .textproc import tokenize
 
+        slots = self._slots
         vec = np.zeros(self.dim, dtype=np.float64)
         for token in tokenize(text):
-            digest = hashlib.sha1(token.encode("utf-8")).digest()
-            vec[int.from_bytes(digest[:4], "big") % self.dim] += 1.0
+            slot = slots.get(token)
+            if slot is None:
+                if len(slots) >= SLOT_MEMO_SIZE:
+                    slots.clear()
+                digest = hashlib.sha1(token.encode("utf-8")).digest()
+                slot = slots[token] = int.from_bytes(digest[:4], "big") % self.dim
+            vec[slot] += 1.0
         norm = np.linalg.norm(vec)
         if norm == 0.0:
             vec[0] = 1.0
             norm = 1.0
         return EmbeddingVector(values=vec / norm, model_tag=self.model_tag)
+
+    def embed_many(self, texts: Iterable[str]) -> Iterator[EmbeddingVector]:
+        return map(self.embed, texts)
 
 
 class HttpEmbedder:
@@ -142,6 +149,15 @@ class HttpEmbedder:
         return self.model_name
 
     def embed(self, text: str) -> EmbeddingVector:
+        return self._post([text])[0]
+
+    def embed_many(self, texts: Iterable[str]) -> Iterator[EmbeddingVector]:
+        """Embeddings of `texts` in order, EMBED_BATCH texts per request."""
+        texts = list(texts)
+        for start in range(0, len(texts), EMBED_BATCH):
+            yield from self._post(texts[start:start + EMBED_BATCH])
+
+    def _post(self, texts: list[str]) -> list[EmbeddingVector]:
         import os
 
         import requests
@@ -155,7 +171,7 @@ class HttpEmbedder:
         try:
             response = self.session.post(
                 self.endpoint,
-                json={"model": self.model_name, "input": [text]},
+                json={"model": self.model_name, "input": texts},
                 headers=headers,
                 timeout=self.timeout,
             )
@@ -164,57 +180,89 @@ class HttpEmbedder:
         if response.status_code >= 400:
             raise RetrievalError(f"embedding request failed: HTTP {response.status_code}")
         try:
-            values = response.json()["data"][0]["embedding"]
+            data = response.json()["data"]
+            indices = [item["index"] for item in data]
+            rows = [np.array(item["embedding"], dtype=np.float64) for item in data]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise RetrievalError(f"malformed embedding response: {exc}") from exc
-        return EmbeddingVector(values=np.array(values, dtype=np.float64), model_tag=self.model_tag)
+        if indices != list(range(len(texts))):
+            raise RetrievalError(
+                f"embedding response for {len(texts)} texts has indices {indices[:10]}"
+            )
+        return [EmbeddingVector(values=row, model_tag=self.model_tag) for row in rows]
 
 
 _NUMBER_TYPES = frozenset({int, float})  # exact types: rejects bools and numeric strings
 
 
 class EmbeddingStore:
-    """Node-id keyed vector store; concurrent reads, exclusive batch writes."""
+    """Node vectors as one read-only matrix of unit-norm rows, ids in row order.
+
+    Reads may run concurrently. Writers exclude each other and publish a
+    new matrix before the ids that index it, and rows never move, so a
+    reader never sees an id without its row.
+    """
 
     def __init__(self, model_tag: str):
         self.model_tag = model_tag
-        self._vectors: dict[str, np.ndarray] = {}
         self._write_lock = threading.Lock()
+        self._resolved: tuple[tuple[str, ...], np.ndarray] | None = None
+        self._publish((), np.empty((0, 0)))
+
+    def _publish(self, ids: tuple[str, ...], matrix: np.ndarray) -> None:
+        matrix.flags.writeable = False
+        self.matrix = matrix
+        self._row = {node_id: row for row, node_id in enumerate(ids)}
+        self.ids = ids
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return len(self.ids)
 
     def __contains__(self, node_id: str) -> bool:
-        return node_id in self._vectors
+        return node_id in self._row
 
     def get(self, node_id: str) -> EmbeddingVector:
-        try:
-            values = self._vectors[node_id]
-        except KeyError:
-            raise IndexIncompleteError([node_id]) from None
-        return EmbeddingVector(values=values, model_tag=self.model_tag)
+        row = self._row.get(node_id)
+        if row is None:
+            raise IndexIncompleteError([node_id])
+        return EmbeddingVector(values=self.matrix[row], model_tag=self.model_tag)
+
+    def rows(self, node_ids: tuple[str, ...]) -> np.ndarray:
+        """Matrix row of each id, in order; the last tuple resolved is cached."""
+        cached = self._resolved
+        if cached is not None and (cached[0] is node_ids or cached[0] == node_ids):
+            return cached[1]
+        row = self._row
+        missing = [node_id for node_id in node_ids if node_id not in row]
+        if missing:
+            raise IndexIncompleteError(missing)
+        rows = np.fromiter((row[node_id] for node_id in node_ids), dtype=np.intp,
+                           count=len(node_ids))
+        rows.flags.writeable = False
+        self._resolved = (node_ids, rows)
+        return rows
 
     def add_batch(self, items: Iterable[tuple[str, EmbeddingVector]]) -> None:
-        staged = {}
-        for node_id, vector in items:
-            if vector.model_tag != self.model_tag:
-                raise RetrievalError(
-                    f"store is {self.model_tag!r}, got vector for {vector.model_tag!r}"
-                )
-            norm = float(np.linalg.norm(vector.values))
-            if norm == 0.0:
-                raise RetrievalError(f"zero-norm embedding for node {node_id!r}")
-            staged[node_id] = vector.values / norm
+        items = list(items)
+        if not items:
+            return
+        ids = [node_id for node_id, _ in items]
+        fresh = _unit_rows(self.model_tag, ids, (vector for _, vector in items))
         with self._write_lock:
-            self._vectors.update(staged)
+            dim = self.matrix.shape[1]
+            if self.ids and fresh.shape[1] != dim:
+                raise RetrievalError(f"dimension mismatch: {fresh.shape[1]} vs {dim}")
+            merged = dict(zip(self.ids, self.matrix))  # a replaced id keeps its row
+            merged.update(zip(ids, fresh))
+            self._publish(tuple(merged), np.array(list(merged.values())))
 
     def save(self, target: str | Path | IO[str]) -> None:
         def _write(fh: IO[str]) -> None:
-            for node_id in sorted(self._vectors):
+            for node_id in sorted(self.ids):
                 record = {
                     "node_id": node_id,
                     "model_tag": self.model_tag,
-                    "vector": [float(x) for x in self._vectors[node_id]],
+                    "vector": [float(x) for x in self.matrix[self._row[node_id]]],
                 }
                 fh.write(json.dumps(record) + "\n")
 
@@ -267,12 +315,34 @@ class EmbeddingStore:
         return store
 
 
+def _unit_rows(model_tag: str, ids: Sequence[str],
+               vectors: Iterable[EmbeddingVector]) -> np.ndarray:
+    """A new matrix with each vector normalised into its id's row, checked on the way."""
+    matrix = np.empty((0, 0))
+    filled = 0
+    for node_id, vector in zip(ids, vectors):
+        if vector.model_tag != model_tag:
+            raise RetrievalError(f"store is {model_tag!r}, got vector for {vector.model_tag!r}")
+        if filled == 0:
+            matrix = np.empty((len(ids), vector.dim))
+        elif vector.dim != matrix.shape[1]:
+            raise RetrievalError(f"dimension mismatch: {vector.dim} vs {matrix.shape[1]}")
+        norm = float(np.linalg.norm(vector.values))
+        if norm == 0.0:
+            raise RetrievalError(f"zero-norm embedding for node {node_id!r}")
+        np.divide(vector.values, norm, out=matrix[filled])
+        filled += 1
+    if filled != len(ids):
+        raise RetrievalError(f"got {filled} embeddings for {len(ids)} nodes")
+    return matrix
+
+
 def embed_taxonomy_leaves(taxonomy: Taxonomy, embedder: Embedder) -> EmbeddingStore:
+    """Store of every leaf's embedding, rows in ascending leaf-id order."""
+    leaves = taxonomy.leaf_ids()
     store = EmbeddingStore(model_tag=embedder.model_tag)
-    store.add_batch(
-        (leaf_id, embedder.embed(node_text(taxonomy.node(leaf_id))))
-        for leaf_id in taxonomy.leaf_ids()
-    )
+    texts = (node_text(taxonomy.node(leaf_id)) for leaf_id in leaves)
+    store._publish(leaves, _unit_rows(store.model_tag, leaves, embedder.embed_many(texts)))
     return store
 
 
@@ -317,24 +387,43 @@ def rank_leaves(
     taxonomy: Taxonomy,
     store: EmbeddingStore,
     embedder: Embedder,
+    k: int | None = None,
 ) -> LeafRanking:
-    """Rank every taxonomy leaf by cosine similarity to the document content.
+    """Rank taxonomy leaves by cosine similarity to the document content.
 
-    Ties break by ascending node id so rankings are reproducible across
-    runs and platforms.
+    Similarities are rounded to SIM_DECIMALS decimals and ties break by
+    ascending leaf id, so rankings are reproducible across runs and
+    platforms. With `k`, only the best k entries are kept.
     """
     if embedder.model_tag != store.model_tag:
         raise RetrievalError(
             f"embedder is {embedder.model_tag!r} but store is {store.model_tag!r}"
         )
+    if k is not None and k < 1:
+        raise ValueError("k must be >= 1")
     leaves = taxonomy.leaf_ids()
-    missing = [leaf_id for leaf_id in leaves if leaf_id not in store]
-    if missing:
-        raise IndexIncompleteError(missing)
-    doc_vec = embedder.embed(document_text(doc))
-    scored = [(leaf_id, cosine_similarity(doc_vec, store.get(leaf_id))) for leaf_id in leaves]
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return LeafRanking(doc_id=doc.doc_id, entries=tuple(scored))
+    rows = store.rows(leaves)
+    matrix = store.matrix  # read after the rows, so it has all of them
+    query = embedder.embed(document_text(doc)).values
+    if query.shape[0] != matrix.shape[1]:
+        raise RetrievalError(f"dimension mismatch: {query.shape[0]} vs {matrix.shape[1]}")
+    norm = float(np.linalg.norm(query))
+    if norm == 0.0:
+        raise RetrievalError("cosine similarity undefined for zero-norm vector")
+    # einsum, not matrix @ query: that goes to multithreaded BLAS, which costs more CPU here.
+    sims = np.einsum("ij,j->i", matrix, query / norm)[rows]
+    sims = np.round(np.clip(sims, -1.0, 1.0), SIM_DECIMALS)
+    keys = -sims  # ascending: best first
+    order = np.arange(len(keys))
+    if k is not None and k < len(keys):
+        kth = np.partition(keys, k - 1)[k - 1]
+        order = np.flatnonzero(keys <= kth)  # keeps every leaf tied with the k-th
+    # Positions follow the ascending leaf ids, so they break ties.
+    order = order[np.lexsort((order, keys[order]))][:k].tolist()
+    return LeafRanking(
+        doc_id=doc.doc_id,
+        entries=tuple(zip([leaves[i] for i in order], sims[order].tolist())),
+    )
 
 
 def build_pruned_taxonomy(taxonomy: Taxonomy, ranking: LeafRanking, k: int) -> PrunedTaxonomy:

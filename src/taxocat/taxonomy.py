@@ -78,6 +78,9 @@ class Taxonomy:
         self._roots.sort()
         for kids in self._children.values():
             kids.sort()
+        ordered = sorted(self._nodes)
+        self._leaf_ids = tuple(nid for nid in ordered if not self._children[nid])
+        self._parent_ids = tuple(nid for nid in ordered if self._children[nid])
 
         self._depth = self._compute_depths()
 
@@ -133,10 +136,12 @@ class Taxonomy:
         return not self._children[self.node(node_id).id]
 
     def leaf_ids(self) -> tuple[str, ...]:
-        return tuple(nid for nid in sorted(self._nodes) if not self._children[nid])
+        """Leaf ids in ascending order."""
+        return self._leaf_ids
 
     def parent_ids(self) -> tuple[str, ...]:
-        return tuple(nid for nid in sorted(self._nodes) if self._children[nid])
+        """Ids of nodes with children, in ascending order."""
+        return self._parent_ids
 
     def depth(self, node_id: str) -> int:
         self.node(node_id)

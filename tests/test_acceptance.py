@@ -339,22 +339,22 @@ def test_criterion_7_classify_determinism(tmp_path):
           "abstract": d.abstract} for d in docs],
     )
 
-    outputs = {}
-    for name, parallelism in (("a", 1), ("b", 1), ("c", 8)):
-        out = tmp_path / f"out_{name}.ndjson"
-        code = cli.main(
-            ["classify", "--taxonomy", str(tax_path), "--documents", str(docs_path),
-             "--output", str(out), "--strategy", "pointwise", "--mock",
-             "--ablation", "no-decrease", "--seed", "7",
-             "--parallelism", str(parallelism)]
-        )
-        assert code == 0
-        outputs[name] = out.read_bytes()
-    assert outputs["a"] == outputs["b"]
-    assert outputs["a"] == outputs["c"]
-    assert len(outputs["a"].splitlines()) == 100
-    print("\nACCEPTANCE 7 PASS - two seeded mock runs over 100 documents are "
-          "byte-identical, with parallelism 1 and 8")
+    for strategy in ("pointwise", "one-pass", "rerank", "trav-select"):
+        outputs = {}
+        for name, parallelism in (("a", 1), ("b", 1), ("c", 2), ("d", 8)):
+            out = tmp_path / f"out_{strategy}_{name}.ndjson"
+            code = cli.main(
+                ["classify", "--taxonomy", str(tax_path), "--documents", str(docs_path),
+                 "--output", str(out), "--strategy", strategy, "--mock",
+                 "--ablation", "no-decrease", "--seed", "7",
+                 "--parallelism", str(parallelism)]
+            )
+            assert code == 0
+            outputs[name] = out.read_bytes()
+        assert outputs["a"] == outputs["b"] == outputs["c"] == outputs["d"], strategy
+        assert len(outputs["a"].splitlines()) == 100
+    print("\nACCEPTANCE 7 PASS - seeded mock runs over 100 documents are byte-identical "
+          "for all four strategies, twice at parallelism 1 and at 2 and 8")
 
 
 def _spread(total: int, parts: int) -> list[int]:

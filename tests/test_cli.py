@@ -251,6 +251,51 @@ class TestClassify:
             assert len(record["labels"]) <= 2
 
 
+class TestProviderWiring:
+    """classify against a hosted endpoint whose HTTP session is faked to answer 401."""
+
+    @pytest.fixture(autouse=True)
+    def bodies(self, monkeypatch):
+        for name in ("TAXOCAT_ENDPOINT", "TAXOCAT_MODEL", "TAXOCAT_API_KEY"):
+            monkeypatch.delenv(name, raising=False)
+        bodies = []
+
+        class Rejected:
+            status_code = 401
+            text = ""
+
+        class Session:
+            def post(self, url, json=None, headers=None, timeout=None):
+                bodies.append(json)
+                return Rejected()
+
+        monkeypatch.setattr("requests.Session", Session)
+        return bodies
+
+    def _classify(self, tmp, provider_fields):
+        provider = tmp / "provider.json"
+        provider.write_text(json.dumps(provider_fields))
+        return cli.main(
+            ["classify", "--taxonomy", str(tmp / "taxonomy.ndjson"),
+             "--documents", str(tmp / "docs.ndjson"), "--output", str(tmp / "out.ndjson"),
+             "--strategy", "trav-select", "--provider", str(provider), "--parallelism", "1"]
+        )
+
+    def test_auth_error_stops_the_batch(self, workdir, bodies, capsys):
+        tmp, _, docs = workdir
+        code = self._classify(tmp, {"endpoint": "https://api.example/chat", "model_name": "m"})
+        assert code == 1
+        assert len(docs) == 10 and len(bodies) == 1
+        assert "error: HTTP 401" in capsys.readouterr().err
+
+    def test_real_endpoint_needs_a_model_name(self, workdir, bodies, capsys):
+        tmp, _, _ = workdir
+        code = self._classify(tmp, {"endpoint": "https://api.example/chat"})
+        assert code == 1
+        assert bodies == []
+        assert "needs a model" in capsys.readouterr().err
+
+
 class TestEvaluateAndRank:
     def test_evaluate_reproduces_best_row(self, tmp_path, capsys):
         records = []
@@ -335,6 +380,40 @@ class TestEvaluateAndRank:
             expected = sum(1 for r in planted.values() if r <= row["depth"]) / len(docs)
             assert row["all_gold_rate"] == pytest.approx(expected)
             assert row["any_gold_rate"] == pytest.approx(expected)
+
+    def test_rank_ranks_only_the_deepest_depth(self, workdir, monkeypatch, tmp_path):
+        tmp, tax, docs = workdir
+        from taxocat import retrieval
+
+        embedder = retrieval.HashBagEmbedder()
+        store = retrieval.embed_taxonomy_leaves(tax, embedder)
+        full = [retrieval.rank_leaves(doc, tax, store, embedder) for doc in docs]
+        gold = {r.doc_id: [r.leaf_ids()[(5 * i) % 27], r.leaf_ids()[(7 * i + 3) % 27]]
+                for i, r in enumerate(full)}
+        write_ndjson(tmp_path / "gold.ndjson",
+                     [{"doc_id": doc_id, "gold": labels} for doc_id, labels in gold.items()])
+        lengths = []
+        real = retrieval.rank_leaves
+
+        def recording(*args, **kwargs):
+            ranking = real(*args, **kwargs)
+            lengths.append(len(ranking.entries))
+            return ranking
+
+        monkeypatch.setattr(retrieval, "rank_leaves", recording)
+        json_out = tmp_path / "recall.json"
+        code = cli.main(
+            ["rank", "--documents", str(tmp / "docs.ndjson"),
+             "--taxonomy", str(tmp / "taxonomy.ndjson"), "--gold", str(tmp_path / "gold.ndjson"),
+             "--depths", "1,3,8", "--mock", "--json-output", str(json_out)]
+        )
+        assert code == 0
+        assert lengths == [8] * len(docs)
+        expected = retrieval.recall_at_k(full, gold, [1, 3, 8])
+        assert json.loads(json_out.read_text()) == [
+            {"depth": r.depth, "all_gold_rate": r.all_gold_rate, "any_gold_rate": r.any_gold_rate}
+            for r in expected
+        ]
 
     def test_rank_missing_gold_fails(self, workdir, capsys, tmp_path):
         tmp, tax, docs = workdir

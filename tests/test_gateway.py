@@ -37,6 +37,7 @@ from taxocat.gateway import (
     build_selectp_parent_spec,
     build_trav_select_spec,
     extract_response,
+    load_provider_config,
     load_template,
     mock_complete,
     mock_gateway,
@@ -74,6 +75,23 @@ class TestTemplatesAndSpecs:
             ProviderConfig(timeout=0)
         with pytest.raises(ConfigError):
             ProviderConfig(max_retries=-1)
+
+    def test_provider_config_rejects_unknown_keys(self, tmp_path):
+        path = tmp_path / "provider.json"
+        path.write_text(json.dumps(
+            {"endpoint": "https://api.example/chat", "max_retry": 0, "timeout_s": 5}))
+        with pytest.raises(ConfigError, match="max_retry, timeout_s"):
+            load_provider_config(path)
+
+    def test_provider_config_allows_embedding_keys(self, tmp_path):
+        path = tmp_path / "provider.json"
+        path.write_text(json.dumps({
+            "endpoint": "https://api.example/chat", "model_name": "m", "max_retries": 1,
+            "embedding_endpoint": "https://api.example/emb", "embedding_model": "e",
+        }))
+        config = load_provider_config(path)
+        assert (config.endpoint, config.model_name, config.max_retries) == (
+            "https://api.example/chat", "m", 1)
 
 
 class TestExtractResponse:

@@ -1,6 +1,7 @@
 """Embedding, ranking, pruning, and recall metrics."""
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import math
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 from taxocat.documents import Document, DocumentError, document_text
 from taxocat.retrieval import (
+    EMBED_BATCH,
+    SIM_DECIMALS,
     DepthRecall,
     EmbeddingStore,
     EmbeddingVector,
@@ -22,7 +25,6 @@ from taxocat.retrieval import (
     LeafRanking,
     RetrievalError,
     build_pruned_taxonomy,
-    cosine_similarity,
     embed_taxonomy_leaves,
     load_gold_labels,
     node_text,
@@ -31,7 +33,7 @@ from taxocat.retrieval import (
 )
 from taxocat.taxonomy import Taxonomy, TaxonomyNode
 
-from .util import make_doc, random_forest
+from .util import cosine_similarity, make_doc, random_forest, vocab_doc
 
 
 class TestNodeText:
@@ -164,6 +166,15 @@ class TestEmbedderAndStore:
         assert np.linalg.norm(v1.values) == pytest.approx(1.0)
         assert v1.model_tag == "hash-bag-64"
 
+    def test_hash_bag_word_memo_is_bounded(self, monkeypatch):
+        texts = ["auction design and markets", "credit risk pricing", "auction risk"]
+        want = [HashBagEmbedder(dim=64).embed(text).values for text in texts]
+        monkeypatch.setattr("taxocat.retrieval.SLOT_MEMO_SIZE", 3)
+        embedder = HashBagEmbedder(dim=64)
+        for text, values in zip(texts, want):
+            assert np.array_equal(embedder.embed(text).values, values)
+        assert len(embedder._slots) <= 3
+
     def test_empty_text_still_embeds(self):
         v = HashBagEmbedder(dim=16).embed("")
         assert np.linalg.norm(v.values) == pytest.approx(1.0)
@@ -172,6 +183,18 @@ class TestEmbedderAndStore:
         store = EmbeddingStore(model_tag="t")
         store.add_batch([("a", EmbeddingVector(values=np.array([3.0, 4.0]), model_tag="t"))])
         assert np.allclose(store.get("a").values, [0.6, 0.8])
+
+    def test_add_batch_replaces_and_appends(self):
+        def vec(*values):
+            return EmbeddingVector(values=np.array(values), model_tag="t")
+
+        store = EmbeddingStore(model_tag="t")
+        store.add_batch([("a", vec(1.0, 0.0)), ("b", vec(0.0, 2.0))])
+        store.add_batch([("b", vec(3.0, 4.0)), ("c", vec(0.0, -1.0))])
+        assert store.ids == ("a", "b", "c")
+        assert np.allclose(store.matrix, [[1.0, 0.0], [0.6, 0.8], [0.0, -1.0]])
+        with pytest.raises(RetrievalError, match="dimension"):
+            store.add_batch([("d", vec(1.0, 0.0, 0.0))])
 
     def test_store_rejects_foreign_tag(self):
         store = EmbeddingStore(model_tag="t")
@@ -202,7 +225,7 @@ class TestEmbedderAndStore:
             status_code = 200
 
             def json(self):
-                return {"data": [{"embedding": [1.0, 2.0, 2.0]}]}
+                return {"data": [{"index": 0, "embedding": [1.0, 2.0, 2.0]}]}
 
         class FakeSession:
             def post(self, url, json=None, headers=None, timeout=None):
@@ -228,6 +251,79 @@ class TestEmbedderAndStore:
         embedder = HttpEmbedder(endpoint="https://x/emb", model_name="m", session=FakeSession())
         with pytest.raises(RetrievalError, match="HTTP 500"):
             embedder.embed("hello")
+
+    def test_http_embedder_batches_leaf_texts(self):
+        session = _EmbeddingSession()
+        embedder = HttpEmbedder(endpoint="https://x/emb", model_name="m", session=session)
+        n_leaves = 2 * EMBED_BATCH + 3
+        tax = Taxonomy([TaxonomyNode(id="r", name="root")] + [
+            TaxonomyNode(id=f"L{i:04d}", name=f"leaf {i}", parent_id="r")
+            for i in range(n_leaves)
+        ])
+        store = embed_taxonomy_leaves(tax, embedder)
+        assert len(session.inputs) == math.ceil(n_leaves / EMBED_BATCH)
+        assert [len(batch) for batch in session.inputs] == [EMBED_BATCH, EMBED_BATCH, 3]
+        for leaf_id in tax.leaf_ids():
+            want = _EmbeddingSession.vector(node_text(tax.node(leaf_id)))
+            assert np.allclose(store.get(leaf_id).values, want / np.linalg.norm(want))
+
+    @pytest.mark.parametrize("reply", [
+        lambda data: data[::-1],
+        lambda data: data[:-1],
+        lambda data: data + data[:1],
+    ], ids=["reordered", "short", "long"])
+    def test_http_embedder_rejects_mismatched_reply(self, reply):
+        session = _EmbeddingSession(reply)
+        embedder = HttpEmbedder(endpoint="https://x/emb", model_name="m", session=session)
+        with pytest.raises(RetrievalError, match="indices"):
+            list(embedder.embed_many(["alpha", "beta", "gamma"]))
+
+
+class _EmbeddingSession:
+    """Fake embeddings endpoint: one indexed vector per input text."""
+
+    def __init__(self, reply=lambda data: data):
+        self.reply = reply
+        self.inputs: list[list[str]] = []
+
+    @staticmethod
+    def vector(text: str) -> list[float]:
+        digest = hashlib.sha256(text.encode("utf-8")).digest()
+        return [1.0 + b for b in digest[:4]]
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.inputs.append(list(json["input"]))
+        data = [{"index": i, "embedding": self.vector(text)}
+                for i, text in enumerate(json["input"])]
+
+        class Response:
+            status_code = 200
+
+            def json(_self):
+                return {"data": self.reply(data)}
+
+        return Response()
+
+
+class DyadicEmbedder:
+    """Unit vectors with sixteen entries of +-1/4 in 64 dimensions.
+
+    Their norms and dot products are exact in float64, so the matrix
+    contraction and the per-leaf oracle agree bit for bit, and similarities
+    fall on 33 levels, so ties are everywhere, at the k-th place too.
+    """
+
+    model_tag = "dyadic-64"
+
+    def embed(self, text: str) -> EmbeddingVector:
+        rng = random.Random(hashlib.sha256(text.encode("utf-8")).digest())
+        values = np.zeros(64)
+        for coord in rng.sample(range(64), 16):
+            values[coord] = rng.choice((-0.25, 0.25))
+        return EmbeddingVector(values=values, model_tag=self.model_tag)
+
+    def embed_many(self, texts):
+        return map(self.embed, texts)
 
 
 def _named_taxonomy(names: dict[str, str], parents: dict[str, str | None]) -> Taxonomy:
@@ -277,6 +373,46 @@ class TestRankLeaves:
         assert ranking.leaf_ids() == tuple(lid for lid, _ in scored)
         for (_, got), (_, want) in zip(ranking.entries, scored):
             assert got == pytest.approx(want, abs=1e-9)
+
+    def test_exact_ties_come_in_ascending_id_order(self):
+        # Found by search: n00125 and n00133 tie at 0.5, but a float dot
+        # product gives n00133 0.5000000000000001; rounding keeps the tie.
+        rng = random.Random(1)
+        tax = random_forest(rng, 200)
+        embedder = HashBagEmbedder()
+        store = embed_taxonomy_leaves(tax, embedder)
+        top = rank_leaves(vocab_doc(rng, "d0"), tax, store, embedder).entries[:40]
+        ids = [leaf_id for leaf_id, _ in top]
+        assert ids.index("n00125") < ids.index("n00133")
+        for (a, sim_a), (b, sim_b) in zip(top, top[1:]):
+            if round(sim_a, SIM_DECIMALS) == round(sim_b, SIM_DECIMALS):
+                assert a < b
+
+    @given(seed=st.integers(0, 10**6), n_nodes=st.integers(2, 300), k=st.integers(1, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_top_k_matches_per_leaf_oracle(self, seed, n_nodes, k):
+        rng = random.Random(seed)
+        tax = random_forest(rng, n_nodes)
+        embedder = DyadicEmbedder()
+        store = embed_taxonomy_leaves(tax, embedder)
+        doc = vocab_doc(rng, "d")
+        doc_vec = embedder.embed(document_text(doc))
+        keyed = sorted(
+            (-round(cosine_similarity(doc_vec, embedder.embed(node_text(tax.node(leaf_id)))),
+                    SIM_DECIMALS), leaf_id)
+            for leaf_id in tax.leaf_ids()
+        )
+        ranking = rank_leaves(doc, tax, store, embedder, k)
+        assert ranking.entries == tuple((leaf_id, -key) for key, leaf_id in keyed[:k])
+
+    def test_store_matrix_is_read_only(self):
+        tax = random_forest(random.Random(2), 60)
+        store = embed_taxonomy_leaves(tax, HashBagEmbedder(dim=32))
+        assert store.matrix.shape == (len(tax.leaf_ids()), 32)
+        with pytest.raises(ValueError):
+            store.matrix[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            store.get(tax.leaf_ids()[0]).values[0] = 0.5
 
     def test_ranking_is_permutation_of_leaves(self):
         tax = random_forest(random.Random(5), 150)

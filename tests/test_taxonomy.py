@@ -42,6 +42,18 @@ class TestLoading:
         assert tax.leaf_ids() == ("B", "C")
         assert tax.parent_ids() == ("A",)
 
+    def test_with_nodes_has_its_own_leaf_tuple(self):
+        tax = _load(
+            '{"id": "A", "name": "Alpha"}\n'
+            '{"id": "B", "name": "Beta", "parent_id": "A"}\n'
+            '{"id": "C", "name": "Gamma", "parent_id": "A"}\n'
+        )
+        moved = tax.with_nodes([TaxonomyNode(id="C", name="Gamma", parent_id="B")])
+        assert moved.leaf_ids() == ("C",)
+        assert moved.parent_ids() == ("A", "B")
+        assert tax.leaf_ids() == ("B", "C")
+        assert tax.parent_ids() == ("A",)
+
     def test_cycle_rejected(self):
         with pytest.raises(TaxonomyIntegrityError, match="cycle"):
             _load(

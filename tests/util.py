@@ -12,7 +12,10 @@ import random
 import re
 from collections import defaultdict
 
+import numpy as np
+
 from taxocat.documents import Document
+from taxocat.retrieval import EmbeddingVector, RetrievalError
 from taxocat.taxonomy import Taxonomy, TaxonomyNode
 
 VOCAB = [
@@ -86,6 +89,23 @@ def random_forest(rng: random.Random, n_nodes: int, max_depth: int = 9,
         description = " ".join(rng.choice(VOCAB) for _ in range(3)) if rng.random() < 0.4 else None
         nodes.append(TaxonomyNode(id=nid, name=name, description=description, parent_id=parent))
     return Taxonomy(nodes, version_tag=version_tag)
+
+
+# -- similarity oracle -----------------------------------------------------------
+
+
+def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
+    """dot(a, b) / (||a|| * ||b||), clipped to [-1, 1]: the per-pair reference."""
+    if a.model_tag != b.model_tag:
+        raise RetrievalError(f"model_tag mismatch: {a.model_tag!r} vs {b.model_tag!r}")
+    if a.dim != b.dim:
+        raise RetrievalError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    norm_a = float(np.linalg.norm(a.values))
+    norm_b = float(np.linalg.norm(b.values))
+    if norm_a == 0.0 or norm_b == 0.0:
+        raise RetrievalError("cosine similarity undefined for zero-norm vector")
+    sim = float(np.dot(a.values, b.values) / (norm_a * norm_b))
+    return max(-1.0, min(1.0, sim))
 
 
 # -- scripted providers --------------------------------------------------------
