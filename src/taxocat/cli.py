@@ -19,7 +19,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence, TextIO
 
 from . import evaluation, gateway as gw, postprocess, retrieval, strategies, taxonomy as tax
 from .documents import Document, DocumentError, load_documents
@@ -356,6 +356,16 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _write_records(fh: TextIO, records: Iterable[dict[str, Any]]) -> tuple[int, int]:
+    """Write each record as one NDJSON line; return (records, hard failures)."""
+    written = failures = 0
+    for record in records:
+        fh.write(json.dumps(record, ensure_ascii=False, sort_keys=False) + "\n")
+        written += 1
+        failures += "hard-failure" in record["flags"]
+    return written, failures
+
+
 def run_classification(
     config: RunConfig,
     gateway: gw.LlmGateway,
@@ -423,22 +433,21 @@ def run_classification(
                 "flags": ["hard-failure", postprocess.FLAG_NEEDS_REVIEW],
             }
 
-    if config.parallelism == 1:
-        records = [classify_one(doc) for doc in docs]
-    else:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            try:
-                records = list(pool.map(classify_one, docs))  # map preserves input order
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
-
+    # Each record is written as soon as it is next in input order, so an error
+    # that stops the batch leaves every finished document on disk.
     with config.output_path.open("w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=False) + "\n")
+        if config.parallelism == 1:
+            written, failures = _write_records(fh, map(classify_one, docs))
+        else:
+            with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
+                try:
+                    # map preserves input order
+                    written, failures = _write_records(fh, pool.map(classify_one, docs))
+                except BaseException:
+                    pool.shutdown(cancel_futures=True)
+                    raise
 
-    failures = sum(1 for r in records if "hard-failure" in r["flags"])
-    print(f"classified {len(records)} documents ({failures} hard failures) "
+    print(f"classified {written} documents ({failures} hard failures) "
           f"-> {config.output_path}")
     return 1 if failures else 0
 

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -42,12 +44,17 @@ class ProviderError(GatewayError):
     """Transport-level failure talking to a provider; `retryable` ones may pass on retry."""
 
     retryable = False
+    retry_after: float | None = None  # seconds the provider asked to wait before a retry
 
 
 class TransportError(ProviderError):
     """Connection failure, malformed reply, or HTTP 408, 429 or 5xx."""
 
     retryable = True
+
+    def __init__(self, message: str, retry_after: float | None = None):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class ClientError(TransportError):
@@ -578,8 +585,13 @@ class HttpProvider:
         self.config = config
         if session is None:
             import requests
+            from requests.adapters import HTTPAdapter
 
+            # One kept-alive connection per call call_all can have in flight.
             session = requests.Session()
+            adapter = HTTPAdapter(pool_maxsize=MAX_IN_FLIGHT)
+            session.mount("https://", adapter)
+            session.mount("http://", adapter)
         self.session = session
 
     def _headers(self) -> dict[str, str]:
@@ -621,13 +633,24 @@ class HttpProvider:
             raise AuthError(f"HTTP {status}")
         if status >= 400:
             error = f"HTTP {status}: {response.text[:200]}"
-            if status >= 500 or status in (408, 429):
+            if status in (429, 503):
+                raise TransportError(error, retry_after=_retry_after_s(response))
+            if status >= 500 or status == 408:
                 raise TransportError(error)
             raise ClientError(error)
         try:
             return response.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed provider response: {exc}") from exc
+
+
+def _retry_after_s(response) -> float | None:
+    """A numeric Retry-After header in seconds; None when missing, an HTTP date or invalid."""
+    try:
+        seconds = float(response.headers.get("Retry-After"))
+    except (TypeError, ValueError):
+        return None
+    return seconds if math.isfinite(seconds) and seconds >= 0 else None
 
 
 # -- audit log -------------------------------------------------------------------------
@@ -661,6 +684,27 @@ class Provider(Protocol):
     def complete(self, spec: PromptSpec, reminder: str | None = None) -> str: ...
 
 
+# At most this many calls issued by LlmGateway.call_all are in flight per
+# process, whatever the number of document workers or gateways. A wider pool
+# shortens pointwise's call chain further but costs peak memory (ROADMAP
+# item 4 has the measured trade-off).
+MAX_IN_FLIGHT = 16
+
+_call_pool: ThreadPoolExecutor | None = None
+_call_pool_lock = threading.Lock()
+
+
+def _shared_call_pool() -> ThreadPoolExecutor:
+    """The process-wide pool behind call_all, created on first use."""
+    global _call_pool
+    with _call_pool_lock:
+        if _call_pool is None:
+            _call_pool = ThreadPoolExecutor(
+                max_workers=MAX_IN_FLIGHT, thread_name_prefix="taxocat-call"
+            )
+        return _call_pool
+
+
 class LlmGateway:
     """Provider plus config plus audit; the one surface strategies talk to.
 
@@ -692,9 +736,10 @@ class LlmGateway:
         """The one retry loop: one provider.complete per attempt, max_retries retries.
 
         Unparseable replies are retried at once with a schema reminder;
-        retryable ProviderErrors after a backoff (0.5 s, doubling, capped at
-        8 s); other ProviderErrors are raised at once. An exhausted budget
-        raises the last failure (RetryExhaustedError for a parse failure).
+        retryable ProviderErrors after a backoff (0.5 s, doubling, or the
+        provider's Retry-After if longer, capped at 8 s); other ProviderErrors
+        are raised at once. An exhausted budget raises the last failure
+        (RetryExhaustedError for a parse failure).
         """
         attempts = self.config.max_retries + 1
         reminder = None
@@ -713,7 +758,8 @@ class LlmGateway:
                     raise
                 last_error = exc
                 if attempt < attempts:
-                    time.sleep(min(0.5 * 2**provider_failures, 8.0))
+                    backoff = max(0.5 * 2**provider_failures, exc.retry_after or 0.0)
+                    time.sleep(min(backoff, 8.0))
                 provider_failures += 1
                 continue
             self._count(spec, raw)
@@ -731,6 +777,38 @@ class LlmGateway:
             return parsed
         assert last_error is not None
         raise last_error
+
+    def call_all(self, specs: Sequence[PromptSpec]) -> list[ParsedResponse]:
+        """call_with_retry for every spec, concurrently, with results in spec order.
+
+        The calls run on one process-wide pool of MAX_IN_FLIGHT threads;
+        fewer than two specs run inline. Failures surface as in a sequential
+        loop: the first failure in spec order is raised. After a
+        non-retryable ProviderError, calls that have not started yet raise
+        it without sending a request, and every queued call is cancelled.
+        Must not be called from a call running on that pool.
+        """
+        if len(specs) < 2:
+            return [self.call_with_retry(spec) for spec in specs]
+        fatal: list[ProviderError] = []
+
+        def call(spec: PromptSpec) -> ParsedResponse:
+            if fatal:
+                raise fatal[0]
+            try:
+                return self.call_with_retry(spec)
+            except ProviderError as exc:
+                if not exc.retryable:
+                    fatal.append(exc)
+                raise
+
+        pool = _shared_call_pool()
+        futures = [pool.submit(call, spec) for spec in specs]
+        try:
+            return [future.result() for future in futures]
+        finally:
+            for future in futures:
+                future.cancel()
 
     def _audit(self, spec: PromptSpec, doc_id: str | None, attempt: int, outcome: str) -> None:
         if self.audit_log is not None:

@@ -337,16 +337,50 @@ def classify_rerank(
 # -- SelectP (pointwise) ---------------------------------------------------------------
 
 
+def assess_leaves(
+    doc: Document,
+    nodes: Sequence[TaxonomyNode],
+    gateway: gw.LlmGateway,
+    include_description: bool = True,
+) -> list[LeafAssessment]:
+    """One leaf verdict per node, asked concurrently, in node order."""
+    parsed = gateway.call_all(
+        [gw.build_selectp_leaf_spec(doc, _node_payload(n, include_description)) for n in nodes]
+    )
+    return [
+        LeafAssessment(node_id=node.id, label_fit=p.label_fit, main_focus=p.main_focus)
+        for node, p in zip(nodes, parsed)
+    ]
+
+
+def assess_parents(
+    doc: Document,
+    nodes: Sequence[TaxonomyNode],
+    gateway: gw.LlmGateway,
+    include_description: bool = True,
+) -> list[ParentAssessment]:
+    """One parent verdict per node, asked concurrently, in node order."""
+    parsed = gateway.call_all(
+        [gw.build_selectp_parent_spec(doc, _node_payload(n, include_description)) for n in nodes]
+    )
+    return [
+        ParentAssessment(
+            node_id=node.id,
+            label_fit=p.label_fit,
+            relevancy_score=p.relevancy_score,
+            main_focus=p.main_focus,
+        )
+        for node, p in zip(nodes, parsed)
+    ]
+
+
 def assess_leaf(
     doc: Document,
     node: TaxonomyNode,
     gateway: gw.LlmGateway,
     include_description: bool = True,
 ) -> LeafAssessment:
-    parsed = gateway.call_with_retry(
-        gw.build_selectp_leaf_spec(doc, _node_payload(node, include_description))
-    )
-    return LeafAssessment(node_id=node.id, label_fit=parsed.label_fit, main_focus=parsed.main_focus)
+    return assess_leaves(doc, [node], gateway, include_description)[0]
 
 
 def assess_parent(
@@ -355,15 +389,7 @@ def assess_parent(
     gateway: gw.LlmGateway,
     include_description: bool = True,
 ) -> ParentAssessment:
-    parsed = gateway.call_with_retry(
-        gw.build_selectp_parent_spec(doc, _node_payload(node, include_description))
-    )
-    return ParentAssessment(
-        node_id=node.id,
-        label_fit=parsed.label_fit,
-        relevancy_score=parsed.relevancy_score,
-        main_focus=parsed.main_focus,
-    )
+    return assess_parents(doc, [node], gateway, include_description)[0]
 
 
 @dataclass(frozen=True)
@@ -450,27 +476,27 @@ def classify_select_pointwise(
 
     A leaf survives only when its own verdict and its parent's verdict are
     both positive (contextualization); each parent is assessed once per
-    document. With contextualize off, leaf verdicts alone decide.
+    document. With contextualize off, leaf verdicts alone decide. The
+    verdicts of each wave (all leaves, then the parents of fitting leaves)
+    do not depend on each other, so each wave is asked concurrently.
     """
-    leaf_verdicts: dict[str, LeafAssessment] = {}
-    parent_of: dict[str, str | None] = {}
-    for leaf_id in pt.leaf_ids:
-        node = taxonomy.node(leaf_id)
-        parent_of[leaf_id] = node.parent_id
-        leaf_verdicts[leaf_id] = assess_leaf(doc, node, gateway, include_descriptions)
+    leaves = [taxonomy.node(leaf_id) for leaf_id in pt.leaf_ids]
+    parent_of = {node.id: node.parent_id for node in leaves}
+    leaf_verdicts = {
+        v.node_id: v for v in assess_leaves(doc, leaves, gateway, include_descriptions)
+    }
 
     parent_verdicts: dict[str, ParentAssessment] = {}
     if contextualize:
-        for leaf_id in pt.leaf_ids:
-            parent_id = parent_of[leaf_id]
-            if (
-                leaf_verdicts[leaf_id].label_fit
-                and parent_id is not None
-                and parent_id not in parent_verdicts
-            ):
-                parent_verdicts[parent_id] = assess_parent(
-                    doc, taxonomy.node(parent_id), gateway, include_descriptions
-                )
+        fitting_parents = dict.fromkeys(
+            parent_of[leaf_id]
+            for leaf_id in pt.leaf_ids
+            if leaf_verdicts[leaf_id].label_fit and parent_of[leaf_id] is not None
+        )
+        parents = [taxonomy.node(parent_id) for parent_id in fitting_parents]
+        parent_verdicts = {
+            v.node_id: v for v in assess_parents(doc, parents, gateway, include_descriptions)
+        }
 
     trace = PointwiseTrace(
         leaf_order=tuple(pt.leaf_ids),

@@ -353,8 +353,25 @@ def test_criterion_7_classify_determinism(tmp_path):
             outputs[name] = out.read_bytes()
         assert outputs["a"] == outputs["b"] == outputs["c"] == outputs["d"], strategy
         assert len(outputs["a"].splitlines()) == 100
+
+    # Pointwise with the LLM decrease step, which follows its concurrent verdict waves.
+    outputs = {}
+    for parallelism in (1, 8):
+        out = tmp_path / f"out_pointwise_decrease_{parallelism}.ndjson"
+        code = cli.main(
+            ["classify", "--taxonomy", str(tax_path), "--documents", str(docs_path),
+             "--output", str(out), "--strategy", "pointwise", "--mock", "--seed", "7",
+             "--parallelism", str(parallelism)]
+        )
+        assert code == 0
+        outputs[parallelism] = out.read_bytes()
+    assert outputs[1] == outputs[8]
+    decreased = [r for r in map(json.loads, outputs[1].splitlines())
+                 if "returned" in r["provenance"].get("decrease", {})]
+    assert decreased
     print("\nACCEPTANCE 7 PASS - seeded mock runs over 100 documents are byte-identical "
-          "for all four strategies, twice at parallelism 1 and at 2 and 8")
+          "for all four strategies, twice at parallelism 1 and at 2 and 8, and for "
+          "pointwise with the decrease step at 1 and 8")
 
 
 def _spread(total: int, parts: int) -> list[int]:

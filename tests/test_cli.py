@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from taxocat import cli, gateway as gw, strategies
+from taxocat import cli, gateway as gw, retrieval, strategies
 from taxocat.taxonomy import Taxonomy, TaxonomyNode, save_taxonomy
 
 from .util import (
@@ -252,33 +252,47 @@ class TestClassify:
 
 
 class TestProviderWiring:
-    """classify against a hosted endpoint whose HTTP session is faked to answer 401."""
+    """classify against a hosted endpoint whose HTTP session is faked to answer
+    401 after its first `accepted` requests, which get an empty label list."""
+
+    accepted = 0
 
     @pytest.fixture(autouse=True)
     def bodies(self, monkeypatch):
         for name in ("TAXOCAT_ENDPOINT", "TAXOCAT_MODEL", "TAXOCAT_API_KEY"):
             monkeypatch.delenv(name, raising=False)
         bodies = []
+        test = self
+
+        class Accepted:
+            status_code = 200
+            text = ""
+
+            def json(self):
+                return {"choices": [{"message": {"content": '{"best_labels": []}'}}]}
 
         class Rejected:
             status_code = 401
             text = ""
 
         class Session:
+            def mount(self, prefix, adapter):
+                pass
+
             def post(self, url, json=None, headers=None, timeout=None):
                 bodies.append(json)
-                return Rejected()
+                return Accepted() if len(bodies) <= test.accepted else Rejected()
 
         monkeypatch.setattr("requests.Session", Session)
         return bodies
 
-    def _classify(self, tmp, provider_fields):
+    def _classify(self, tmp, provider_fields, strategy="trav-select"):
         provider = tmp / "provider.json"
         provider.write_text(json.dumps(provider_fields))
         return cli.main(
             ["classify", "--taxonomy", str(tmp / "taxonomy.ndjson"),
              "--documents", str(tmp / "docs.ndjson"), "--output", str(tmp / "out.ndjson"),
-             "--strategy", "trav-select", "--provider", str(provider), "--parallelism", "1"]
+             "--strategy", strategy, "--provider", str(provider), "--parallelism", "1"]
         )
 
     def test_auth_error_stops_the_batch(self, workdir, bodies, capsys):
@@ -286,6 +300,27 @@ class TestProviderWiring:
         code = self._classify(tmp, {"endpoint": "https://api.example/chat", "model_name": "m"})
         assert code == 1
         assert len(docs) == 10 and len(bodies) == 1
+        assert "error: HTTP 401" in capsys.readouterr().err
+
+    def test_auth_error_mid_batch_keeps_finished_documents(self, workdir, bodies, capsys):
+        # Each trav-select document makes one call when nothing is selected.
+        tmp, _, docs = workdir
+        self.accepted = 3
+        code = self._classify(tmp, {"endpoint": "https://api.example/chat", "model_name": "m"})
+        assert code == 1
+        assert len(bodies) == 4
+        records = [json.loads(line) for line in (tmp / "out.ndjson").read_text().splitlines()]
+        assert [r["doc_id"] for r in records] == [d.doc_id for d in docs[:3]]
+        assert all(r["flags"] == ["empty-result", "needs-review"] for r in records)
+        assert "error: HTTP 401" in capsys.readouterr().err
+
+    def test_auth_error_stops_a_pointwise_wave(self, workdir, bodies, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_make_embedder", lambda args: retrieval.HashBagEmbedder())
+        tmp, _, _ = workdir
+        code = self._classify(tmp, {"endpoint": "https://api.example/chat", "model_name": "m"},
+                              strategy="pointwise")
+        assert code == 1
+        assert 1 <= len(bodies) <= gw.MAX_IN_FLIGHT
         assert "error: HTTP 401" in capsys.readouterr().err
 
     def test_real_endpoint_needs_a_model_name(self, workdir, bodies, capsys):

@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import json
 import random
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from taxocat.gateway import (
     HttpProvider,
     LeafVerdict,
     LlmGateway,
+    MAX_IN_FLIGHT,
     MockProvider,
     NoJsonError,
     ParentVerdict,
@@ -350,9 +354,10 @@ class TestCallWithRetry:
 
 
 class _FakeResponse:
-    def __init__(self, status_code=200, content="ok"):
+    def __init__(self, status_code=200, content="ok", headers=None):
         self.status_code = status_code
         self.text = "error body"
+        self.headers = headers or {}
         self._content = content
 
     def json(self):
@@ -444,6 +449,18 @@ class TestHttpProvider:
         with pytest.raises(ProviderTimeout):
             _http_gateway(session, max_retries=0).call_with_retry(_empty_spec())
 
+    def test_own_session_pools_one_connection_per_call_in_flight(self):
+        provider = HttpProvider(ProviderConfig(endpoint="https://api.example/chat"))
+        for url in ("https://api.example/chat", "http://api.example/chat"):
+            adapter = provider.session.get_adapter(url)
+            assert adapter.poolmanager.connection_pool_kw["maxsize"] == MAX_IN_FLIGHT
+
+    def test_given_session_is_left_alone(self):
+        session = _ScriptedSession(_OK)
+        provider = HttpProvider(ProviderConfig(endpoint="https://api.example/chat"),
+                                session=session)
+        assert provider.session is session
+
     def test_missing_credentials_env(self, monkeypatch, sleeps):
         monkeypatch.delenv("MY_SECRET", raising=False)
         session = _ScriptedSession(_OK)
@@ -495,6 +512,22 @@ class TestRetryPolicy:
         assert sleeps == [0.5, 1.0]
         assert gateway.calls_made == 1
 
+    @pytest.mark.parametrize("status, headers, expected", [
+        (429, {"Retry-After": "3"}, [3.0]),
+        (503, {"Retry-After": "2.5"}, [2.5]),
+        (429, {"Retry-After": "0"}, [0.5]),  # never shorter than the backoff
+        (429, {"Retry-After": "30"}, [8.0]),  # capped
+        (429, {}, [0.5]),
+        (429, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, [0.5]),
+        (429, {"Retry-After": "nan"}, [0.5]),
+        (500, {"Retry-After": "3"}, [0.5]),  # only 429 and 503 carry it
+    ])
+    def test_retry_after_lengthens_the_backoff(self, sleeps, status, headers, expected):
+        session = _ScriptedSession(_FakeResponse(status_code=status, headers=headers), _OK)
+        assert _http_gateway(session).call_with_retry(_empty_spec()) == BestLabels(ids=())
+        assert session.posts == 2
+        assert sleeps == expected
+
     def test_mixed_failures_share_one_budget(self, sleeps):
         session = _ScriptedSession(_HTTP_500, _JUNK, _HTTP_500, _JUNK)
         with pytest.raises(RetryExhaustedError) as err:
@@ -539,3 +572,114 @@ class TestRetryPolicy:
             _http_gateway(session, max_retries=7).call_with_retry(_empty_spec())
         assert session.posts == 8
         assert sleeps == [0.5, 1.0, 2.0, 4.0, 8.0, 8.0, 8.0]
+
+
+def _doc_spec(i):
+    return build_trav_select_spec(make_doc(f"d{i}", "t"), [])
+
+
+def _doc_index(spec):
+    return int(spec.user_payload["document"]["doc_id"][1:])
+
+
+class _FnProvider:
+    """Answers each spec with best_labels [its doc id], after running `before(i)`
+    with i the spec's index (d0, d1, ...); counts calls under a lock."""
+
+    def __init__(self, before=lambda i: None):
+        self.before = before
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def complete(self, spec, reminder=None):
+        with self._lock:
+            self.calls += 1
+        i = _doc_index(spec)
+        self.before(i)
+        return json.dumps({"best_labels": [f"d{i}"]})
+
+
+class TestCallAll:
+    def test_results_in_spec_order_when_later_specs_answer_first(self):
+        n = 8
+        gateway = LlmGateway(_FnProvider(lambda i: time.sleep(0.005 * (n - i))))
+        results = gateway.call_all([_doc_spec(i) for i in range(n)])
+        assert results == [BestLabels(ids=(f"d{i}",)) for i in range(n)]
+
+    def test_fewer_than_two_specs_run_inline(self):
+        threads = []
+        gateway = LlmGateway(_FnProvider(lambda i: threads.append(threading.current_thread())))
+        assert gateway.call_all([]) == []
+        assert gateway.call_all([_doc_spec(0)]) == [BestLabels(ids=("d0",))]
+        assert threads == [threading.current_thread()]
+
+    def test_first_failure_in_spec_order_is_raised(self):
+        def before(i):
+            if i == 2:
+                time.sleep(0.05)  # fails after spec 5 has failed
+                raise TransportError("fail 2")
+            if i == 5:
+                raise TransportError("fail 5")
+
+        gateway = LlmGateway(_FnProvider(before), ProviderConfig(max_retries=0))
+        with pytest.raises(TransportError, match="fail 2"):
+            gateway.call_all([_doc_spec(i) for i in range(8)])
+
+    def test_calls_really_overlap(self):
+        barrier = threading.Barrier(2, timeout=10)
+        gateway = LlmGateway(_FnProvider(lambda i: barrier.wait()))
+        assert len(gateway.call_all([_doc_spec(0), _doc_spec(1)])) == 2
+
+    def test_in_flight_calls_bounded_across_concurrent_callers(self):
+        lock = threading.Lock()
+        open_calls = peak = 0
+
+        def before(i):
+            nonlocal open_calls, peak
+            with lock:
+                open_calls += 1
+                peak = max(peak, open_calls)
+            time.sleep(0.002)
+            with lock:
+                open_calls -= 1
+
+        gateway = LlmGateway(_FnProvider(before))
+        results = []
+        callers = [
+            threading.Thread(target=lambda: results.append(
+                gateway.call_all([_doc_spec(i) for i in range(3 * MAX_IN_FLIGHT)])))
+            for _ in range(3)
+        ]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=30)
+            assert not caller.is_alive()
+        assert len(results) == 3
+        assert 1 < peak <= MAX_IN_FLIGHT
+
+    def test_fail_fast_error_stops_calls_not_yet_started(self):
+        def before(i):
+            raise AuthError("HTTP 401")
+
+        gateway = LlmGateway(_FnProvider(before))
+        with pytest.raises(AuthError):
+            gateway.call_all([_doc_spec(i) for i in range(4 * MAX_IN_FLIGHT)])
+        assert 1 <= gateway.provider.calls <= MAX_IN_FLIGHT
+
+    def test_counters_add_up_under_fast_thread_switching(self):
+        specs = [build_trav_select_spec(make_doc(f"d{i}", "auction design"),
+                                        [{"id": "a", "name": "auction design"}])
+                 for i in range(200)]
+        sequential = mock_gateway()
+        for spec in specs:
+            sequential.call_with_retry(spec)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            concurrent = mock_gateway()
+            concurrent.call_all(specs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (concurrent.calls_made, concurrent.characters_out, concurrent.characters_in) == (
+            sequential.calls_made, sequential.characters_out, sequential.characters_in)
