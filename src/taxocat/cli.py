@@ -10,21 +10,18 @@ new file.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import os
-import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Iterable, Sequence, TextIO
 
-from . import evaluation, gateway as gw, postprocess, retrieval, strategies, taxonomy as tax
+from . import evaluation, gateway as gw, pipeline, postprocess, retrieval, strategies
+from . import taxonomy as tax
 from .documents import Document, DocumentError, load_documents
-
-logger = logging.getLogger(__name__)
 
 TOP_K_RANGE = (10, 100)
 DEFAULT_DEPTHS = tuple(range(10, 101, 10))
@@ -157,13 +154,12 @@ def _make_embedder(args: argparse.Namespace) -> retrieval.Embedder | None:
     if args.mock:
         return retrieval.HashBagEmbedder()
     if args.provider:
-        data = json.loads(Path(args.provider).read_text(encoding="utf-8"))
-        endpoint = data.get("embedding_endpoint")
-        if endpoint:
+        config = gw.load_provider_config(args.provider)
+        if config.embedding_endpoint:
             return retrieval.HttpEmbedder(
-                endpoint=endpoint,
-                model_name=data.get("embedding_model", "default"),
-                credentials=data.get("credentials"),
+                endpoint=config.embedding_endpoint,
+                model_name=config.embedding_model,
+                credentials=config.credentials,
             )
     return None
 
@@ -276,26 +272,29 @@ def _require_new_output(input_path: str, output_path: str) -> None:
 # -- classify ---------------------------------------------------------------------
 
 
+# The keys a --config file may set, with their JSON types.
+RUN_DEFAULT_TYPES = {
+    "top_k": "int", "aggregation": "str", "max_labels": "int", "min_labels": "int",
+    "sibling_cap": "int", "parallelism": "int", "apply_sibling": "bool", "apply_decrease": "dict",
+}
+
+
 def _load_run_defaults(path: str | None) -> dict[str, Any]:
     if not path:
         return {}
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
-        raise CliError("--config must contain a JSON object")
+    data = gw.read_json_config(path, RUN_DEFAULT_TYPES, "--config")
+    if data.get("aggregation", "leaf-only") not in AGG_CHOICES:
+        raise CliError(f"--config key 'aggregation' must be one of {', '.join(AGG_CHOICES)}")
+    methods = {m.value for m in strategies.Method}
+    for name, value in data.get("apply_decrease", {}).items():
+        if name not in methods or not isinstance(value, bool):
+            raise CliError(f"--config key 'apply_decrease' must map {', '.join(sorted(methods))} "
+                           f"to true or false, not {name!r} to {value!r}")
     return data
 
 
 def _setting(cli_value, config: dict[str, Any], key: str, default):
-    if cli_value is not None:
-        return cli_value
-    if key in config:
-        return config[key]
-    return default
-
-
-def _doc_rng(seed: int, doc_id: str) -> random.Random:
-    digest = hashlib.sha256(f"{seed}:{doc_id}".encode("utf-8")).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+    return cli_value if cli_value is not None else config.get(key, default)
 
 
 @dataclass(frozen=True)
@@ -329,29 +328,31 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
     run_cfg = _load_run_defaults(args.config)
     ablation = args.ablation
     apply_decrease = {m: True for m in strategies.Method}
-    if isinstance(run_cfg.get("apply_decrease"), dict):
-        for name, value in run_cfg["apply_decrease"].items():
-            apply_decrease[strategies.Method(name)] = bool(value)
-    max_labels = int(_setting(args.max_labels, run_cfg, "max_labels", 5))
-    pp_config = postprocess.PostProcessConfig(
-        max_labels=max_labels,
-        sibling_cap=int(_setting(args.sibling_cap, run_cfg, "sibling_cap", 3)),
-        apply_decrease=apply_decrease,
-        apply_sibling=not args.no_sibling_cap and bool(run_cfg.get("apply_sibling", True)),
-        random_decrease=(ablation == "no-decrease"),
-    )
+    for name, value in run_cfg.get("apply_decrease", {}).items():
+        apply_decrease[strategies.Method(name)] = value
+    max_labels = _setting(args.max_labels, run_cfg, "max_labels", 5)
+    try:
+        pp_config = postprocess.PostProcessConfig(
+            max_labels=max_labels,
+            sibling_cap=_setting(args.sibling_cap, run_cfg, "sibling_cap", 3),
+            apply_decrease=apply_decrease,
+            apply_sibling=not args.no_sibling_cap and run_cfg.get("apply_sibling", True),
+            random_decrease=(ablation == "no-decrease"),
+        )
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     return RunConfig(
         taxonomy_path=Path(args.taxonomy),
         documents_path=Path(args.documents),
         output_path=Path(args.output),
         method=STRATEGY_CHOICES[args.strategy],
-        top_k=int(_setting(args.top_k, run_cfg, "top_k", 40)),
+        top_k=_setting(args.top_k, run_cfg, "top_k", 40),
         aggregation=AGG_CHOICES[_setting(args.agg, run_cfg, "aggregation", "leaf-only")],
-        label_range=(int(_setting(args.min_labels, run_cfg, "min_labels", 1)), max_labels),
+        label_range=(_setting(args.min_labels, run_cfg, "min_labels", 1), max_labels),
         postprocess=pp_config,
         include_descriptions=ablation != "no-description",
         contextualize=ablation != "no-context",
-        parallelism=int(_setting(args.parallelism, run_cfg, "parallelism", 1)),
+        parallelism=_setting(args.parallelism, run_cfg, "parallelism", 1),
         seed=args.seed,
     )
 
@@ -374,64 +375,14 @@ def run_classification(
     taxonomy: tax.Taxonomy | None = None,
 ) -> int:
     loaded = taxonomy if taxonomy is not None else tax.load_taxonomy(config.taxonomy_path)
+    if not config.include_descriptions:
+        # The one place the no-description ablation applies: no prompt sees a
+        # description, while the store, embedded from the full taxonomy, does.
+        loaded = loaded.with_nodes(replace(node, description=None) for node in loaded)
     docs = load_documents(config.documents_path)
-    method = config.method
 
     def classify_one(doc: Document) -> dict[str, Any]:
-        try:
-            pt = None
-            if method is strategies.Method.TRAV_SELECT:
-                labels = strategies.classify_trav_select(
-                    doc, loaded, gateway, include_descriptions=config.include_descriptions
-                )
-            else:
-                ranking = retrieval.rank_leaves(doc, loaded, store, embedder, k=config.top_k)
-                pt = retrieval.build_pruned_taxonomy(loaded, ranking, config.top_k)
-                if method is strategies.Method.SELECT_ONE_PASS:
-                    labels = strategies.classify_select_one_pass(
-                        doc, loaded, pt, gateway,
-                        include_descriptions=config.include_descriptions,
-                    )
-                elif method is strategies.Method.RERANK:
-                    labels = strategies.classify_rerank(
-                        doc, loaded, pt, gateway,
-                        fn=config.aggregation,
-                        top_n=config.postprocess.max_labels,
-                        include_descriptions=config.include_descriptions,
-                    )
-                else:
-                    labels = strategies.classify_select_pointwise(
-                        doc, loaded, pt, gateway,
-                        label_range=config.label_range,
-                        contextualize=config.contextualize,
-                        include_descriptions=config.include_descriptions,
-                    )
-            labels = postprocess.postprocess_chain(
-                doc, labels, loaded, pt, gateway, config.postprocess,
-                rng=_doc_rng(config.seed, doc.doc_id),
-                include_descriptions=config.include_descriptions,
-            )
-            flags = list(labels.flags)
-            if not labels.leaf_ids and postprocess.FLAG_NEEDS_REVIEW not in flags:
-                flags.append(postprocess.FLAG_NEEDS_REVIEW)
-            return {
-                "doc_id": doc.doc_id,
-                "method": labels.method.value,
-                "labels": list(labels.leaf_ids),
-                "provenance": labels.provenance,
-                "flags": flags,
-            }
-        except Exception as exc:  # per-document isolation: one failure must not kill the batch
-            if isinstance(exc, gw.ProviderError) and not exc.retryable:
-                raise  # every later document would be rejected the same way
-            logger.exception("document %s failed", doc.doc_id)
-            return {
-                "doc_id": doc.doc_id,
-                "method": method.value,
-                "labels": [],
-                "provenance": {"error": f"{type(exc).__name__}: {exc}"},
-                "flags": ["hard-failure", postprocess.FLAG_NEEDS_REVIEW],
-            }
+        return pipeline.classify_document(doc, loaded, store, embedder, gateway, config)
 
     # Each record is written as soon as it is next in input order, so an error
     # that stops the batch leaves every finished document on disk.

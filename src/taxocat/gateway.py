@@ -16,7 +16,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from enum import Enum
 from importlib import resources
@@ -165,9 +165,6 @@ class BestLabels:
 class Scores:
     pairs: tuple[tuple[str, float], ...]
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(self.pairs)
-
 
 @dataclass(frozen=True)
 class LeafVerdict:
@@ -206,6 +203,8 @@ class ProviderConfig:
     max_retries: int = 3
     timeout: float = 60.0
     credentials: str | None = None  # environment variable naming the secret
+    embedding_endpoint: str | None = None  # the CLI's document and leaf embedder
+    embedding_model: str = "default"
 
     def __post_init__(self):
         if self.max_retries < 0:
@@ -214,16 +213,32 @@ class ProviderConfig:
             raise ConfigError("timeout must be > 0")
 
 
-def load_provider_config(path: str | Path) -> ProviderConfig:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,),
+               "dict": (dict,), "None": (type(None),)}
+
+
+def read_json_config(path: str | Path, types: Mapping[str, str], what: str) -> dict[str, Any]:
+    """The JSON object in a config file. Its keys must be in `types`, and each
+    value must have its key's type, named as in an annotation ("str | None")."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
     if not isinstance(data, dict):
-        raise ConfigError("provider config must be a JSON object")
-    known = {"endpoint", "model_name", "temperature", "max_retries", "timeout", "credentials"}
-    # The CLI's embedder set-up reads the embedding keys from the same file.
-    unknown = sorted(set(data) - known - {"embedding_endpoint", "embedding_model"})
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = sorted(set(data) - set(types))
     if unknown:
-        raise ConfigError(f"unknown provider config keys: {', '.join(unknown)}")
-    return ProviderConfig(**{k: v for k, v in data.items() if k in known})
+        raise ConfigError(f"unknown {what} keys: {', '.join(unknown)}")
+    for key, value in data.items():
+        allowed = tuple(t for name in types[key].split(" | ") for t in _JSON_TYPES[name])
+        if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+            raise ConfigError(f"{what} key {key!r} must be {types[key]}, not {value!r}")
+    return data
+
+
+def load_provider_config(path: str | Path) -> ProviderConfig:
+    types = {f.name: f.type for f in fields(ProviderConfig)}
+    return ProviderConfig(**read_json_config(path, types, "provider config"))
 
 
 # -- user-message rendering ----------------------------------------------------------

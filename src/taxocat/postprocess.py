@@ -53,7 +53,6 @@ def decrease_labels(
     taxonomy: Taxonomy,
     gateway: gw.LlmGateway,
     max_labels: int = 5,
-    include_descriptions: bool = True,
 ) -> LabelSet:
     """Reduce an oversized label set to exactly max_labels.
 
@@ -72,7 +71,7 @@ def decrease_labels(
     payloads = []
     for node_id in candidates:
         node = taxonomy.node(node_id)
-        payload = _node_payload(node, include_descriptions)
+        payload = _node_payload(node)
         if node.parent_id is not None:
             payload["parent_name"] = taxonomy.node(node.parent_id).name
         payloads.append(payload)
@@ -208,7 +207,6 @@ def postprocess_chain(
     gateway: gw.LlmGateway,
     config: PostProcessConfig,
     rng: random.Random | None = None,
-    include_descriptions: bool = True,
 ) -> LabelSet:
     """Full refinement chain: decrease to max_labels, then sibling diversity.
 
@@ -226,9 +224,7 @@ def postprocess_chain(
         if config.random_decrease:
             out = random_decrease(out, config.max_labels, rng or random.Random(0))
         else:
-            out = decrease_labels(
-                doc, out, taxonomy, gateway, config.max_labels, include_descriptions
-            )
+            out = decrease_labels(doc, out, taxonomy, gateway, config.max_labels)
     if config.apply_sibling:
         out = enforce_sibling_diversity(out, taxonomy, pt, config.sibling_cap)
     return out

@@ -85,10 +85,8 @@ class ParentAssessment:
 # -- payload helpers ----------------------------------------------------------
 
 
-def _node_payload(node: TaxonomyNode, include_description: bool = True) -> dict[str, Any]:
-    description = node.description if include_description else None
-    if description:
-        description = truncate_words(description, DESCRIPTION_MAX_WORDS)
+def _node_payload(node: TaxonomyNode) -> dict[str, Any]:
+    description = node.description and truncate_words(node.description, DESCRIPTION_MAX_WORDS)
     return {"id": node.id, "name": node.name, "description": description}
 
 
@@ -110,7 +108,6 @@ def classify_trav_select(
     doc: Document,
     taxonomy: Taxonomy,
     gateway: gw.LlmGateway,
-    include_descriptions: bool = True,
 ) -> LabelSet:
     """Layer-by-layer traversal: present each frontier, descend into chosen parents.
 
@@ -123,7 +120,7 @@ def classify_trav_select(
     rounds: list[dict[str, Any]] = []
     flags: list[str] = []
     while frontier:
-        nodes = [_node_payload(taxonomy.node(nid), include_descriptions) for nid in frontier]
+        nodes = [_node_payload(taxonomy.node(nid)) for nid in frontier]
         parsed = gateway.call_with_retry(gw.build_trav_select_spec(doc, nodes))
         chosen = _known_ids(parsed.ids, set(frontier), f"trav_select[{doc.doc_id}]")
         rounds.append({"frontier": list(frontier), "selected": list(chosen)})
@@ -151,9 +148,7 @@ def classify_trav_select(
 # -- SelectO (one pass) -------------------------------------------------------------
 
 
-def render_pruned_tree(
-    taxonomy: Taxonomy, pt: PrunedTaxonomy, include_descriptions: bool = True
-) -> tuple[str, list[dict[str, Any]]]:
+def render_pruned_tree(taxonomy: Taxonomy, pt: PrunedTaxonomy) -> tuple[str, list[dict[str, Any]]]:
     """Depth-indented 'id | name | description' rendering of the pruned taxonomy.
 
     Returns the rendered text plus the node payloads in render order, each
@@ -164,7 +159,7 @@ def render_pruned_tree(
 
     def visit(node_id: str, indent: int) -> None:
         node = taxonomy.node(node_id)
-        payload = _node_payload(node, include_descriptions)
+        payload = _node_payload(node)
         payload["is_leaf"] = taxonomy.is_leaf(node_id)
         payloads.append(payload)
         description = payload["description"] or ""
@@ -191,10 +186,9 @@ def classify_select_one_pass(
     taxonomy: Taxonomy,
     pt: PrunedTaxonomy,
     gateway: gw.LlmGateway,
-    include_descriptions: bool = True,
 ) -> LabelSet:
     """Single prompt over the whole pruned taxonomy; keep returned leaf ids."""
-    tree, payloads = render_pruned_tree(taxonomy, pt, include_descriptions)
+    tree, payloads = render_pruned_tree(taxonomy, pt)
     parsed = gateway.call_with_retry(gw.build_select_one_pass_spec(doc, tree, payloads))
     kept = _known_ids(parsed.ids, set(pt.leaf_ids), f"select_one_pass[{doc.doc_id}]")
     flags = (FLAG_EMPTY_RESULT,) if not kept else ()
@@ -237,10 +231,9 @@ def _request_scores(
     taxonomy: Taxonomy,
     node_ids: Sequence[str],
     gateway: gw.LlmGateway,
-    include_descriptions: bool,
 ) -> dict[str, float]:
     """One scoring call; unknown ids dropped, missing ids default to 0.01."""
-    payloads = [_node_payload(taxonomy.node(nid), include_descriptions) for nid in node_ids]
+    payloads = [_node_payload(taxonomy.node(nid)) for nid in node_ids]
     parsed = gateway.call_with_retry(gw.build_rerank_spec(doc, payloads))
     wanted = set(node_ids)
     scores: dict[str, float] = {}
@@ -265,7 +258,6 @@ def classify_rerank(
     gateway: gw.LlmGateway,
     fn: AggregationFunction = AggregationFunction.LEAF_ONLY,
     top_n: int = 5,
-    include_descriptions: bool = True,
 ) -> LabelSet:
     """Score every pruned-taxonomy leaf and its direct parent, then rank.
 
@@ -283,7 +275,7 @@ def classify_rerank(
         parent_id = taxonomy.node(leaf_id).parent_id
         if parent_id is not None and parent_id not in parents:
             parents.append(parent_id)
-    scores = _request_scores(doc, taxonomy, leaves + parents, gateway, include_descriptions)
+    scores = _request_scores(doc, taxonomy, leaves + parents, gateway)
 
     flags: list[str] = []
     deeper_scores: dict[str, float] = {}
@@ -299,9 +291,7 @@ def classify_rerank(
                     deeper.append(ancestor_id)
         if deeper:
             try:
-                deeper_scores = _request_scores(
-                    doc, taxonomy, deeper, gateway, include_descriptions
-                )
+                deeper_scores = _request_scores(doc, taxonomy, deeper, gateway)
             except (gw.RetryExhaustedError, gw.ProviderError, ScoringIncompleteError):
                 logger.warning("rerank[%s]: ancestor scoring unavailable", doc.doc_id)
                 flags.append(FLAG_ANCESTOR_SCORES_UNAVAILABLE)
@@ -341,12 +331,9 @@ def assess_leaves(
     doc: Document,
     nodes: Sequence[TaxonomyNode],
     gateway: gw.LlmGateway,
-    include_description: bool = True,
 ) -> list[LeafAssessment]:
     """One leaf verdict per node, asked concurrently, in node order."""
-    parsed = gateway.call_all(
-        [gw.build_selectp_leaf_spec(doc, _node_payload(n, include_description)) for n in nodes]
-    )
+    parsed = gateway.call_all([gw.build_selectp_leaf_spec(doc, _node_payload(n)) for n in nodes])
     return [
         LeafAssessment(node_id=node.id, label_fit=p.label_fit, main_focus=p.main_focus)
         for node, p in zip(nodes, parsed)
@@ -357,12 +344,9 @@ def assess_parents(
     doc: Document,
     nodes: Sequence[TaxonomyNode],
     gateway: gw.LlmGateway,
-    include_description: bool = True,
 ) -> list[ParentAssessment]:
     """One parent verdict per node, asked concurrently, in node order."""
-    parsed = gateway.call_all(
-        [gw.build_selectp_parent_spec(doc, _node_payload(n, include_description)) for n in nodes]
-    )
+    parsed = gateway.call_all([gw.build_selectp_parent_spec(doc, _node_payload(n)) for n in nodes])
     return [
         ParentAssessment(
             node_id=node.id,
@@ -372,24 +356,6 @@ def assess_parents(
         )
         for node, p in zip(nodes, parsed)
     ]
-
-
-def assess_leaf(
-    doc: Document,
-    node: TaxonomyNode,
-    gateway: gw.LlmGateway,
-    include_description: bool = True,
-) -> LeafAssessment:
-    return assess_leaves(doc, [node], gateway, include_description)[0]
-
-
-def assess_parent(
-    doc: Document,
-    node: TaxonomyNode,
-    gateway: gw.LlmGateway,
-    include_description: bool = True,
-) -> ParentAssessment:
-    return assess_parents(doc, [node], gateway, include_description)[0]
 
 
 @dataclass(frozen=True)
@@ -470,7 +436,6 @@ def classify_select_pointwise(
     gateway: gw.LlmGateway,
     label_range: tuple[int, int] = (1, 5),
     contextualize: bool = True,
-    include_descriptions: bool = True,
 ) -> LabelSet:
     """Independent binary verdict per leaf, then per direct parent, then adjust.
 
@@ -482,9 +447,7 @@ def classify_select_pointwise(
     """
     leaves = [taxonomy.node(leaf_id) for leaf_id in pt.leaf_ids]
     parent_of = {node.id: node.parent_id for node in leaves}
-    leaf_verdicts = {
-        v.node_id: v for v in assess_leaves(doc, leaves, gateway, include_descriptions)
-    }
+    leaf_verdicts = {v.node_id: v for v in assess_leaves(doc, leaves, gateway)}
 
     parent_verdicts: dict[str, ParentAssessment] = {}
     if contextualize:
@@ -494,9 +457,7 @@ def classify_select_pointwise(
             if leaf_verdicts[leaf_id].label_fit and parent_of[leaf_id] is not None
         )
         parents = [taxonomy.node(parent_id) for parent_id in fitting_parents]
-        parent_verdicts = {
-            v.node_id: v for v in assess_parents(doc, parents, gateway, include_descriptions)
-        }
+        parent_verdicts = {v.node_id: v for v in assess_parents(doc, parents, gateway)}
 
     trace = PointwiseTrace(
         leaf_order=tuple(pt.leaf_ids),

@@ -46,10 +46,6 @@ class HierarchyStats:
     max_leaf_depth: int
     avg_leaf_depth: float
 
-    @property
-    def total_nodes(self) -> int:
-        return self.leaf_count + self.parent_count
-
 
 class Taxonomy:
     """Validated, immutable forest of TaxonomyNodes with parent/child indexes."""
@@ -78,9 +74,7 @@ class Taxonomy:
         self._roots.sort()
         for kids in self._children.values():
             kids.sort()
-        ordered = sorted(self._nodes)
-        self._leaf_ids = tuple(nid for nid in ordered if not self._children[nid])
-        self._parent_ids = tuple(nid for nid in ordered if self._children[nid])
+        self._leaf_ids = tuple(nid for nid in sorted(self._nodes) if not self._children[nid])
 
         self._depth = self._compute_depths()
 
@@ -139,16 +133,9 @@ class Taxonomy:
         """Leaf ids in ascending order."""
         return self._leaf_ids
 
-    def parent_ids(self) -> tuple[str, ...]:
-        """Ids of nodes with children, in ascending order."""
-        return self._parent_ids
-
     def depth(self, node_id: str) -> int:
         self.node(node_id)
         return self._depth[node_id]
-
-    def max_depth(self) -> int:
-        return max(self._depth.values(), default=0)
 
     def path_to_root(self, node_id: str) -> list[str]:
         """Node ids from the given node up to its top-level ancestor, inclusive."""

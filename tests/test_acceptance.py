@@ -177,7 +177,7 @@ def test_criterion_2_pruned_taxonomy_closure():
 def test_criterion_3_mock_oracle_equivalence():
     started = time.perf_counter()
     tax = ternary_taxonomy()
-    assert len(tax.leaf_ids()) == 27 and tax.max_depth() == 3
+    assert len(tax.leaf_ids()) == 27 and max(tax.depth(node.id) for node in tax) == 3
     gateway = mock_gateway(threshold=THRESHOLD)
     rng = random.Random(42)
     matches = 0
@@ -312,7 +312,7 @@ def test_criterion_6_trav_select_termination():
     rng = random.Random(6)
     for trial in range(10):
         tax = _depth9_taxonomy(rng)
-        assert tax.max_depth() == 9
+        assert max(tax.depth(node.id) for node in tax) == 9
         provider = MockProvider(threshold=0.0 if trial == 0 else THRESHOLD)
         gateway = LlmGateway(provider, ProviderConfig())
         doc = make_doc("d", "alpha beta topic")

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior with the offline mock provider."""
 from __future__ import annotations
 
+import argparse
 import json
 import random
 
@@ -213,9 +214,18 @@ class TestClassify:
         assert "hard-failure" in bad["flags"] and "needs-review" in bad["flags"]
         assert all("hard-failure" not in r["flags"] for r in records if r["doc_id"] != poison)
 
-    def test_no_description_ablation_reaches_decrease_prompt(self, tmp_path, monkeypatch):
-        # Seven leaves that all fit the document, so one-pass keeps seven and
-        # the decrease step has to pick five.
+    @pytest.mark.parametrize("ablation", ["no-description", None], ids=["ablated", "control"])
+    @pytest.mark.parametrize(("strategy", "templates"), [
+        ("trav-select", ["trav_select", "trav_select", "decrease_labels"]),
+        ("one-pass", ["select_one_pass", "decrease_labels"]),
+        ("rerank", ["rerank"]),
+        ("pointwise", ["selectp_leaf"] * 7 + ["selectp_parent", "decrease_labels"]),
+    ], ids=["trav-select", "one-pass", "rerank", "pointwise"])
+    def test_no_description_ablation_reaches_every_prompt(self, tmp_path, monkeypatch,
+                                                          strategy, templates, ablation):
+        # Seven leaves that all fit the document under a described root, so
+        # every strategy shows the root and the leaves, and all but rerank
+        # keep seven leaves and have to decrease them to five.
         nodes = [TaxonomyNode(id="root", name="auction", description="parentdesc markets")]
         nodes += [TaxonomyNode(id=f"leaf{i}", name="auction", description=f"leafdesc{i} bids",
                                parent_id="root") for i in range(7)]
@@ -230,16 +240,39 @@ class TestClassify:
             return gateways[-1]
 
         monkeypatch.setattr(cli.gw, "mock_gateway", recording_mock_gateway)
-        code, _ = self._run(tmp_path, ["--strategy", "one-pass", "--top-k", "10",
-                                       "--ablation", "no-description"])
+        args = ["--strategy", strategy, "--top-k", "10"]
+        code, _ = self._run(tmp_path, args + (["--ablation", ablation] if ablation else []))
         assert code == 0
         specs = gateways[0].provider.calls
-        templates = [spec.template_id for spec in specs]
-        assert templates == [gw.TemplateId.SELECT_ONE_PASS, gw.TemplateId.DECREASE_LABELS]
+        assert sorted(spec.template_id.value for spec in specs) == sorted(templates)
         for spec in specs:
             prompt = gw.render_user_text(spec)
-            assert "desc" not in prompt
-            assert all(not node.get("description") for node in spec.user_payload["nodes"])
+            shown = spec.user_payload.get("nodes") or [spec.user_payload["node"]]
+            if ablation:
+                assert "desc" not in prompt
+                assert all(not node.get("description") for node in shown)
+            else:
+                assert "desc" in prompt
+                assert all(node["description"] for node in shown)
+
+    @pytest.mark.parametrize(("text", "message"), [
+        ("{not json", "cannot read --config"),
+        ('{"aggregation": "bogus"}', "'aggregation' must be one of"),
+        ('{"max_labels": "x"}', "'max_labels' must be int"),
+        ('{"apply_decrease": {"bogus": true}}', "'apply_decrease' must map"),
+        ('{"apply_decrease": {"rerank": "no"}}', "'apply_decrease' must map"),
+        ('{"apply_sibling": "no"}', "'apply_sibling' must be bool"),
+        ('{"sibling_cap": 0}', "sibling_cap must be >= 1"),
+        ('{"topk": 20}', "unknown --config keys: topk"),
+    ])
+    def test_malformed_config_file_is_an_error(self, workdir, capsys, text, message):
+        tmp, _, _ = workdir
+        config = tmp / "run.json"
+        config.write_text(text)
+        code, _ = self._run(tmp, ["--strategy", "one-pass", "--config", str(config)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_config_file_provides_defaults(self, workdir):
         tmp, _, _ = workdir
@@ -322,6 +355,15 @@ class TestProviderWiring:
         assert code == 1
         assert 1 <= len(bodies) <= gw.MAX_IN_FLIGHT
         assert "error: HTTP 401" in capsys.readouterr().err
+
+    def test_embedder_comes_from_the_provider_config(self, tmp_path):
+        provider = tmp_path / "provider.json"
+        provider.write_text(json.dumps({"credentials": "EMB_KEY", "embedding_model": "e",
+                                        "embedding_endpoint": "https://api.example/emb"}))
+        embedder = cli._make_embedder(argparse.Namespace(mock=False, provider=str(provider)))
+        assert isinstance(embedder, retrieval.HttpEmbedder)
+        assert (embedder.endpoint, embedder.model_name, embedder.credentials) == (
+            "https://api.example/emb", "e", "EMB_KEY")
 
     def test_real_endpoint_needs_a_model_name(self, workdir, bodies, capsys):
         tmp, _, _ = workdir
@@ -485,6 +527,31 @@ class TestEvaluateAndRank:
         )
         assert code == 1
         assert "embedding cache line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(("command", "text", "message"), [
+        ("rank", "[1]", "provider config must be a JSON object"),
+        ("rank", "{not json", "cannot read provider config"),
+        ("classify", "{not json", "cannot read provider config"),
+        ("classify", '{"timeout": "5"}', "'timeout' must be float"),
+        ("rank", '{"embeding_model": "e"}', "unknown provider config keys: embeding_model"),
+    ])
+    def test_malformed_provider_file_is_an_error(self, workdir, capsys, tmp_path,
+                                                 command, text, message):
+        tmp, tax, docs = workdir
+        provider = tmp_path / "provider.json"
+        provider.write_text(text)
+        if command == "rank":
+            write_ndjson(tmp_path / "gold.ndjson",
+                         [{"doc_id": d.doc_id, "gold": [tax.leaf_ids()[0]]} for d in docs])
+            args = ["rank", "--gold", str(tmp_path / "gold.ndjson")]
+        else:
+            args = ["classify", "--strategy", "one-pass", "--output", str(tmp_path / "o.ndjson")]
+        code = cli.main(args + ["--documents", str(tmp / "docs.ndjson"),
+                                "--taxonomy", str(tmp / "taxonomy.ndjson"),
+                                "--provider", str(provider)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_rank_single_depth(self, workdir, capsys, tmp_path):
         tmp, tax, docs = workdir

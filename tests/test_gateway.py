@@ -96,6 +96,21 @@ class TestTemplatesAndSpecs:
         config = load_provider_config(path)
         assert (config.endpoint, config.model_name, config.max_retries) == (
             "https://api.example/chat", "m", 1)
+        assert (config.embedding_endpoint, config.embedding_model) == (
+            "https://api.example/emb", "e")
+
+    @pytest.mark.parametrize(("text", "message"), [
+        ("{not json", "cannot read provider config"),
+        ('{"timeout": "5"}', "'timeout' must be float"),
+        ('{"max_retries": 1.5}', "'max_retries' must be int"),
+        ('{"max_retries": true}', "'max_retries' must be int"),
+        ('{"credentials": 7}', "'credentials' must be str | None"),
+    ])
+    def test_provider_config_rejects_malformed_files(self, tmp_path, text, message):
+        path = tmp_path / "provider.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load_provider_config(path)
 
 
 class TestExtractResponse:
@@ -161,7 +176,7 @@ class TestExtractResponse:
 
     def test_score_clamp_near_bounds_only(self):
         parsed = extract_response('{"scores": [["a", 1.004], ["b", 0.007]]}', ResponseSchema.SCORES)
-        assert parsed.as_dict() == {"a": 1.0, "b": 0.01}
+        assert dict(parsed.pairs) == {"a": 1.0, "b": 0.01}
         with pytest.raises(ScoreRangeError):
             extract_response('{"scores": [["a", 1.2]]}', ResponseSchema.SCORES)
         with pytest.raises(ScoreRangeError):
@@ -181,7 +196,7 @@ class TestExtractResponse:
 
     def test_scores_quantized_to_two_decimals(self):
         parsed = extract_response('{"scores": [["a", 0.333]]}', ResponseSchema.SCORES)
-        assert parsed.as_dict() == {"a": 0.33}
+        assert dict(parsed.pairs) == {"a": 0.33}
 
     def test_numeric_ids_coerced_to_strings(self):
         parsed = extract_response('{"best_labels": [12, "x"]}', ResponseSchema.BEST_LABELS)
@@ -230,7 +245,7 @@ class TestMockProvider:
             parsed = extract_response(mock_complete(spec), ResponseSchema.SCORES)
             node_text = f"{name}: {description}" if description else name
             expected = min(1.0, max(0.01, round(o_jaccard(o_tokens(title), o_tokens(node_text)), 2)))
-            assert parsed.as_dict() == {"n": expected}
+            assert dict(parsed.pairs) == {"n": expected}
 
     def test_decrease_returns_top_five_by_overlap(self):
         doc = make_doc("d", "alpha beta gamma delta")

@@ -28,8 +28,8 @@ from taxocat.strategies import (
     ScoringIncompleteError,
     adjust_label_count,
     aggregate_score,
-    assess_leaf,
-    assess_parent,
+    assess_leaves,
+    assess_parents,
     classify_rerank,
     classify_select_one_pass,
     classify_select_pointwise,
@@ -162,7 +162,7 @@ class TestTravSelect:
         gateway = LlmGateway(provider, ProviderConfig())
         classify_trav_select(make_doc("d", "alpha"), tax, gateway)
         trav_calls = [c for c in provider.calls if c.template_id is TemplateId.TRAV_SELECT]
-        assert len(trav_calls) <= tax.max_depth()
+        assert len(trav_calls) <= max(tax.depth(node.id) for node in tax)
         presented = [n["id"] for call in trav_calls for n in call.user_payload["nodes"]]
         assert len(presented) == len(set(presented))
 
@@ -364,16 +364,16 @@ class TestPointwiseAssessments:
     def test_assess_leaf_mock_rules(self, ternary, mock_gw):
         leaf = ternary.node(ternary.leaf_ids()[0])
         matching_doc = make_doc("d", leaf.name)
-        assert assess_leaf(matching_doc, leaf, mock_gw).label_fit is True
-        assert assess_leaf(make_doc("d", "zzz qqq"), leaf, mock_gw).label_fit is False
+        assert assess_leaves(matching_doc, [leaf], mock_gw)[0].label_fit is True
+        assert assess_leaves(make_doc("d", "zzz qqq"), [leaf], mock_gw)[0].label_fit is False
 
     def test_assess_parent_matches_jaccard_oracle(self, ternary, mock_gw):
         rng = random.Random(5)
-        parents = [ternary.node(pid) for pid in ternary.parent_ids()]
+        parents = sorted((n for n in ternary if not ternary.is_leaf(n.id)), key=lambda n: n.id)
         for i in range(30):
             doc = vocab_doc(rng, f"d{i}")
             node = parents[i % len(parents)]
-            got = assess_parent(doc, node, mock_gw)
+            got = assess_parents(doc, [node], mock_gw)[0]
             overlap = o_overlap(doc, node)
             assert got.label_fit == (overlap >= THRESHOLD)
             assert got.relevancy_score == o_relevancy(overlap)
@@ -383,8 +383,9 @@ class TestPointwiseAssessments:
         tax = random_forest(random.Random(8), 120)
         leaves = [tax.node(lid) for lid in tax.leaf_ids()[:40]]
         doc = make_doc("d", "markets risk", keywords=["credit", "pricing"])
-        for node in leaves:
-            verdict = assess_leaf(doc, node, mock_gw)
+        verdicts = assess_leaves(doc, leaves, mock_gw)
+        assert [v.node_id for v in verdicts] == [node.id for node in leaves]
+        for node, verdict in zip(leaves, verdicts):
             assert verdict.label_fit == (o_overlap(doc, node) >= THRESHOLD)
 
 

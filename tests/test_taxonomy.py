@@ -31,6 +31,10 @@ def _load(text: str) -> Taxonomy:
     return load_taxonomy(io.StringIO(text))
 
 
+def _parent_ids(tax: Taxonomy) -> tuple[str, ...]:
+    return tuple(sorted(node.id for node in tax if tax.children(node.id)))
+
+
 class TestLoading:
     def test_smallest_forest(self):
         tax = _load(
@@ -40,7 +44,7 @@ class TestLoading:
         )
         assert tax.roots == ("A",)
         assert tax.leaf_ids() == ("B", "C")
-        assert tax.parent_ids() == ("A",)
+        assert _parent_ids(tax) == ("A",)
 
     def test_with_nodes_has_its_own_leaf_tuple(self):
         tax = _load(
@@ -50,9 +54,9 @@ class TestLoading:
         )
         moved = tax.with_nodes([TaxonomyNode(id="C", name="Gamma", parent_id="B")])
         assert moved.leaf_ids() == ("C",)
-        assert moved.parent_ids() == ("A", "B")
+        assert _parent_ids(moved) == ("A", "B")
         assert tax.leaf_ids() == ("B", "C")
-        assert tax.parent_ids() == ("A",)
+        assert _parent_ids(tax) == ("A",)
 
     def test_cycle_rejected(self):
         with pytest.raises(TaxonomyIntegrityError, match="cycle"):
