@@ -15,11 +15,12 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterable, Sequence, TextIO
+from typing import Any, Iterator, Sequence
 
-from . import evaluation, gateway as gw, pipeline, postprocess, retrieval, strategies
+from . import evaluation, gateway as gw, ndjson, pipeline, postprocess, retrieval, strategies
 from . import taxonomy as tax
 from .documents import Document, DocumentError, load_documents
 
@@ -160,6 +161,7 @@ def _make_embedder(args: argparse.Namespace) -> retrieval.Embedder | None:
                 endpoint=config.embedding_endpoint,
                 model_name=config.embedding_model,
                 credentials=config.credentials,
+                timeout=config.timeout,
             )
     return None
 
@@ -224,7 +226,7 @@ def cmd_taxonomy(args: argparse.Namespace) -> int:
         return 0
 
     if args.subcommand == "expand":
-        _require_new_output(args.taxonomy, args.output)
+        _require_new_output(args.output, args.taxonomy, args.acronyms)
         loaded = tax.load_taxonomy(args.taxonomy)
         acronyms = tax.load_acronym_map(args.acronyms)
         if args.suggest:
@@ -238,7 +240,7 @@ def cmd_taxonomy(args: argparse.Namespace) -> int:
         return 0
 
     if args.subcommand == "describe":
-        _require_new_output(args.taxonomy, args.output)
+        _require_new_output(args.output, args.taxonomy)
         loaded = tax.load_taxonomy(args.taxonomy)
         gateway = _make_gateway(args)
         described = [n for n in loaded if n.description]
@@ -264,8 +266,8 @@ def cmd_taxonomy(args: argparse.Namespace) -> int:
     raise CliError(f"unknown taxonomy subcommand {args.subcommand!r}")
 
 
-def _require_new_output(input_path: str, output_path: str) -> None:
-    if Path(input_path).resolve() == Path(output_path).resolve():
+def _require_new_output(output_path: str, *input_paths: str | None) -> None:
+    if Path(output_path).resolve() in {Path(path).resolve() for path in input_paths if path}:
         raise CliError("refusing to overwrite the input file; pick a new --output path")
 
 
@@ -357,16 +359,6 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _write_records(fh: TextIO, records: Iterable[dict[str, Any]]) -> tuple[int, int]:
-    """Write each record as one NDJSON line; return (records, hard failures)."""
-    written = failures = 0
-    for record in records:
-        fh.write(json.dumps(record, ensure_ascii=False, sort_keys=False) + "\n")
-        written += 1
-        failures += "hard-failure" in record["flags"]
-    return written, failures
-
-
 def run_classification(
     config: RunConfig,
     gateway: gw.LlmGateway,
@@ -380,30 +372,36 @@ def run_classification(
         # description, while the store, embedded from the full taxonomy, does.
         loaded = loaded.with_nodes(replace(node, description=None) for node in loaded)
     docs = load_documents(config.documents_path)
+    failures = 0
 
     def classify_one(doc: Document) -> dict[str, Any]:
         return pipeline.classify_document(doc, loaded, store, embedder, gateway, config)
 
-    # Each record is written as soon as it is next in input order, so an error
-    # that stops the batch leaves every finished document on disk.
-    with config.output_path.open("w", encoding="utf-8") as fh:
-        if config.parallelism == 1:
-            written, failures = _write_records(fh, map(classify_one, docs))
-        else:
-            with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-                try:
-                    # map preserves input order
-                    written, failures = _write_records(fh, pool.map(classify_one, docs))
-                except BaseException:
-                    pool.shutdown(cancel_futures=True)
-                    raise
+    def classified() -> Iterator[dict[str, Any]]:
+        nonlocal failures
+        pool = ThreadPoolExecutor(max_workers=config.parallelism)
+        try:
+            # pool.map preserves input order; one worker needs no threads
+            run = pool.map if config.parallelism > 1 else map
+            for record in run(classify_one, docs):
+                failures += "hard-failure" in record["flags"]
+                yield record
+        finally:
+            pool.shutdown(cancel_futures=True)
 
-    print(f"classified {written} documents ({failures} hard failures) "
+    # The output is opened before the first document starts, and each record is
+    # written as soon as it is next in input order, so an error that stops the
+    # batch leaves every finished document on disk.
+    with closing(classified()) as records:
+        ndjson.write_records(config.output_path, records, CliError, "output")
+
+    print(f"classified {len(docs)} documents ({failures} hard failures) "
           f"-> {config.output_path}")
     return 1 if failures else 0
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    _require_new_output(args.output, args.documents, args.taxonomy, args.embedding_cache)
     config = _resolve_run_config(args)
     gateway = _make_gateway(args)
     loaded = tax.load_taxonomy(config.taxonomy_path)
@@ -424,7 +422,10 @@ def _load_baseline_reports(path: str) -> list[evaluation.MethodReport]:
     """Precomputed rows (e.g. an earlier system's published numbers) to merge
     into the comparison: [{method, n, accuracy_pct, score_dist_pct: {"5": ...}}].
     """
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cannot read --baseline {path}: {exc}") from None
     if not isinstance(data, list):
         raise CliError("--baseline must contain a JSON list of method reports")
     reports = []
@@ -444,19 +445,22 @@ def _load_baseline_reports(path: str) -> list[evaluation.MethodReport]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    try:
-        judgments = evaluation.load_judgments(args.judgments)
-        reports = list(evaluation.compute_metrics(judgments).values())
-        if args.baseline:
-            reports.extend(_load_baseline_reports(args.baseline))
-        table = evaluation.compare_methods(reports)
-    except evaluation.JudgmentError as exc:
-        print(f"evaluation failed: {exc}", file=sys.stderr)
-        return 1
+    judgments = evaluation.load_judgments(args.judgments)
+    reports = list(evaluation.compute_metrics(judgments).values())
+    if args.baseline:
+        reports.extend(_load_baseline_reports(args.baseline))
+    table = evaluation.compare_methods(reports)
     print(table.render())
     if args.json_output:
-        Path(args.json_output).write_text(table.to_json() + "\n", encoding="utf-8")
+        _write_json_output(args.json_output, table.to_json())
     return 0
+
+
+def _write_json_output(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write --json-output {path}: {exc.strerror or exc}") from None
 
 
 # -- rank ----------------------------------------------------------------------------
@@ -485,11 +489,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
         raise CliError("document embedding requires --mock or an embedding provider")
     k = max(depths)
     rankings = [retrieval.rank_leaves(doc, loaded, store, embedder, k=k) for doc in docs]
-    try:
-        rows = retrieval.recall_at_k(rankings, gold, depths)
-    except retrieval.RetrievalError as exc:
-        print(f"rank failed: {exc}", file=sys.stderr)
-        return 1
+    rows = retrieval.recall_at_k(rankings, gold, depths)
     print("depth  all-gold  any-gold")
     for row in rows:
         print(f"{row.depth:>5}  {row.all_gold_rate:>8.3f}  {row.any_gold_rate:>8.3f}")
@@ -498,7 +498,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
             {"depth": r.depth, "all_gold_rate": r.all_gold_rate, "any_gold_rate": r.any_gold_rate}
             for r in rows
         ]
-        Path(args.json_output).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        _write_json_output(args.json_output, json.dumps(payload, indent=2))
     return 0
 
 
@@ -519,8 +519,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "rank":
             return cmd_rank(args)
         parser.error(f"unknown command {args.command!r}")
-    except (CliError, tax.TaxonomyError, DocumentError, retrieval.RetrievalError,
-            gw.ConfigError, gw.ProviderError) as exc:
+    except (CliError, tax.TaxonomyError, DocumentError, evaluation.JudgmentError,
+            retrieval.RetrievalError, gw.ConfigError, gw.ProviderError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -1,11 +1,12 @@
 """Document metadata unit (title, keywords, abstract) and its file format."""
 from __future__ import annotations
 
-import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO
+
+from . import ndjson
 
 logger = logging.getLogger(__name__)
 
@@ -67,42 +68,28 @@ def check_length_advisories(doc: Document) -> list[str]:
 
 def load_documents(source: str | Path | IO[str]) -> list[Document]:
     """Read newline-delimited JSON documents: {doc_id, title, keywords, abstract}."""
-    if isinstance(source, (str, Path)):
-        with Path(source).open("r", encoding="utf-8") as fh:
-            return _parse_document_lines(fh)
-    return _parse_document_lines(source)
-
-
-def _parse_document_lines(fh: Iterable[str]) -> list[Document]:
     docs = []
     seen: set[str] = set()
-    for lineno, line in enumerate(fh, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-        if not isinstance(record, dict):
-            raise DocumentError(f"line {lineno}: expected a JSON object")
+    for lineno, record in ndjson.read_records(source, DocumentError, "documents"):
+        where = f"documents line {lineno}"
         try:
             doc_id = record["doc_id"]
             title = record["title"]
         except KeyError as exc:
-            raise DocumentError(f"line {lineno}: missing field {exc.args[0]!r}") from None
+            raise DocumentError(f"{where}: missing field {exc.args[0]!r}") from None
         if not isinstance(doc_id, str) or not doc_id:
-            raise DocumentError(f"line {lineno}: 'doc_id' must be a non-empty string")
+            raise DocumentError(f"{where}: 'doc_id' must be a non-empty string")
         if not isinstance(title, str) or not title.strip():
-            raise DocumentError(f"line {lineno}: 'title' must be a non-empty string")
+            raise DocumentError(f"{where}: 'title' must be a non-empty string")
         if doc_id in seen:
-            raise DocumentError(f"line {lineno}: duplicate doc_id {doc_id!r}")
+            raise DocumentError(f"{where}: duplicate doc_id {doc_id!r}")
         seen.add(doc_id)
         keywords = record.get("keywords", [])
         if not isinstance(keywords, list) or any(not isinstance(k, str) for k in keywords):
-            raise DocumentError(f"line {lineno}: 'keywords' must be a list of strings")
+            raise DocumentError(f"{where}: 'keywords' must be a list of strings")
         abstract = record.get("abstract", "")
         if not isinstance(abstract, str):
-            raise DocumentError(f"line {lineno}: 'abstract' must be a string")
+            raise DocumentError(f"{where}: 'abstract' must be a string")
         doc = Document(doc_id=doc_id, title=title, keywords=tuple(keywords), abstract=abstract)
         for warning in check_length_advisories(doc):
             logger.warning("document %s: %s", doc_id, warning)

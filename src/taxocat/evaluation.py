@@ -13,6 +13,8 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
+from . import ndjson
+
 SCORE_VALUES = (5, 4, 3, 2, 1)
 LOWER_IS_BETTER = frozenset({1, 2})
 
@@ -52,44 +54,32 @@ def percent(count: int, total: int) -> float:
 
 def load_judgments(source: str | Path | IO[str]) -> list[Judgment]:
     """Read newline-delimited JSON judgments: {doc_id, method, correct, score, rationale?}."""
-    if isinstance(source, (str, Path)):
-        with Path(source).open("r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    else:
-        lines = source.readlines()
     judgments = []
     seen: set[tuple[str, str]] = set()
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise JudgmentError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-        if not isinstance(record, dict):
-            raise JudgmentError(f"line {lineno}: expected a JSON object")
+    for lineno, record in ndjson.read_records(source, JudgmentError, "judgments"):
+        where = f"judgments line {lineno}"
         try:
             doc_id = record["doc_id"]
             method = record["method"]
             correct = record["correct"]
             score = record["score"]
         except KeyError as exc:
-            raise JudgmentError(f"line {lineno}: missing field {exc.args[0]!r}") from None
+            raise JudgmentError(f"{where}: missing field {exc.args[0]!r}") from None
         if not isinstance(doc_id, str) or not doc_id:
-            raise JudgmentError(f"line {lineno}: 'doc_id' must be a non-empty string")
+            raise JudgmentError(f"{where}: 'doc_id' must be a non-empty string")
         if not isinstance(method, str) or not method:
-            raise JudgmentError(f"line {lineno}: 'method' must be a non-empty string")
+            raise JudgmentError(f"{where}: 'method' must be a non-empty string")
         if not isinstance(correct, bool):
-            raise JudgmentError(f"line {lineno}: 'correct' must be a boolean")
+            raise JudgmentError(f"{where}: 'correct' must be a boolean")
         if isinstance(score, bool) or not isinstance(score, int) or score not in (1, 2, 3, 4, 5):
-            raise JudgmentError(f"line {lineno}: 'score' must be an integer in 1..5")
+            raise JudgmentError(f"{where}: 'score' must be an integer in 1..5")
         key = (doc_id, method)
         if key in seen:
-            raise JudgmentError(f"line {lineno}: duplicate judgment for {key}")
+            raise JudgmentError(f"{where}: duplicate judgment for {key}")
         seen.add(key)
         rationale = record.get("rationale")
         if rationale is not None and not isinstance(rationale, str):
-            raise JudgmentError(f"line {lineno}: 'rationale' must be a string")
+            raise JudgmentError(f"{where}: 'rationale' must be a string")
         judgments.append(
             Judgment(doc_id=doc_id, method=method, correct=correct, score=score, rationale=rationale)
         )

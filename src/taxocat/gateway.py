@@ -23,6 +23,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping, Protocol, Sequence, Union
 
+from . import ndjson
 from .documents import Document
 from .textproc import jaccard, token_set, tokenize
 
@@ -677,6 +678,8 @@ class AuditLog:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
+        # Opened once up front, so an unwritable path stops the run before any call.
+        ndjson.write_records(self.path, (), ConfigError, "audit log", append=True)
 
     def append(self, *, template_id: str, doc_id: str | None, attempt: int, outcome: str) -> None:
         record = {
@@ -686,10 +689,8 @@ class AuditLog:
             "attempt": attempt,
             "outcome": outcome,
         }
-        line = json.dumps(record, ensure_ascii=False) + "\n"
         with self._lock:
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(line)
+            ndjson.write_records(self.path, [record], ConfigError, "audit log", append=True)
 
 
 # -- gateway ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ taxonomy handed to the LLM strategies.
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +16,7 @@ from typing import IO, Iterable, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
+from . import ndjson
 from .documents import Document, document_text
 from .taxonomy import Taxonomy, TaxonomyNode
 
@@ -257,40 +257,19 @@ class EmbeddingStore:
             self._publish(tuple(merged), np.array(list(merged.values())))
 
     def save(self, target: str | Path | IO[str]) -> None:
-        def _write(fh: IO[str]) -> None:
-            for node_id in sorted(self.ids):
-                record = {
-                    "node_id": node_id,
-                    "model_tag": self.model_tag,
-                    "vector": [float(x) for x in self.matrix[self._row[node_id]]],
-                }
-                fh.write(json.dumps(record) + "\n")
-
-        if isinstance(target, (str, Path)):
-            with Path(target).open("w", encoding="utf-8") as fh:
-                _write(fh)
-        else:
-            _write(target)
+        records = (
+            {"node_id": node_id, "model_tag": self.model_tag,
+             "vector": self.matrix[self._row[node_id]].tolist()}
+            for node_id in sorted(self.ids)
+        )
+        ndjson.write_records(target, records, RetrievalError, "embedding cache")
 
     @classmethod
     def load(cls, source: str | Path | IO[str], model_tag: str | None = None) -> "EmbeddingStore":
-        if isinstance(source, (str, Path)):
-            with Path(source).open("r", encoding="utf-8") as fh:
-                lines = fh.readlines()
-        else:
-            lines = source.readlines()
-        store: EmbeddingStore | None = None
         batch = []
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RetrievalError(f"embedding cache line {lineno}: invalid JSON") from exc
+        for lineno, record in ndjson.read_records(source, RetrievalError, "embedding cache"):
             if not (
-                isinstance(record, dict)
-                and isinstance(record.get("node_id"), str)
+                isinstance(record.get("node_id"), str)
                 and isinstance(record.get("model_tag"), str)
                 and isinstance(record.get("vector"), list)
                 and set(map(type, record["vector"])) <= _NUMBER_TYPES
@@ -304,13 +283,11 @@ class EmbeddingStore:
                 raise RetrievalError(
                     f"embedding cache line {lineno}: model_tag {tag!r}, expected {model_tag!r}"
                 )
-            if store is None:
-                store = cls(model_tag=tag)
             batch.append(
                 (record["node_id"], EmbeddingVector(values=np.array(record["vector"]), model_tag=tag))
             )
-        if store is None:
-            store = cls(model_tag=model_tag or "empty")
+        # The first line's tag is the store's; add_batch rejects any other.
+        store = cls(model_tag=batch[0][1].model_tag if batch else model_tag or "empty")
         store.add_batch(batch)
         return store
 
@@ -490,22 +467,10 @@ def recall_at_k(
 
 def load_gold_labels(source: str | Path | IO[str]) -> dict[str, frozenset[str]]:
     """Read newline-delimited JSON gold labels: {doc_id, gold: [leaf ids]}."""
-    if isinstance(source, (str, Path)):
-        with Path(source).open("r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    else:
-        lines = source.readlines()
     gold: dict[str, frozenset[str]] = {}
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise RetrievalError(f"gold file line {lineno}: invalid JSON") from exc
+    for lineno, record in ndjson.read_records(source, RetrievalError, "gold file"):
         if not (
-            isinstance(record, dict)
-            and isinstance(record.get("doc_id"), str)
+            isinstance(record.get("doc_id"), str)
             and isinstance(record.get("gold"), list)
             and all(isinstance(label, str) for label in record["gold"])
         ):

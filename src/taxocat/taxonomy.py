@@ -15,13 +15,15 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping
 
+from . import ndjson
+
 
 class TaxonomyError(Exception):
     """Base class for taxonomy loading and validation failures."""
 
 
 class TaxonomyParseError(TaxonomyError):
-    """A record in a taxonomy or acronym file could not be parsed."""
+    """A taxonomy or acronym file could not be read, or a record in it parsed."""
 
 
 class TaxonomyIntegrityError(TaxonomyError):
@@ -185,73 +187,37 @@ def hierarchy_stats(taxonomy: Taxonomy) -> HierarchyStats:
 
 
 def load_taxonomy(source: str | Path | IO[str], version_tag: str | None = None) -> Taxonomy:
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        with path.open("r", encoding="utf-8") as fh:
-            nodes = _parse_node_lines(fh)
-        tag = version_tag if version_tag is not None else path.stem
-    else:
-        nodes = _parse_node_lines(source)
-        tag = version_tag if version_tag is not None else "untagged"
-    return Taxonomy(nodes, version_tag=tag)
-
-
-def _parse_node_lines(fh: Iterable[str]) -> list[TaxonomyNode]:
+    if version_tag is None:
+        version_tag = Path(source).stem if isinstance(source, (str, Path)) else "untagged"
     nodes = []
-    for lineno, line in enumerate(fh, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TaxonomyParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-        if not isinstance(record, dict):
-            raise TaxonomyParseError(f"line {lineno}: expected a JSON object")
+    for lineno, record in ndjson.read_records(source, TaxonomyParseError, "taxonomy"):
+        where = f"taxonomy line {lineno}"
         try:
             node_id = record["id"]
             name = record["name"]
         except KeyError as exc:
-            raise TaxonomyParseError(f"line {lineno}: missing field {exc.args[0]!r}") from None
+            raise TaxonomyParseError(f"{where}: missing field {exc.args[0]!r}") from None
         if not isinstance(node_id, str) or not node_id:
-            raise TaxonomyParseError(f"line {lineno}: 'id' must be a non-empty string")
+            raise TaxonomyParseError(f"{where}: 'id' must be a non-empty string")
         if not isinstance(name, str) or not name.strip():
-            raise TaxonomyParseError(f"line {lineno}: 'name' must be a non-empty string")
+            raise TaxonomyParseError(f"{where}: 'name' must be a non-empty string")
         description = record.get("description")
         if description is not None and not isinstance(description, str):
-            raise TaxonomyParseError(f"line {lineno}: 'description' must be a string")
+            raise TaxonomyParseError(f"{where}: 'description' must be a string")
         parent_id = record.get("parent_id")
         if parent_id is not None and (not isinstance(parent_id, str) or not parent_id):
-            raise TaxonomyParseError(f"line {lineno}: 'parent_id' must be a non-empty string")
-        nodes.append(
-            TaxonomyNode(
-                id=node_id,
-                name=name,
-                description=description,
-                parent_id=parent_id,
-                acronym_expanded=bool(record.get("acronym_expanded", False)),
-            )
-        )
-    return nodes
+            raise TaxonomyParseError(f"{where}: 'parent_id' must be a non-empty string")
+        nodes.append(TaxonomyNode(
+            id=node_id, name=name, description=description, parent_id=parent_id,
+            acronym_expanded=bool(record.get("acronym_expanded", False)),
+        ))
+    return Taxonomy(nodes, version_tag=version_tag)
 
 
 def save_taxonomy(taxonomy: Taxonomy, target: str | Path | IO[str]) -> None:
-    if isinstance(target, (str, Path)):
-        with Path(target).open("w", encoding="utf-8") as fh:
-            _write_node_lines(taxonomy, fh)
-    else:
-        _write_node_lines(taxonomy, target)
-
-
-def _write_node_lines(taxonomy: Taxonomy, fh: IO[str]) -> None:
-    for node in taxonomy:
-        record: dict[str, object] = {"id": node.id, "name": node.name}
-        if node.description is not None:
-            record["description"] = node.description
-        if node.parent_id is not None:
-            record["parent_id"] = node.parent_id
-        if node.acronym_expanded:
-            record["acronym_expanded"] = True
-        fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    records = ({key: value for key, value in vars(node).items()
+                if value is not None and value is not False} for node in taxonomy)
+    ndjson.write_records(target, records, TaxonomyError, "taxonomy")
 
 
 # -- acronym expansion -------------------------------------------------------
@@ -276,10 +242,8 @@ class AcronymMap:
 
 def load_acronym_map(source: str | Path | IO[str]) -> AcronymMap:
     """Read a JSON object of {acronym: expansion}; duplicate keys are rejected."""
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
+    with ndjson.reading(source, TaxonomyParseError, "acronym map") as fh:
+        text = fh.read()
 
     def _reject_dupes(pairs):
         out = {}

@@ -274,6 +274,20 @@ class TestClassify:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("flag", ["--documents", "--taxonomy", "--embedding-cache"])
+    def test_output_may_not_be_an_input(self, workdir, capsys, flag):
+        tmp, _, _ = workdir
+        cache = tmp / "emb.ndjson"
+        assert self._run(tmp, ["--strategy", "one-pass", "--embedding-cache", str(cache)])[0] == 0
+        target = {"--documents": tmp / "docs.ndjson", "--taxonomy": tmp / "taxonomy.ndjson",
+                  "--embedding-cache": cache}[flag]
+        before = target.read_bytes()
+        code, _ = self._run(tmp, ["--strategy", "one-pass", "--embedding-cache", str(cache)],
+                            out_name=target.name)
+        assert code == 1
+        assert "refusing to overwrite the input file" in capsys.readouterr().err
+        assert target.read_bytes() == before
+
     def test_config_file_provides_defaults(self, workdir):
         tmp, _, _ = workdir
         config = tmp / "run.json"
@@ -365,6 +379,23 @@ class TestProviderWiring:
         assert (embedder.endpoint, embedder.model_name, embedder.credentials) == (
             "https://api.example/emb", "e", "EMB_KEY")
 
+    def test_embedder_gets_the_provider_timeout(self, tmp_path, monkeypatch):
+        timeouts = []
+
+        class Session:
+            def post(self, url, json=None, headers=None, timeout=None):
+                timeouts.append(timeout)
+                return argparse.Namespace(status_code=200, json=lambda: {
+                    "data": [{"index": 0, "embedding": [1.0, 0.0]}]})
+
+        monkeypatch.setattr("requests.Session", Session)
+        provider = tmp_path / "provider.json"
+        provider.write_text(json.dumps({"timeout": 5, "embedding_model": "e",
+                                        "embedding_endpoint": "https://api.example/emb"}))
+        embedder = cli._make_embedder(argparse.Namespace(mock=False, provider=str(provider)))
+        embedder.embed("text")
+        assert timeouts == [5.0]
+
     def test_real_endpoint_needs_a_model_name(self, workdir, bodies, capsys):
         tmp, _, _ = workdir
         code = self._classify(tmp, {"endpoint": "https://api.example/chat"})
@@ -409,6 +440,18 @@ class TestEvaluateAndRank:
         out = capsys.readouterr().out
         assert "previous_sota" in out and "61.5" in out
         assert out.index("select_pointwise") < out.index("previous_sota")
+
+    @pytest.mark.parametrize("text", ["[1", None])
+    def test_evaluate_bad_baseline_is_an_error(self, tmp_path, capsys, text):
+        path = tmp_path / "j.ndjson"
+        write_ndjson(path, [{"doc_id": "d", "method": "m", "correct": True, "score": 5}])
+        baseline = tmp_path / "baseline.json"
+        if text is not None:
+            baseline.write_text(text)
+        code = cli.main(["evaluate", "--judgments", str(path), "--baseline", str(baseline)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read --baseline {baseline}: ")
 
     def test_evaluate_empty_file_fails(self, tmp_path, capsys):
         path = tmp_path / "empty.ndjson"
@@ -569,3 +612,53 @@ class TestEvaluateAndRank:
         assert lines[1].split()[0] == "27"
         # Depth equals the whole leaf set, so every gold label is retrieved.
         assert lines[1].split()[1] == "1.000"
+
+
+class TestUnreadableFiles:
+    """Every file flag pointing at a missing path, a directory or (for an
+    input) bytes that are not UTF-8 stops with a one-line error."""
+
+    INPUTS = [("validate", "--taxonomy"), ("classify", "--taxonomy"),
+              ("classify", "--documents"), ("classify", "--embedding-cache"),
+              ("evaluate", "--judgments"), ("rank", "--gold"), ("expand", "--acronyms")]
+    OUTPUTS = [("classify", "--output"), ("classify", "--audit-log"), ("expand", "--output"),
+               ("evaluate", "--json-output")]
+
+    @staticmethod
+    def _argv(tmp, command):
+        tax, docs = str(tmp / "taxonomy.ndjson"), str(tmp / "docs.ndjson")
+        return {
+            "validate": ["taxonomy", "validate", "--taxonomy", tax],
+            "classify": ["classify", "--taxonomy", tax, "--documents", docs, "--mock",
+                         "--output", str(tmp / "out.ndjson"), "--strategy", "one-pass"],
+            "evaluate": ["evaluate", "--judgments", str(tmp / "judgments.ndjson")],
+            "rank": ["rank", "--taxonomy", tax, "--documents", docs, "--mock"],
+            "expand": ["taxonomy", "expand", "--taxonomy", tax, "--output",
+                       str(tmp / "expanded.ndjson"), "--acronyms", str(tmp / "acronyms.json")],
+        }[command]
+
+    @pytest.mark.parametrize(("command", "flag", "case"), [
+        (command, flag, case)
+        for flags, cases in ((INPUTS, ("missing", "directory", "not-utf8")),
+                             (OUTPUTS, ("missing", "directory")))
+        for command, flag in flags for case in cases
+    ])
+    def test_unreadable_file_is_an_error(self, workdir, capsys, command, flag, case):
+        tmp, _, _ = workdir
+        write_ndjson(tmp / "judgments.ndjson",
+                     [{"doc_id": "d", "method": "m", "correct": True, "score": 5}])
+        (tmp / "acronyms.json").write_text("{}")
+        path = {"missing": tmp / "nowhere" / "file", "directory": tmp / "subdir",
+                "not-utf8": tmp / "latin1.ndjson"}[case]
+        (tmp / "subdir").mkdir()
+        (tmp / "latin1.ndjson").write_bytes('{"name": "café"}\n'.encode("latin-1"))
+        argv = self._argv(tmp, command)
+        if flag in argv:
+            argv[argv.index(flag) + 1] = str(path)
+        else:
+            argv += [flag, str(path)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        prefix = "INVALID: " if command == "validate" else "error: "
+        assert err.startswith(prefix) and str(path) in err
+        assert len(err.splitlines()) == 1
