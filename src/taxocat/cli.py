@@ -240,7 +240,9 @@ def cmd_taxonomy(args: argparse.Namespace) -> int:
         return 0
 
     if args.subcommand == "describe":
-        _require_new_output(args.output, args.taxonomy)
+        _require_new_output(args.output, args.taxonomy, args.provider)
+        _require_new_output(args.audit_log, args.output, args.taxonomy, args.provider,
+                            flag="--audit-log")
         loaded = tax.load_taxonomy(args.taxonomy)
         gateway = _make_gateway(args)
         described = [n for n in loaded if n.description]
@@ -266,9 +268,13 @@ def cmd_taxonomy(args: argparse.Namespace) -> int:
     raise CliError(f"unknown taxonomy subcommand {args.subcommand!r}")
 
 
-def _require_new_output(output_path: str, *input_paths: str | None) -> None:
-    if Path(output_path).resolve() in {Path(path).resolve() for path in input_paths if path}:
-        raise CliError("refusing to overwrite the input file; pick a new --output path")
+def _require_new_output(output_path: str | None, *input_paths: str | None,
+                        flag: str = "--output") -> None:
+    """Refuse an output path (if given) that resolves to one of the inputs."""
+    if output_path and Path(output_path).resolve() in {
+        Path(path).resolve() for path in input_paths if path
+    }:
+        raise CliError(f"refusing to overwrite the input file; pick a new {flag} path")
 
 
 # -- classify ---------------------------------------------------------------------
@@ -401,7 +407,9 @@ def run_classification(
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    _require_new_output(args.output, args.documents, args.taxonomy, args.embedding_cache)
+    inputs = (args.documents, args.taxonomy, args.embedding_cache, args.config, args.provider)
+    _require_new_output(args.output, *inputs)
+    _require_new_output(args.audit_log, args.output, *inputs, flag="--audit-log")
     config = _resolve_run_config(args)
     gateway = _make_gateway(args)
     loaded = tax.load_taxonomy(config.taxonomy_path)
@@ -445,6 +453,7 @@ def _load_baseline_reports(path: str) -> list[evaluation.MethodReport]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    _require_new_output(args.json_output, args.judgments, args.baseline, flag="--json-output")
     judgments = evaluation.load_judgments(args.judgments)
     reports = list(evaluation.compute_metrics(judgments).values())
     if args.baseline:
@@ -479,6 +488,8 @@ def _parse_depths(text: str | None) -> tuple[int, ...]:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
+    _require_new_output(args.json_output, args.taxonomy, args.documents, args.gold,
+                        args.embedding_cache, flag="--json-output")
     loaded = tax.load_taxonomy(args.taxonomy)
     docs = load_documents(args.documents)
     gold = retrieval.load_gold_labels(args.gold)

@@ -15,10 +15,11 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from enum import Enum
+from functools import cache
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping, Protocol, Sequence, Union
@@ -133,6 +134,7 @@ SCHEMA_FOR_TEMPLATE: dict[TemplateId, ResponseSchema] = {
 }
 
 
+@cache
 def load_template(template_id: TemplateId) -> str:
     return (
         resources.files("taxocat.prompts").joinpath(f"{template_id.value}.txt").read_text("utf-8")
@@ -152,6 +154,16 @@ class PromptSpec:
     @property
     def expected_schema(self) -> ResponseSchema:
         return SCHEMA_FOR_TEMPLATE[self.template_id]
+
+    @property
+    def user_text(self) -> str:
+        """The user message a provider sees, rendered once, on first use."""
+        # Not functools.cached_property: before Python 3.12 its lock is shared
+        # by every spec, so concurrent calls would wait on each other's render.
+        text = self.__dict__.get("_user_text")
+        if text is None:
+            text = self.__dict__["_user_text"] = _render_user_text(self)
+        return text
 
 
 # -- parsed responses ------------------------------------------------------------
@@ -263,6 +275,10 @@ def _label_line(node: Mapping[str, Any]) -> str:
 
 def render_user_text(spec: PromptSpec) -> str:
     """Flatten the structured payload into the user message a provider sees."""
+    return spec.user_text
+
+
+def _render_user_text(spec: PromptSpec) -> str:
     payload = spec.user_payload
     tid = spec.template_id
     if tid is TemplateId.DESC_GEN:
@@ -603,7 +619,7 @@ class HttpProvider:
             import requests
             from requests.adapters import HTTPAdapter
 
-            # One kept-alive connection per call call_all can have in flight.
+            # One kept-alive connection per call the shared pool can have in flight.
             session = requests.Session()
             adapter = HTTPAdapter(pool_maxsize=MAX_IN_FLIGHT)
             session.mount("https://", adapter)
@@ -622,7 +638,7 @@ class HttpProvider:
     def complete(self, spec: PromptSpec, reminder: str | None = None) -> str:
         import requests
 
-        user_text = render_user_text(spec)
+        user_text = spec.user_text
         if reminder:
             user_text = f"{user_text}\n\n{reminder}"
         body = {
@@ -700,7 +716,7 @@ class Provider(Protocol):
     def complete(self, spec: PromptSpec, reminder: str | None = None) -> str: ...
 
 
-# At most this many calls issued by LlmGateway.call_all are in flight per
+# At most this many calls issued by LlmGateway.submit are in flight per
 # process, whatever the number of document workers or gateways. A wider pool
 # shortens pointwise's call chain further but costs peak memory (ROADMAP
 # item 4 has the measured trade-off).
@@ -711,7 +727,7 @@ _call_pool_lock = threading.Lock()
 
 
 def _shared_call_pool() -> ThreadPoolExecutor:
-    """The process-wide pool behind call_all, created on first use."""
+    """The process-wide pool behind LlmGateway.submit, created on first use."""
     global _call_pool
     with _call_pool_lock:
         if _call_pool is None:
@@ -742,7 +758,7 @@ class LlmGateway:
         self.characters_in = 0
 
     def _count(self, spec: PromptSpec, raw: str) -> None:
-        sent = len(spec.system_text) + len(render_user_text(spec))
+        sent = len(spec.system_text) + len(spec.user_text)
         with self._counter_lock:
             self.calls_made += 1
             self.characters_out += sent
@@ -794,32 +810,40 @@ class LlmGateway:
         assert last_error is not None
         raise last_error
 
-    def call_all(self, specs: Sequence[PromptSpec]) -> list[ParsedResponse]:
-        """call_with_retry for every spec, concurrently, with results in spec order.
+    def submit(self, spec: PromptSpec, fatal: list[ProviderError] | None = None) -> Future:
+        """call_with_retry(spec) on the process-wide pool of MAX_IN_FLIGHT threads.
 
-        The calls run on one process-wide pool of MAX_IN_FLIGHT threads;
-        fewer than two specs run inline. Failures surface as in a sequential
-        loop: the first failure in spec order is raised. After a
-        non-retryable ProviderError, calls that have not started yet raise
-        it without sending a request, and every queued call is cancelled.
-        Must not be called from a call running on that pool.
+        `fatal` is a latch shared by several submitted calls: once one of them
+        raises a non-retryable ProviderError, the others raise it too when
+        they start, without sending a request. Must not be called from a
+        call running on that pool.
         """
-        if len(specs) < 2:
-            return [self.call_with_retry(spec) for spec in specs]
-        fatal: list[ProviderError] = []
 
-        def call(spec: PromptSpec) -> ParsedResponse:
+        def call() -> ParsedResponse:
             if fatal:
                 raise fatal[0]
             try:
                 return self.call_with_retry(spec)
             except ProviderError as exc:
-                if not exc.retryable:
+                if fatal is not None and not exc.retryable:
                     fatal.append(exc)
                 raise
 
-        pool = _shared_call_pool()
-        futures = [pool.submit(call, spec) for spec in specs]
+        return _shared_call_pool().submit(call)
+
+    def call_all(self, specs: Sequence[PromptSpec]) -> list[ParsedResponse]:
+        """call_with_retry for every spec, concurrently, with results in spec order.
+
+        The calls go through submit; fewer than two specs run inline.
+        Failures surface as in a sequential loop: the first failure in spec
+        order is raised. After a non-retryable ProviderError, calls that
+        have not started yet raise it without sending a request, and every
+        queued call is cancelled.
+        """
+        if len(specs) < 2:
+            return [self.call_with_retry(spec) for spec in specs]
+        fatal: list[ProviderError] = []
+        futures = [self.submit(spec, fatal) for spec in specs]
         try:
             return [future.result() for future in futures]
         finally:

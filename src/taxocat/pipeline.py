@@ -67,12 +67,15 @@ def classify_document(
     except Exception as exc:
         if isinstance(exc, gw.ProviderError) and not exc.retryable:
             raise
-        logger.exception("document %s failed", doc.doc_id)
+        error = f"{type(exc).__name__}: {exc}"
+        # The record carries the error; the traceback is for debugging only.
+        logger.warning("document %s failed: %s", doc.doc_id, error)
+        logger.debug("document %s failed", doc.doc_id, exc_info=True)
         return {
             "doc_id": doc.doc_id,
             "method": method.value,
             "labels": [],
-            "provenance": {"error": f"{type(exc).__name__}: {exc}"},
+            "provenance": {"error": error},
             "flags": ["hard-failure", postprocess.FLAG_NEEDS_REVIEW],
         }
     return {

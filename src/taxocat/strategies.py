@@ -12,6 +12,7 @@ outcomes instead of silently emitting empty output.
 from __future__ import annotations
 
 import logging
+from concurrent.futures import wait
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from statistics import fmean, harmonic_mean
@@ -226,15 +227,12 @@ def aggregate_score(
     raise ValueError(f"unknown aggregation function {fn!r}")
 
 
-def _request_scores(
-    doc: Document,
-    taxonomy: Taxonomy,
-    node_ids: Sequence[str],
-    gateway: gw.LlmGateway,
-) -> dict[str, float]:
-    """One scoring call; unknown ids dropped, missing ids default to 0.01."""
-    payloads = [_node_payload(taxonomy.node(nid)) for nid in node_ids]
-    parsed = gateway.call_with_retry(gw.build_rerank_spec(doc, payloads))
+def _rerank_spec(doc: Document, taxonomy: Taxonomy, node_ids: Sequence[str]) -> gw.PromptSpec:
+    return gw.build_rerank_spec(doc, [_node_payload(taxonomy.node(nid)) for nid in node_ids])
+
+
+def _read_scores(doc: Document, node_ids: Sequence[str], parsed: gw.Scores) -> dict[str, float]:
+    """One scoring reply; unknown ids dropped, missing ids default to 0.01."""
     wanted = set(node_ids)
     scores: dict[str, float] = {}
     for node_id, score in parsed.pairs:
@@ -263,9 +261,10 @@ def classify_rerank(
 
     The scoring prompt covers leaves and direct parents. When the chosen
     aggregation needs ancestors beyond the direct parent, those are scored
-    in a follow-up call; if that call cannot be completed, each leaf's
-    direct-parent score stands in for its deeper ancestors and the result
-    is flagged.
+    in a second call sent at the same time; if that call cannot be
+    completed, each leaf's direct-parent score stands in for its deeper
+    ancestors and the result is flagged. A non-retryable provider error
+    from either call is raised.
     """
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
@@ -275,27 +274,41 @@ def classify_rerank(
         parent_id = taxonomy.node(leaf_id).parent_id
         if parent_id is not None and parent_id not in parents:
             parents.append(parent_id)
-    scores = _request_scores(doc, taxonomy, leaves + parents, gateway)
-
-    flags: list[str] = []
-    deeper_scores: dict[str, float] = {}
     needs_ancestors = fn in (
         AggregationFunction.AVG_ALL_ANCESTORS,
         AggregationFunction.HARMONIC_ALL_ANCESTORS,
     )
+    # The deeper ancestors are known before any reply, so their call goes
+    # out on the shared pool while this thread asks for the rest.
+    first_ids = leaves + parents
+    deeper: list[str] = []
     if needs_ancestors:
-        deeper: list[str] = []
+        first = set(first_ids)
         for leaf_id in leaves:
             for ancestor_id in taxonomy.path_to_root(leaf_id)[2:]:
-                if ancestor_id not in scores and ancestor_id not in deeper:
+                if ancestor_id not in first and ancestor_id not in deeper:
                     deeper.append(ancestor_id)
-        if deeper:
-            try:
-                deeper_scores = _request_scores(doc, taxonomy, deeper, gateway)
-            except (gw.RetryExhaustedError, gw.ProviderError, ScoringIncompleteError):
-                logger.warning("rerank[%s]: ancestor scoring unavailable", doc.doc_id)
-                flags.append(FLAG_ANCESTOR_SCORES_UNAVAILABLE)
-                deeper_scores = {}
+    deeper_call = gateway.submit(_rerank_spec(doc, taxonomy, deeper)) if deeper else None
+    try:
+        scores = _read_scores(
+            doc, first_ids, gateway.call_with_retry(_rerank_spec(doc, taxonomy, first_ids))
+        )
+    except BaseException:
+        # No call outlives its document: drop the deeper call or wait for it.
+        if deeper_call is not None and not deeper_call.cancel():
+            wait([deeper_call])
+        raise
+
+    flags: list[str] = []
+    deeper_scores: dict[str, float] = {}
+    if deeper_call is not None:
+        try:
+            deeper_scores = _read_scores(doc, deeper, deeper_call.result())
+        except (gw.RetryExhaustedError, gw.ProviderError, ScoringIncompleteError) as exc:
+            if isinstance(exc, gw.ProviderError) and not exc.retryable:
+                raise
+            logger.warning("rerank[%s]: ancestor scoring unavailable", doc.doc_id)
+            flags.append(FLAG_ANCESTOR_SCORES_UNAVAILABLE)
 
     final: dict[str, float] = {}
     for leaf_id in leaves:

@@ -369,9 +369,24 @@ def test_criterion_7_classify_determinism(tmp_path):
     decreased = [r for r in map(json.loads, outputs[1].splitlines())
                  if "returned" in r["provenance"].get("decrease", {})]
     assert decreased
+
+    # Rerank with all ancestors, whose two scoring calls are sent together.
+    outputs = {}
+    for parallelism in (1, 2, 8):
+        out = tmp_path / f"out_rerank_harmonic_{parallelism}.ndjson"
+        code = cli.main(
+            ["classify", "--taxonomy", str(tax_path), "--documents", str(docs_path),
+             "--output", str(out), "--strategy", "rerank", "--agg", "harmonic-all-ancestors",
+             "--mock", "--seed", "7", "--parallelism", str(parallelism)]
+        )
+        assert code == 0
+        outputs[parallelism] = out.read_bytes()
+    assert outputs[1] == outputs[2] == outputs[8]
+    assert any(r["provenance"]["ancestor_scores"] for r in map(json.loads, outputs[1].splitlines()))
     print("\nACCEPTANCE 7 PASS - seeded mock runs over 100 documents are byte-identical "
-          "for all four strategies, twice at parallelism 1 and at 2 and 8, and for "
-          "pointwise with the decrease step at 1 and 8")
+          "for all four strategies, twice at parallelism 1 and at 2 and 8, for "
+          "pointwise with the decrease step at 1 and 8, and for rerank with "
+          "harmonic-all-ancestors at 1, 2 and 8")
 
 
 def _spread(total: int, parts: int) -> list[int]:

@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import random
+from pathlib import Path
 
 import pytest
 
@@ -213,6 +215,36 @@ class TestClassify:
         assert bad["doc_id"] == poison
         assert "hard-failure" in bad["flags"] and "needs-review" in bad["flags"]
         assert all("hard-failure" not in r["flags"] for r in records if r["doc_id"] != poison)
+
+    def test_failed_document_logs_one_line(self, workdir, monkeypatch, caplog):
+        tmp, _, docs = workdir
+        real = strategies.classify_select_one_pass
+        poison = docs[3].doc_id
+
+        def flaky(doc, *args, **kwargs):
+            if doc.doc_id == poison:
+                raise RuntimeError("boom")
+            return real(doc, *args, **kwargs)
+
+        monkeypatch.setattr(strategies, "classify_select_one_pass", flaky)
+        outputs = []
+        for level in (logging.WARNING, logging.DEBUG):
+            caplog.clear()
+            with caplog.at_level(level, logger="taxocat.pipeline"):
+                code, out = self._run(tmp, ["--strategy", "one-pass"], out_name=f"{level}.ndjson")
+            assert code == 1
+            outputs.append(out.read_bytes())
+            records = [r for r in caplog.records if r.name == "taxocat.pipeline"]
+            warnings = [r for r in records if r.levelno >= logging.WARNING]
+            assert [(r.levelno, r.getMessage(), r.exc_info) for r in warnings] == [
+                (logging.WARNING, f"document {poison} failed: RuntimeError: boom", None)
+            ]
+            tracebacks = [r for r in records if r.exc_info]
+            assert len(tracebacks) == (level == logging.DEBUG)
+            assert all(r.levelno == logging.DEBUG for r in tracebacks)
+        assert outputs[0] == outputs[1]
+        bad = json.loads(outputs[0].splitlines()[3])
+        assert bad["provenance"] == {"error": "RuntimeError: boom"}
 
     @pytest.mark.parametrize("ablation", ["no-description", None], ids=["ablated", "control"])
     @pytest.mark.parametrize(("strategy", "templates"), [
@@ -612,6 +644,58 @@ class TestEvaluateAndRank:
         assert lines[1].split()[0] == "27"
         # Depth equals the whole leaf set, so every gold label is retrieved.
         assert lines[1].split()[1] == "1.000"
+
+
+class TestOutputsAreNotInputs:
+    """No command writes its --json-output, --audit-log or --output over one
+    of its input files (or its audit log over its output)."""
+
+    CASES = [("evaluate", "--json-output", "--judgments"), ("evaluate", "--json-output", "--baseline")]
+    CASES += [("rank", "--json-output", flag)
+              for flag in ("--taxonomy", "--documents", "--gold", "--embedding-cache")]
+    CASES += [("classify", "--audit-log", flag) for flag in
+              ("--output", "--taxonomy", "--documents", "--embedding-cache", "--config", "--provider")]
+    CASES += [("describe", "--audit-log", flag) for flag in ("--output", "--taxonomy", "--provider")]
+
+    @pytest.mark.parametrize(("command", "output", "target"), CASES)
+    def test_output_may_not_overwrite_an_input(self, workdir, capsys, command, output, target):
+        tmp, tax, docs = workdir
+        paths = {flag: str(tmp / name) for flag, name in [
+            ("--taxonomy", "taxonomy.ndjson"), ("--documents", "docs.ndjson"),
+            ("--judgments", "judgments.ndjson"), ("--baseline", "baseline.json"),
+            ("--gold", "gold.ndjson"), ("--embedding-cache", "emb.ndjson"),
+            ("--config", "run.json"), ("--provider", "provider.json"), ("--output", "out.ndjson"),
+        ]}
+        write_ndjson(paths["--judgments"],
+                     [{"doc_id": "d", "method": "m", "correct": True, "score": 5}])
+        (tmp / "baseline.json").write_text(json.dumps([{
+            "method": "earlier", "n": 1, "accuracy_pct": 50.0,
+            "score_dist_pct": {"5": 0.0, "4": 0.0, "3": 100.0, "2": 0.0, "1": 0.0},
+        }]))
+        write_ndjson(paths["--gold"], [{"doc_id": d.doc_id, "gold": ["t0m0l0"]} for d in docs])
+        retrieval.embed_taxonomy_leaves(tax, retrieval.HashBagEmbedder()).save(
+            paths["--embedding-cache"])
+        (tmp / "run.json").write_text('{"top_k": 20}')
+        (tmp / "provider.json").write_text('{"model_name": "mock"}')
+        (tmp / "out.ndjson").write_text("kept\n")
+        used = {
+            "evaluate": ["--judgments", "--baseline"],
+            "rank": ["--taxonomy", "--documents", "--gold", "--embedding-cache"],
+            "classify": ["--taxonomy", "--documents", "--output", "--embedding-cache",
+                         "--config", "--provider"],
+            "describe": ["--taxonomy", "--output", "--provider"],
+        }[command]
+        argv = {"evaluate": ["evaluate"], "rank": ["rank", "--mock"],
+                "classify": ["classify", "--strategy", "one-pass", "--mock"],
+                "describe": ["taxonomy", "describe", "--mock"]}[command]
+        for flag in used:
+            argv += [flag, paths[flag]]
+        argv += [output, paths[target]]
+        before = {flag: Path(paths[flag]).read_bytes() for flag in used}
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: refusing to overwrite the input file; pick a new {output} path\n"
+        assert {flag: Path(paths[flag]).read_bytes() for flag in used} == before
 
 
 class TestUnreadableFiles:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taxocat import gateway as gw
 from taxocat.gateway import (
     AuditLog,
     AuthError,
@@ -73,6 +74,31 @@ class TestTemplatesAndSpecs:
         spec = build_trav_select_spec(doc, [{"id": "n1", "name": "Markets", "description": "d"}])
         text = render_user_text(spec)
         assert "Auction Design" in text and "mechanisms" in text and "n1 | Markets" in text
+
+    def test_each_template_is_read_once(self):
+        load_template.cache_clear()
+        doc = make_doc("d", "auctions")
+        for n in range(3):
+            build_rerank_spec(doc, [{"id": f"n{i}", "name": "x"} for i in range(n + 1)])
+            PromptSpec(template_id=TemplateId.SELECTP_LEAF, user_payload={})
+        info = load_template.cache_info()
+        assert (info.misses, info.hits) == (2, 4)
+
+    def test_user_text_rendered_once_per_spec(self, monkeypatch):
+        rendered = []
+        real = gw._render_user_text
+        monkeypatch.setattr(gw, "_render_user_text", lambda spec: rendered.append(spec) or real(spec))
+
+        class Rendering:  # renders the prompt, as a provider sending it does
+            def complete(self, spec, reminder=None):
+                assert render_user_text(spec)
+                return '{"best_labels": []}'
+
+        spec = build_trav_select_spec(make_doc("d", "auctions"), [{"id": "n1", "name": "Markets"}])
+        gateway = LlmGateway(Rendering())
+        gateway.call_with_retry(spec)
+        assert rendered == [spec]
+        assert gateway.characters_out == len(spec.system_text) + len(real(spec))
 
     def test_provider_config_validation(self):
         with pytest.raises(ConfigError):
@@ -639,6 +665,12 @@ class TestCallAll:
         gateway = LlmGateway(_FnProvider(before), ProviderConfig(max_retries=0))
         with pytest.raises(TransportError, match="fail 2"):
             gateway.call_all([_doc_spec(i) for i in range(8)])
+
+    def test_submit_runs_on_the_call_pool(self):
+        threads = []
+        gateway = LlmGateway(_FnProvider(lambda i: threads.append(threading.current_thread())))
+        assert gateway.submit(_doc_spec(3)).result(timeout=10) == BestLabels(ids=("d3",))
+        assert threads[0].name.startswith("taxocat-call")
 
     def test_calls_really_overlap(self):
         barrier = threading.Barrier(2, timeout=10)

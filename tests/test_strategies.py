@@ -2,17 +2,24 @@
 from __future__ import annotations
 
 import random
+import threading
+import time
+from concurrent.futures import wait
 from statistics import fmean
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taxocat import gateway as gw
 from taxocat.gateway import (
+    AuthError,
+    ClientError,
     LlmGateway,
     MockProvider,
     ProviderConfig,
     TemplateId,
+    TransportError,
     mock_gateway,
 )
 from taxocat.retrieval import LeafRanking, build_pruned_taxonomy
@@ -313,9 +320,10 @@ class TestRerank:
         gateway = LlmGateway(provider, ProviderConfig())
         classify_rerank(make_doc("d", "x"), tax, pt, gateway,
                         fn=AggregationFunction.AVG_ALL_ANCESTORS)
-        assert len(provider.calls) == 2
-        second_ids = [n["id"] for n in provider.calls[1].user_payload["nodes"]]
-        assert sorted(second_ids) == ["g0", "g1"]
+        sent = sorted(sorted(n["id"] for n in spec.user_payload["nodes"])
+                      for spec in provider.calls)
+        first = sorted([*pt.leaf_ids, "g0p0", "g0p1", "g1p0", "g1p1"])
+        assert sent == sorted([first, ["g0", "g1"]])
 
     def test_leaf_only_never_issues_second_call(self):
         tax = _chain_taxonomy()
@@ -324,12 +332,86 @@ class TestRerank:
         classify_rerank(make_doc("d", "x"), tax, full_pt(tax), gateway)
         assert len(provider.calls) == 1
 
+    def test_avg_direct_parent_sends_one_call(self):
+        tax = _chain_taxonomy()
+        provider = TableProvider({n.id: 0.5 for n in tax})
+        gateway = LlmGateway(provider, ProviderConfig())
+        classify_rerank(make_doc("d", "x"), tax, full_pt(tax), gateway,
+                        fn=AggregationFunction.AVG_DIRECT_PARENT)
+        assert len(provider.calls) == 1
+
+    def test_both_scoring_calls_are_in_flight_together(self):
+        tax = _chain_taxonomy()
+        barrier = threading.Barrier(2, timeout=10)
+
+        class Meeting(TableProvider):
+            def complete(self, spec, reminder=None):
+                barrier.wait()  # broken unless the other call is in flight too
+                return super().complete(spec, reminder)
+
+        provider = Meeting({n.id: 0.5 for n in tax})
+        labels = classify_rerank(make_doc("d", "x"), tax, full_pt(tax),
+                                 LlmGateway(provider, ProviderConfig()),
+                                 fn=AggregationFunction.HARMONIC_ALL_ANCESTORS)
+        assert len(provider.calls) == 2
+        assert labels.flags == () and labels.provenance["ancestor_scores"] == {"g0": 0.5, "g1": 0.5}
+
+    def test_first_call_failure_is_raised_after_the_deeper_call_ends(self):
+        tax = _chain_taxonomy()
+        deeper_started = threading.Event()
+        running: list = []
+
+        class Slow(TableProvider):
+            def complete(self, spec, reminder=None):
+                if spec.user_payload["nodes"][0]["id"] == "g0":  # the deeper call
+                    running.append(spec)
+                    deeper_started.set()
+                    time.sleep(0.3)
+                    running.remove(spec)
+                else:  # fails only once the deeper call is in flight
+                    deeper_started.wait(timeout=10)
+                return super().complete(spec, reminder)
+
+        provider = Slow({n.id: 0.5 for n in tax}, fail_ids={"g0p0l0"})
+        gateway = LlmGateway(provider, ProviderConfig(max_retries=0))
+        with pytest.raises(TransportError, match="scripted failure"):
+            classify_rerank(make_doc("d", "x"), tax, full_pt(tax), gateway,
+                            fn=AggregationFunction.AVG_ALL_ANCESTORS)
+        assert len(provider.calls) == 2
+        assert running == []
+
+    def test_queued_deeper_call_is_cancelled_when_the_first_call_fails(self):
+        tax = _chain_taxonomy()
+        # Occupy every thread of the call pool, so the deeper call stays queued.
+        release = threading.Event()
+        started = threading.Semaphore(0)
+
+        def block():
+            started.release()
+            release.wait(timeout=10)
+
+        pool = gw._shared_call_pool()
+        blockers = [pool.submit(block) for _ in range(gw.MAX_IN_FLIGHT)]
+        provider = TableProvider({n.id: 0.5 for n in tax}, fail_ids={"g0p0l0"})
+        gateway = LlmGateway(provider, ProviderConfig(max_retries=0))
+        try:
+            assert all(started.acquire(timeout=10) for _ in blockers)
+            with pytest.raises(TransportError):
+                classify_rerank(make_doc("d", "x"), tax, full_pt(tax), gateway,
+                                fn=AggregationFunction.AVG_ALL_ANCESTORS)
+        finally:
+            release.set()
+            wait(blockers)
+        pool.submit(lambda: None).result()  # the queue has been worked off
+        assert len(provider.calls) == 1  # the deeper call was never sent
+        assert "g0" not in {n["id"] for n in provider.calls[0].user_payload["nodes"]}
+
     def test_ancestor_batch_failure_reuses_parent_scores(self):
         tax = _chain_taxonomy()
         pt = full_pt(tax)
         rng = random.Random(4)
         table = {n.id: round(rng.uniform(0.01, 1.0), 2) for n in tax}
-        provider = TableProvider(table, fail_after=1)
+        provider = TableProvider(table, fail_ids={"g0", "g1"})
         gateway = LlmGateway(provider, ProviderConfig(max_retries=0))
         labels = classify_rerank(make_doc("d", "x"), tax, pt, gateway,
                                  fn=AggregationFunction.HARMONIC_ALL_ANCESTORS, top_n=5)
@@ -338,6 +420,37 @@ class TestRerank:
                                      AggregationFunction.HARMONIC_ALL_ANCESTORS, 5,
                                      parent_substitute=True)
         assert list(labels.leaf_ids) == expected
+
+    @pytest.mark.parametrize("reply", ["unparseable", "incomplete"])
+    def test_unusable_deeper_reply_reuses_parent_scores(self, reply):
+        tax = _chain_taxonomy()
+        pt = full_pt(tax)
+        rng = random.Random(5)
+        table = {n.id: round(rng.uniform(0.01, 1.0), 2) for n in tax if n.id not in ("g0", "g1")}
+
+        class Garbled(TableProvider):
+            def complete(self, spec, reminder=None):
+                if reply == "unparseable" and spec.user_payload["nodes"][0]["id"] == "g0":
+                    return "no scores today"
+                return super().complete(spec, reminder)
+
+        gateway = LlmGateway(Garbled(table), ProviderConfig(max_retries=1))
+        labels = classify_rerank(make_doc("d", "x"), tax, pt, gateway,
+                                 fn=AggregationFunction.AVG_ALL_ANCESTORS, top_n=5)
+        assert labels.flags == (FLAG_ANCESTOR_SCORES_UNAVAILABLE,)
+        assert labels.provenance["ancestor_scores"] == {}
+        expected, _ = _rerank_oracle(tax, pt, table, AggregationFunction.AVG_ALL_ANCESTORS, 5,
+                                     parent_substitute=True)
+        assert list(labels.leaf_ids) == expected
+
+    @pytest.mark.parametrize("error", [AuthError, ClientError])
+    def test_non_retryable_deeper_call_error_is_raised(self, error):
+        tax = _chain_taxonomy()
+        provider = TableProvider({n.id: 0.5 for n in tax}, fail_ids={"g0", "g1"}, error=error)
+        gateway = LlmGateway(provider, ProviderConfig())
+        with pytest.raises(error):
+            classify_rerank(make_doc("d", "x"), tax, full_pt(tax), gateway,
+                            fn=AggregationFunction.HARMONIC_ALL_ANCESTORS)
 
     def test_missing_scores_default_to_floor(self):
         tax = _chain_taxonomy()

@@ -127,25 +127,27 @@ class ScriptedProvider:
 
 
 class TableProvider:
-    """Rerank provider answering from a fixed node-id -> score table."""
+    """Rerank provider answering from a fixed node-id -> score table.
 
-    def __init__(self, table: dict[str, float], fail_after: int | None = None):
+    A call that carries any node id in `fail_ids` raises an `error` (a
+    ProviderError class; TransportError by default) instead, so a test
+    picks the failing call by its payload, not by call order.
+    """
+
+    def __init__(self, table: dict[str, float], fail_ids=(), error=None):
+        from taxocat.gateway import TransportError
+
         self.table = table
         self.calls: list = []
-        self.fail_after = fail_after  # raise on call numbers beyond this
+        self.fail_ids = frozenset(fail_ids)
+        self.error = error or TransportError
 
     def complete(self, spec, reminder=None):
         self.calls.append(spec)
-        if self.fail_after is not None and len(self.calls) > self.fail_after:
-            from taxocat.gateway import TransportError
-
-            raise TransportError("scripted failure")
-        pairs = [
-            [n["id"], self.table[n["id"]]]
-            for n in spec.user_payload["nodes"]
-            if n["id"] in self.table
-        ]
-        return json.dumps({"scores": pairs})
+        ids = [n["id"] for n in spec.user_payload["nodes"]]
+        if self.fail_ids.intersection(ids):
+            raise self.error("scripted failure")
+        return json.dumps({"scores": [[nid, self.table[nid]] for nid in ids if nid in self.table]})
 
 
 # -- independent mock-rule oracles ------------------------------------------------
