@@ -171,17 +171,18 @@ def _embedding_store(
     taxonomy: tax.Taxonomy,
     embedder: retrieval.Embedder | None,
 ) -> retrieval.EmbeddingStore:
-    cache = getattr(args, "embedding_cache", None)
-    if cache and Path(cache).exists():
-        expected = embedder.model_tag if embedder is not None else None
-        return retrieval.EmbeddingStore.load(cache, model_tag=expected)
+    """The taxonomy's leaf index, reusing --embedding-cache rows by leaf id.
+
+    A missing cache file is written; an existing one is read, not updated.
+    """
     if embedder is None:
-        raise CliError(
-            "no embedding source: pass --embedding-cache pointing at an existing cache, "
-            "--mock, or a provider config with embedding_endpoint"
-        )
-    store = retrieval.embed_taxonomy_leaves(taxonomy, embedder)
-    if cache:
+        raise CliError("document embedding requires --mock or an embedding provider")
+    cache = args.embedding_cache
+    cached = None
+    if cache and Path(cache).exists():
+        cached = retrieval.EmbeddingStore.load(cache, model_tag=embedder.model_tag)
+    store = retrieval.embed_taxonomy_leaves(taxonomy, embedder, cached)
+    if cache and cached is None:
         store.save(cache)
     return store
 
@@ -293,7 +294,8 @@ def _load_run_defaults(path: str | None) -> dict[str, Any]:
     data = gw.read_json_config(path, RUN_DEFAULT_TYPES, "--config")
     if data.get("aggregation", "leaf-only") not in AGG_CHOICES:
         raise CliError(f"--config key 'aggregation' must be one of {', '.join(AGG_CHOICES)}")
-    methods = {m.value for m in strategies.Method}
+    # Rerank output is never decreased: its top_n already caps it at max_labels.
+    methods = {m.value for m in strategies.Method if m is not strategies.Method.RERANK}
     for name, value in data.get("apply_decrease", {}).items():
         if name not in methods or not isinstance(value, bool):
             raise CliError(f"--config key 'apply_decrease' must map {', '.join(sorted(methods))} "
@@ -335,9 +337,9 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
     """Merge CLI flags over config-file values over defaults."""
     run_cfg = _load_run_defaults(args.config)
     ablation = args.ablation
-    apply_decrease = {m: True for m in strategies.Method}
-    for name, value in run_cfg.get("apply_decrease", {}).items():
-        apply_decrease[strategies.Method(name)] = value
+    # A method the file leaves out is decreased (PostProcessConfig reads it with a True default).
+    apply_decrease = {strategies.Method(name): value
+                      for name, value in run_cfg.get("apply_decrease", {}).items()}
     max_labels = _setting(args.max_labels, run_cfg, "max_labels", 5)
     try:
         pp_config = postprocess.PostProcessConfig(
@@ -418,8 +420,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if config.method is not strategies.Method.TRAV_SELECT:
         embedder = _make_embedder(args)
         store = _embedding_store(args, loaded, embedder)
-        if embedder is None:
-            raise CliError("document embedding requires --mock or an embedding provider")
     return run_classification(config, gateway, store, embedder, taxonomy=loaded)
 
 
@@ -496,8 +496,6 @@ def cmd_rank(args: argparse.Namespace) -> int:
     depths = _parse_depths(args.depths)
     embedder = _make_embedder(args)
     store = _embedding_store(args, loaded, embedder)
-    if embedder is None:
-        raise CliError("document embedding requires --mock or an embedding provider")
     k = max(depths)
     rankings = [retrieval.rank_leaves(doc, loaded, store, embedder, k=k) for doc in docs]
     rows = retrieval.recall_at_k(rankings, gold, depths)

@@ -15,7 +15,7 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from enum import Enum
@@ -837,8 +837,9 @@ class LlmGateway:
         The calls go through submit; fewer than two specs run inline.
         Failures surface as in a sequential loop: the first failure in spec
         order is raised. After a non-retryable ProviderError, calls that
-        have not started yet raise it without sending a request, and every
-        queued call is cancelled.
+        have not started yet raise it without sending a request. No call
+        outlives its wave: before a failure is raised, every queued call is
+        cancelled and every started one is waited for.
         """
         if len(specs) < 2:
             return [self.call_with_retry(spec) for spec in specs]
@@ -847,8 +848,7 @@ class LlmGateway:
         try:
             return [future.result() for future in futures]
         finally:
-            for future in futures:
-                future.cancel()
+            wait([future for future in futures if not future.cancel()])
 
     def _audit(self, spec: PromptSpec, doc_id: str | None, attempt: int, outcome: str) -> None:
         if self.audit_log is not None:

@@ -33,7 +33,6 @@ class PostProcessConfig:
         default_factory=lambda: {
             Method.TRAV_SELECT: True,
             Method.SELECT_ONE_PASS: True,
-            Method.RERANK: False,  # already scored and capped by top_n
             Method.SELECT_POINTWISE: True,
         }
     )

@@ -9,7 +9,7 @@ taxonomy handed to the LLM strategies.
 from __future__ import annotations
 
 import hashlib
-import threading
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Protocol, Sequence
@@ -198,22 +198,21 @@ _NUMBER_TYPES = frozenset({int, float})  # exact types: rejects bools and numeri
 class EmbeddingStore:
     """Node vectors as one read-only matrix of unit-norm rows, ids in row order.
 
-    Reads may run concurrently. Writers exclude each other and publish a
-    new matrix before the ids that index it, and rows never move, so a
-    reader never sees an id without its row.
+    A store never changes once built: embed_taxonomy_leaves and load build it.
     """
 
-    def __init__(self, model_tag: str):
-        self.model_tag = model_tag
-        self._write_lock = threading.Lock()
-        self._resolved: tuple[tuple[str, ...], np.ndarray] | None = None
-        self._publish((), np.empty((0, 0)))
-
-    def _publish(self, ids: tuple[str, ...], matrix: np.ndarray) -> None:
-        matrix.flags.writeable = False
-        self.matrix = matrix
+    def __init__(self, model_tag: str, ids: Sequence[str], matrix: np.ndarray):
+        ids = tuple(ids)
+        if len(matrix) != len(ids):
+            raise RetrievalError(f"{len(matrix)} embedding rows for {len(ids)} nodes")
         self._row = {node_id: row for row, node_id in enumerate(ids)}
+        if len(self._row) != len(ids):
+            duplicates = sorted(node_id for node_id, n in Counter(ids).items() if n > 1)
+            raise RetrievalError(f"duplicate embedding ids: {', '.join(duplicates[:10])}")
+        matrix.flags.writeable = False
+        self.model_tag = model_tag
         self.ids = ids
+        self.matrix = matrix
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -227,35 +226,6 @@ class EmbeddingStore:
             raise IndexIncompleteError([node_id])
         return EmbeddingVector(values=self.matrix[row], model_tag=self.model_tag)
 
-    def rows(self, node_ids: tuple[str, ...]) -> np.ndarray:
-        """Matrix row of each id, in order; the last tuple resolved is cached."""
-        cached = self._resolved
-        if cached is not None and (cached[0] is node_ids or cached[0] == node_ids):
-            return cached[1]
-        row = self._row
-        missing = [node_id for node_id in node_ids if node_id not in row]
-        if missing:
-            raise IndexIncompleteError(missing)
-        rows = np.fromiter((row[node_id] for node_id in node_ids), dtype=np.intp,
-                           count=len(node_ids))
-        rows.flags.writeable = False
-        self._resolved = (node_ids, rows)
-        return rows
-
-    def add_batch(self, items: Iterable[tuple[str, EmbeddingVector]]) -> None:
-        items = list(items)
-        if not items:
-            return
-        ids = [node_id for node_id, _ in items]
-        fresh = _unit_rows(self.model_tag, ids, (vector for _, vector in items))
-        with self._write_lock:
-            dim = self.matrix.shape[1]
-            if self.ids and fresh.shape[1] != dim:
-                raise RetrievalError(f"dimension mismatch: {fresh.shape[1]} vs {dim}")
-            merged = dict(zip(self.ids, self.matrix))  # a replaced id keeps its row
-            merged.update(zip(ids, fresh))
-            self._publish(tuple(merged), np.array(list(merged.values())))
-
     def save(self, target: str | Path | IO[str]) -> None:
         records = (
             {"node_id": node_id, "model_tag": self.model_tag,
@@ -266,7 +236,8 @@ class EmbeddingStore:
 
     @classmethod
     def load(cls, source: str | Path | IO[str], model_tag: str | None = None) -> "EmbeddingStore":
-        batch = []
+        ids: list[str] = []
+        vectors: list[EmbeddingVector] = []
         for lineno, record in ndjson.read_records(source, RetrievalError, "embedding cache"):
             if not (
                 isinstance(record.get("node_id"), str)
@@ -283,13 +254,11 @@ class EmbeddingStore:
                 raise RetrievalError(
                     f"embedding cache line {lineno}: model_tag {tag!r}, expected {model_tag!r}"
                 )
-            batch.append(
-                (record["node_id"], EmbeddingVector(values=np.array(record["vector"]), model_tag=tag))
-            )
-        # The first line's tag is the store's; add_batch rejects any other.
-        store = cls(model_tag=batch[0][1].model_tag if batch else model_tag or "empty")
-        store.add_batch(batch)
-        return store
+            ids.append(record["node_id"])
+            vectors.append(EmbeddingVector(values=np.array(record["vector"]), model_tag=tag))
+        # The first line's tag is the store's; _unit_rows rejects any other.
+        tag = vectors[0].model_tag if vectors else model_tag or "empty"
+        return cls(tag, ids, _unit_rows(tag, ids, vectors))
 
 
 def _unit_rows(model_tag: str, ids: Sequence[str],
@@ -314,13 +283,33 @@ def _unit_rows(model_tag: str, ids: Sequence[str],
     return matrix
 
 
-def embed_taxonomy_leaves(taxonomy: Taxonomy, embedder: Embedder) -> EmbeddingStore:
-    """Store of every leaf's embedding, rows in ascending leaf-id order."""
+def embed_taxonomy_leaves(taxonomy: Taxonomy, embedder: Embedder,
+                          cached: EmbeddingStore | None = None) -> EmbeddingStore:
+    """Store of every leaf's embedding, rows in ascending leaf-id order.
+
+    A leaf whose id is in `cached` keeps that row bit for bit; only the
+    other leaves are embedded, in one embed_many call. Cached rows of ids
+    that are no longer leaves are left out.
+    """
     leaves = taxonomy.leaf_ids()
-    store = EmbeddingStore(model_tag=embedder.model_tag)
-    texts = (node_text(taxonomy.node(leaf_id)) for leaf_id in leaves)
-    store._publish(leaves, _unit_rows(store.model_tag, leaves, embedder.embed_many(texts)))
-    return store
+    model_tag = embedder.model_tag
+    if cached is not None and cached.model_tag != model_tag:
+        raise RetrievalError(f"embedding cache is {cached.model_tag!r}, embedder is {model_tag!r}")
+    cached_row = {} if cached is None else cached._row
+    new = [i for i, leaf_id in enumerate(leaves) if leaf_id not in cached_row]
+    new_ids = [leaves[i] for i in new]
+    texts = (node_text(taxonomy.node(leaf_id)) for leaf_id in new_ids)
+    fresh = _unit_rows(model_tag, new_ids, embedder.embed_many(texts))
+    if len(new) == len(leaves):
+        return EmbeddingStore(model_tag, leaves, fresh)
+    matrix = np.empty((len(leaves), cached.matrix.shape[1]))
+    if new:
+        if fresh.shape[1] != matrix.shape[1]:
+            raise RetrievalError(f"dimension mismatch: {fresh.shape[1]} vs {matrix.shape[1]}")
+        matrix[new] = fresh
+    kept = [i for i, leaf_id in enumerate(leaves) if leaf_id in cached_row]
+    matrix[kept] = cached.matrix[[cached_row[leaves[i]] for i in kept]]
+    return EmbeddingStore(model_tag, leaves, matrix)
 
 
 # -- ranking and pruning -----------------------------------------------------
@@ -379,8 +368,12 @@ def rank_leaves(
     if k is not None and k < 1:
         raise ValueError("k must be >= 1")
     leaves = taxonomy.leaf_ids()
-    rows = store.rows(leaves)
-    matrix = store.matrix  # read after the rows, so it has all of them
+    if store.ids is not leaves and store.ids != leaves:
+        missing = [leaf_id for leaf_id in leaves if leaf_id not in store]
+        if missing:
+            raise IndexIncompleteError(missing)
+        raise RetrievalError("embedding store rows are not the taxonomy's leaves in order")
+    matrix = store.matrix
     query = embedder.embed(document_text(doc)).values
     if query.shape[0] != matrix.shape[1]:
         raise RetrievalError(f"dimension mismatch: {query.shape[0]} vs {matrix.shape[1]}")
@@ -388,7 +381,7 @@ def rank_leaves(
     if norm == 0.0:
         raise RetrievalError("cosine similarity undefined for zero-norm vector")
     # einsum, not matrix @ query: that goes to multithreaded BLAS, which costs more CPU here.
-    sims = np.einsum("ij,j->i", matrix, query / norm)[rows]
+    sims = np.einsum("ij,j->i", matrix, query / norm)
     sims = np.round(np.clip(sims, -1.0, 1.0), SIM_DECIMALS)
     keys = -sims  # ascending: best first
     order = np.arange(len(keys))

@@ -13,6 +13,7 @@ from taxocat import cli, gateway as gw, retrieval, strategies
 from taxocat.taxonomy import Taxonomy, TaxonomyNode, save_taxonomy
 
 from .util import (
+    CountingEmbedder,
     make_doc,
     o_overlap,
     o_relevancy,
@@ -196,6 +197,44 @@ class TestClassify:
         assert code == 0
         assert (tmp / "c1.ndjson").read_bytes() == (tmp / "c2.ndjson").read_bytes()
 
+    def test_leaf_added_after_the_cache_was_written(self, workdir, monkeypatch):
+        tmp, tax, _ = workdir
+        cache = tmp / "emb.ndjson"
+        args = ["--strategy", "one-pass", "--embedding-cache", str(cache)]
+        assert self._run(tmp, args, out_name="c1.ndjson")[0] == 0
+        written = cache.read_bytes()
+        added = TaxonomyNode(id="t2m1l9", name="auction credit", description="risk pricing",
+                             parent_id="t2m1")
+        save_taxonomy(Taxonomy(list(tax) + [added]), tmp / "taxonomy.ndjson")
+        embedders, rankings = [], []
+        real_rank = retrieval.rank_leaves
+
+        def counting_embedder(args):
+            embedders.append(CountingEmbedder())
+            return embedders[-1]
+
+        def recording_rank(*args, **kwargs):
+            rankings.append(real_rank(*args, **kwargs))
+            return rankings[-1]
+
+        monkeypatch.setattr(cli, "_make_embedder", counting_embedder)
+        monkeypatch.setattr(retrieval, "rank_leaves", recording_rank)
+        code, cached_out = self._run(tmp, args, out_name="c2.ndjson")
+        assert code == 0
+        records = [json.loads(line) for line in cached_out.read_text().splitlines()]
+        assert not any("hard-failure" in record["flags"] for record in records)
+        assert embedders[0].batches == [["auction credit: risk pricing"]]
+        assert cache.read_bytes() == written
+        # Ranked as by an index built from scratch.
+        code, fresh_out = self._run(tmp, ["--strategy", "one-pass"], out_name="c3.ndjson")
+        assert code == 0
+        assert len(embedders[1].batches[0]) == 28
+        assert len(rankings) == 20
+        by_doc = [{ranking.doc_id: ranking for ranking in run}
+                  for run in (rankings[:10], rankings[10:])]
+        assert by_doc[0] == by_doc[1]
+        assert cached_out.read_bytes() == fresh_out.read_bytes()
+
     def test_per_document_failure_isolation(self, workdir, monkeypatch):
         tmp, _, docs = workdir
         real = strategies.classify_select_pointwise
@@ -293,6 +332,8 @@ class TestClassify:
         ('{"max_labels": "x"}', "'max_labels' must be int"),
         ('{"apply_decrease": {"bogus": true}}', "'apply_decrease' must map"),
         ('{"apply_decrease": {"rerank": "no"}}', "'apply_decrease' must map"),
+        ('{"apply_decrease": {"rerank": true}}',
+         "must map select_one_pass, select_pointwise, trav_select to true or false, not 'rerank'"),
         ('{"apply_sibling": "no"}', "'apply_sibling' must be bool"),
         ('{"sibling_cap": 0}', "sibling_cap must be >= 1"),
         ('{"topk": 20}', "unknown --config keys: topk"),
@@ -500,6 +541,23 @@ class TestEvaluateAndRank:
         assert cli.main(["evaluate", "--judgments", str(path)]) == 0
         out = capsys.readouterr().out
         assert out.index("strong") < out.index("weak")
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+    def test_rank_needs_an_embedder(self, workdir, capsys, tmp_path, cached):
+        tmp, tax, docs = workdir
+        cache = tmp_path / "emb.ndjson"
+        if cached:
+            retrieval.embed_taxonomy_leaves(tax, retrieval.HashBagEmbedder()).save(cache)
+        write_ndjson(tmp_path / "gold.ndjson", [{"doc_id": d.doc_id, "gold": []} for d in docs])
+        code = cli.main(
+            ["rank", "--documents", str(tmp / "docs.ndjson"),
+             "--taxonomy", str(tmp / "taxonomy.ndjson"), "--gold", str(tmp_path / "gold.ndjson"),
+             "--embedding-cache", str(cache)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: document embedding requires --mock or an embedding provider\n")
+        assert cache.exists() == cached
 
     def test_rank_planted_gold_matches_counting(self, workdir, capsys, tmp_path):
         tmp, tax, docs = workdir

@@ -666,6 +666,27 @@ class TestCallAll:
         with pytest.raises(TransportError, match="fail 2"):
             gateway.call_all([_doc_spec(i) for i in range(8)])
 
+    def test_no_call_outlives_its_wave(self):
+        lock = threading.Lock()
+        open_calls = 0
+
+        def before(i):
+            nonlocal open_calls
+            with lock:
+                open_calls += 1
+            try:
+                time.sleep(0.05 if i == 0 else 0.5)
+                if i == 0:
+                    raise TransportError("fail 0")
+            finally:
+                with lock:
+                    open_calls -= 1
+
+        gateway = LlmGateway(_FnProvider(before), ProviderConfig(max_retries=0))
+        with pytest.raises(TransportError, match="fail 0"):
+            gateway.call_all([_doc_spec(i) for i in range(3)])
+        assert open_calls == 0
+
     def test_submit_runs_on_the_call_pool(self):
         threads = []
         gateway = LlmGateway(_FnProvider(lambda i: threads.append(threading.current_thread())))

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxocat import ndjson
-from taxocat.retrieval import EmbeddingStore, EmbeddingVector
+from taxocat.retrieval import EmbeddingStore
 from taxocat.taxonomy import Taxonomy, TaxonomyNode, load_taxonomy, save_taxonomy
 
 # Text with non-ASCII letters and the characters a line format must escape.
@@ -57,12 +57,9 @@ class TestTaxonomyRoundTrip:
 
 def _store() -> EmbeddingStore:
     rng = np.random.default_rng(3)
-    store = EmbeddingStore(model_tag="modèle-1")
-    store.add_batch(
-        (node_id, EmbeddingVector(values=rng.normal(size=5), model_tag="modèle-1"))
-        for node_id in ("b", "a", "nœud", "c")
-    )
-    return store
+    rows = rng.normal(size=(4, 5))
+    return EmbeddingStore("modèle-1", ("b", "a", "nœud", "c"),
+                          rows / np.linalg.norm(rows, axis=1, keepdims=True))
 
 
 class TestEmbeddingCacheRoundTrip:

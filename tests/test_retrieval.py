@@ -33,7 +33,8 @@ from taxocat.retrieval import (
 )
 from taxocat.taxonomy import Taxonomy, TaxonomyNode
 
-from .util import cosine_similarity, make_doc, random_forest, vocab_doc
+from .util import (CountingEmbedder, cosine_similarity, make_doc, random_forest,
+                   ternary_taxonomy, vocab_doc)
 
 
 class TestNodeText:
@@ -179,42 +180,35 @@ class TestEmbedderAndStore:
         v = HashBagEmbedder(dim=16).embed("")
         assert np.linalg.norm(v.values) == pytest.approx(1.0)
 
-    def test_store_normalizes_at_ingest(self):
-        store = EmbeddingStore(model_tag="t")
-        store.add_batch([("a", EmbeddingVector(values=np.array([3.0, 4.0]), model_tag="t"))])
-        assert np.allclose(store.get("a").values, [0.6, 0.8])
+    def test_store_normalizes_at_ingest(self, tiny_taxonomy):
+        store = embed_taxonomy_leaves(tiny_taxonomy, FixedEmbedder({"Beta": [3.0, 4.0]}))
+        assert np.allclose(store.get("B").values, [0.6, 0.8])
+        cache = io.StringIO('{"node_id": "a", "model_tag": "t", "vector": [0, -2]}\n')
+        assert np.allclose(EmbeddingStore.load(cache).get("a").values, [0.0, -1.0])
 
-    def test_add_batch_replaces_and_appends(self):
-        def vec(*values):
-            return EmbeddingVector(values=np.array(values), model_tag="t")
-
-        store = EmbeddingStore(model_tag="t")
-        store.add_batch([("a", vec(1.0, 0.0)), ("b", vec(0.0, 2.0))])
-        store.add_batch([("b", vec(3.0, 4.0)), ("c", vec(0.0, -1.0))])
-        assert store.ids == ("a", "b", "c")
-        assert np.allclose(store.matrix, [[1.0, 0.0], [0.6, 0.8], [0.0, -1.0]])
-        with pytest.raises(RetrievalError, match="dimension"):
-            store.add_batch([("d", vec(1.0, 0.0, 0.0))])
-
-    def test_store_rejects_foreign_tag(self):
-        store = EmbeddingStore(model_tag="t")
+    def test_store_rejects_foreign_tag(self, tiny_taxonomy):
+        embedder = FixedEmbedder({}, vector_tag="other")
         with pytest.raises(RetrievalError, match="store"):
-            store.add_batch([("a", EmbeddingVector(values=np.ones(2), model_tag="other"))])
+            embed_taxonomy_leaves(tiny_taxonomy, embedder)
+
+    def test_store_rejects_duplicate_ids_and_row_count_mismatch(self):
+        with pytest.raises(RetrievalError, match="duplicate embedding ids: a"):
+            EmbeddingStore("t", ("a", "b", "a"), np.eye(3))
+        with pytest.raises(RetrievalError, match="2 embedding rows for 3 nodes"):
+            EmbeddingStore("t", ("a", "b", "c"), np.eye(2))
 
     def test_save_load_round_trip(self, tmp_path):
         embedder = HashBagEmbedder(dim=32)
-        store = EmbeddingStore(model_tag=embedder.model_tag)
-        store.add_batch([(f"n{i}", embedder.embed(f"text {i}")) for i in range(5)])
+        store = embed_taxonomy_leaves(random_forest(random.Random(6), 30), embedder)
         path = tmp_path / "cache.ndjson"
         store.save(path)
         loaded = EmbeddingStore.load(path, model_tag=embedder.model_tag)
-        assert len(loaded) == 5
-        for i in range(5):
-            assert np.allclose(loaded.get(f"n{i}").values, store.get(f"n{i}").values)
+        assert len(loaded) == len(store)
+        for node_id in store.ids:
+            assert np.allclose(loaded.get(node_id).values, store.get(node_id).values)
 
     def test_load_rejects_tag_mismatch(self, tmp_path):
-        store = EmbeddingStore(model_tag="a")
-        store.add_batch([("x", EmbeddingVector(values=np.ones(2), model_tag="a"))])
+        store = EmbeddingStore("a", ("x",), np.array([[0.6, 0.8]]))
         path = tmp_path / "cache.ndjson"
         store.save(path)
         with pytest.raises(RetrievalError, match="model_tag"):
@@ -277,6 +271,71 @@ class TestEmbedderAndStore:
         embedder = HttpEmbedder(endpoint="https://x/emb", model_name="m", session=session)
         with pytest.raises(RetrievalError, match="indices"):
             list(embedder.embed_many(["alpha", "beta", "gamma"]))
+
+
+class FixedEmbedder:
+    """Embeds each text as its vector in `vectors`, or as [1, 1]."""
+
+    model_tag = "fixed"
+
+    def __init__(self, vectors: dict[str, list[float]], vector_tag: str = "fixed"):
+        self.vectors = vectors
+        self.vector_tag = vector_tag
+
+    def embed(self, text: str) -> EmbeddingVector:
+        return EmbeddingVector(values=np.array(self.vectors.get(text, [1.0, 1.0])),
+                               model_tag=self.vector_tag)
+
+    def embed_many(self, texts):
+        return map(self.embed, texts)
+
+
+class TestEmbedTaxonomyLeaves:
+    """embed_taxonomy_leaves reuses cached rows by leaf id and embeds the rest."""
+
+    def test_added_leaf_is_the_only_text_embedded(self):
+        tax = ternary_taxonomy()
+        cached = embed_taxonomy_leaves(tax, HashBagEmbedder())
+        added = TaxonomyNode(id="t0m0l9", name="auction credit", parent_id="t0m0")
+        grown = Taxonomy(list(tax) + [added])
+        embedder = CountingEmbedder()
+        store = embed_taxonomy_leaves(grown, embedder, cached)
+        assert embedder.batches == [[node_text(added)]]
+        assert store.ids == grown.leaf_ids()
+        fresh = embed_taxonomy_leaves(grown, HashBagEmbedder())
+        assert store.matrix.tobytes() == fresh.matrix.tobytes()
+        rng = random.Random(3)
+        for doc in (vocab_doc(rng, f"d{i}") for i in range(10)):
+            assert (rank_leaves(doc, grown, store, embedder)
+                    == rank_leaves(doc, grown, fresh, embedder))
+
+    def test_rows_of_removed_leaves_are_left_out(self):
+        tax = ternary_taxonomy()
+        cached = embed_taxonomy_leaves(tax, HashBagEmbedder())
+        shrunk = Taxonomy([node for node in tax if node.id != "t1m2l0"])
+        embedder = CountingEmbedder()
+        store = embed_taxonomy_leaves(shrunk, embedder, cached)
+        assert store.ids == shrunk.leaf_ids()
+        assert "t1m2l0" not in store
+        assert embedder.batches == [[]]
+
+    def test_cached_row_is_copied_not_normalised_again(self, tiny_taxonomy):
+        row = np.array([1.0, 1.0]) / np.linalg.norm([1.0, 1.0])
+        assert (row / np.linalg.norm(row)).tobytes() != row.tobytes()
+        cached = EmbeddingStore("fixed", ("B",), np.array([row]))
+        store = embed_taxonomy_leaves(tiny_taxonomy, FixedEmbedder({}), cached)
+        assert store.get("B").values.tobytes() == row.tobytes()
+        assert np.allclose(store.get("C").values, row)
+
+    def test_cache_of_another_model_is_rejected(self, tiny_taxonomy):
+        cached = EmbeddingStore("other", ("B",), np.array([[1.0, 0.0]]))
+        with pytest.raises(RetrievalError, match="embedding cache is 'other'"):
+            embed_taxonomy_leaves(tiny_taxonomy, FixedEmbedder({}), cached)
+
+    def test_cache_of_another_dimension_is_rejected(self, tiny_taxonomy):
+        cached = EmbeddingStore("fixed", ("B",), np.array([[1.0, 0.0, 0.0]]))
+        with pytest.raises(RetrievalError, match="dimension mismatch: 2 vs 3"):
+            embed_taxonomy_leaves(tiny_taxonomy, FixedEmbedder({}), cached)
 
 
 class _EmbeddingSession:
@@ -423,14 +482,19 @@ class TestRankLeaves:
 
     def test_missing_embeddings_listed(self, tiny_taxonomy):
         embedder = HashBagEmbedder(dim=32)
-        store = EmbeddingStore(model_tag=embedder.model_tag)
-        store.add_batch([("B", embedder.embed("beta"))])
+        store = EmbeddingStore(embedder.model_tag, ("B",), np.eye(1, 32))
         with pytest.raises(IndexIncompleteError) as err:
             rank_leaves(make_doc("d", "beta"), tiny_taxonomy, store, embedder)
         assert err.value.missing_ids == ("C",)
 
+    def test_store_rows_must_be_the_leaves_in_order(self, tiny_taxonomy):
+        embedder = HashBagEmbedder(dim=32)
+        store = EmbeddingStore(embedder.model_tag, ("C", "B"), np.eye(2, 32))
+        with pytest.raises(RetrievalError, match="leaves in order"):
+            rank_leaves(make_doc("d", "beta"), tiny_taxonomy, store, embedder)
+
     def test_embedder_store_tag_mismatch(self, tiny_taxonomy):
-        store = EmbeddingStore(model_tag="other")
+        store = EmbeddingStore("other", (), np.empty((0, 0)))
         with pytest.raises(RetrievalError, match="model_tag|store"):
             rank_leaves(make_doc("d", "x"), tiny_taxonomy, store, HashBagEmbedder(dim=16))
 

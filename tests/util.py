@@ -15,7 +15,7 @@ from collections import defaultdict
 import numpy as np
 
 from taxocat.documents import Document
-from taxocat.retrieval import EmbeddingVector, RetrievalError
+from taxocat.retrieval import EmbeddingVector, HashBagEmbedder, RetrievalError
 from taxocat.taxonomy import Taxonomy, TaxonomyNode
 
 VOCAB = [
@@ -106,6 +106,18 @@ def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
         raise RetrievalError("cosine similarity undefined for zero-norm vector")
     sim = float(np.dot(a.values, b.values) / (norm_a * norm_b))
     return max(-1.0, min(1.0, sim))
+
+
+class CountingEmbedder(HashBagEmbedder):
+    """Hash-bag embedder that records each embed_many call and its texts."""
+
+    def __init__(self, dim: int = 256):
+        super().__init__(dim)
+        self.batches: list[list[str]] = []
+
+    def embed_many(self, texts):
+        self.batches.append(list(texts))
+        return super().embed_many(self.batches[-1])
 
 
 # -- scripted providers --------------------------------------------------------
