@@ -121,11 +121,12 @@ def _add_provider_args(parser: argparse.ArgumentParser) -> None:
 # -- provider / embedder wiring -------------------------------------------------
 
 
-def _provider_config(args: argparse.Namespace) -> gw.ProviderConfig:
-    if args.provider:
-        config = gw.load_provider_config(args.provider)
-    else:
-        config = gw.ProviderConfig()
+def _provider_config(args: argparse.Namespace) -> gw.ProviderConfig | None:
+    """The --provider file, read once per command for its gateway and its
+    embedder, with the TAXOCAT_* environment applied; None under --mock."""
+    if args.mock:
+        return None
+    config = gw.load_provider_config(args.provider) if args.provider else gw.ProviderConfig()
     endpoint = os.environ.get("TAXOCAT_ENDPOINT")
     model = os.environ.get("TAXOCAT_MODEL")
     if endpoint:
@@ -134,35 +135,32 @@ def _provider_config(args: argparse.Namespace) -> gw.ProviderConfig:
         config = replace(config, model_name=model)
     if config.credentials is None and os.environ.get("TAXOCAT_API_KEY") is not None:
         config = replace(config, credentials="TAXOCAT_API_KEY")
+    return config
+
+
+def _make_gateway(args: argparse.Namespace, config: gw.ProviderConfig | None) -> gw.LlmGateway:
+    audit = gw.AuditLog(args.audit_log) if args.audit_log else None
+    if config is None:
+        return gw.mock_gateway(audit_log=audit)
+    if not args.provider and not os.environ.get("TAXOCAT_ENDPOINT"):
+        raise CliError("no provider configured: pass --provider CONFIG.json or --mock")
     if not config.endpoint.startswith("mock://") and config.model_name == "mock":
         raise gw.ConfigError(
             f"endpoint {config.endpoint!r} needs a model: set model_name or TAXOCAT_MODEL"
         )
-    return config
-
-
-def _make_gateway(args: argparse.Namespace) -> gw.LlmGateway:
-    audit = gw.AuditLog(args.audit_log) if args.audit_log else None
-    if args.mock:
-        return gw.mock_gateway(audit_log=audit)
-    if not args.provider and not os.environ.get("TAXOCAT_ENDPOINT"):
-        raise CliError("no provider configured: pass --provider CONFIG.json or --mock")
-    config = _provider_config(args)
     return gw.LlmGateway(provider=gw.HttpProvider(config), config=config, audit_log=audit)
 
 
-def _make_embedder(args: argparse.Namespace) -> retrieval.Embedder | None:
-    if args.mock:
+def _make_embedder(config: gw.ProviderConfig | None) -> retrieval.Embedder | None:
+    if config is None:
         return retrieval.HashBagEmbedder()
-    if args.provider:
-        config = gw.load_provider_config(args.provider)
-        if config.embedding_endpoint:
-            return retrieval.HttpEmbedder(
-                endpoint=config.embedding_endpoint,
-                model_name=config.embedding_model,
-                credentials=config.credentials,
-                timeout=config.timeout,
-            )
+    if config.embedding_endpoint:
+        return retrieval.HttpEmbedder(
+            endpoint=config.embedding_endpoint,
+            model_name=config.embedding_model,
+            credentials=config.credentials,
+            timeout=config.timeout,
+        )
     return None
 
 
@@ -245,7 +243,7 @@ def cmd_taxonomy(args: argparse.Namespace) -> int:
         _require_new_output(args.audit_log, args.output, args.taxonomy, args.provider,
                             flag="--audit-log")
         loaded = tax.load_taxonomy(args.taxonomy)
-        gateway = _make_gateway(args)
+        gateway = _make_gateway(args, _provider_config(args))
         described = [n for n in loaded if n.description]
         missing = sorted(n.id for n in loaded if not n.description)
         if not missing:
@@ -413,12 +411,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
     _require_new_output(args.output, *inputs)
     _require_new_output(args.audit_log, args.output, *inputs, flag="--audit-log")
     config = _resolve_run_config(args)
-    gateway = _make_gateway(args)
+    provider = _provider_config(args)
+    gateway = _make_gateway(args, provider)
     loaded = tax.load_taxonomy(config.taxonomy_path)
     store = None
     embedder = None
     if config.method is not strategies.Method.TRAV_SELECT:
-        embedder = _make_embedder(args)
+        embedder = _make_embedder(provider)
         store = _embedding_store(args, loaded, embedder)
     return run_classification(config, gateway, store, embedder, taxonomy=loaded)
 
@@ -494,7 +493,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     docs = load_documents(args.documents)
     gold = retrieval.load_gold_labels(args.gold)
     depths = _parse_depths(args.depths)
-    embedder = _make_embedder(args)
+    embedder = _make_embedder(_provider_config(args))
     store = _embedding_store(args, loaded, embedder)
     k = max(depths)
     rankings = [retrieval.rank_leaves(doc, loaded, store, embedder, k=k) for doc in docs]

@@ -4,8 +4,10 @@ deterministic mock provider.
 
 Prompt templates live as text assets under taxocat/prompts, keyed by
 template id, so they can be versioned and audited independently of code.
-Every provider response is funneled through extract_response; callers only
-ever see typed ParsedResponse values.
+Every taxonomy node a prompt shows is shaped by node_payload and drawn by
+one line rule. Every provider response is funneled through extract_response,
+which reads the reply its template asks for; callers only ever see typed
+ParsedResponse values.
 """
 from __future__ import annotations
 
@@ -26,7 +28,8 @@ from typing import Any, Mapping, Protocol, Sequence, Union
 
 from . import ndjson
 from .documents import Document
-from .textproc import jaccard, token_set, tokenize
+from .taxonomy import TaxonomyNode
+from .textproc import jaccard, token_set, tokenize, truncate_words
 
 logger = logging.getLogger(__name__)
 
@@ -74,7 +77,7 @@ class AuthError(ProviderError):
 
 
 class ResponseParseError(GatewayError):
-    """Provider output did not yield a valid response for the expected schema."""
+    """Provider output did not yield a valid reply for its template."""
 
 
 class NoJsonError(ResponseParseError):
@@ -101,7 +104,7 @@ class RetryExhaustedError(GatewayError):
         self.last_raw = last_raw
 
 
-# -- templates and schemas ------------------------------------------------------
+# -- templates -------------------------------------------------------------------
 
 
 class TemplateId(str, Enum):
@@ -112,26 +115,6 @@ class TemplateId(str, Enum):
     SELECTP_LEAF = "selectp_leaf"
     SELECTP_PARENT = "selectp_parent"
     DECREASE_LABELS = "decrease_labels"
-
-
-class ResponseSchema(str, Enum):
-    BEST_LABELS = "best_labels"
-    SCORES = "scores"
-    LEAF_VERDICT = "leaf_verdict"
-    PARENT_VERDICT = "parent_verdict"
-    TOP_FIVE = "top_five"
-    DESCRIPTION = "description"
-
-
-SCHEMA_FOR_TEMPLATE: dict[TemplateId, ResponseSchema] = {
-    TemplateId.DESC_GEN: ResponseSchema.DESCRIPTION,
-    TemplateId.TRAV_SELECT: ResponseSchema.BEST_LABELS,
-    TemplateId.SELECT_ONE_PASS: ResponseSchema.BEST_LABELS,
-    TemplateId.RERANK: ResponseSchema.SCORES,
-    TemplateId.SELECTP_LEAF: ResponseSchema.LEAF_VERDICT,
-    TemplateId.SELECTP_PARENT: ResponseSchema.PARENT_VERDICT,
-    TemplateId.DECREASE_LABELS: ResponseSchema.TOP_FIVE,
-}
 
 
 @cache
@@ -150,10 +133,6 @@ class PromptSpec:
     def __post_init__(self):
         if not self.system_text:
             object.__setattr__(self, "system_text", load_template(self.template_id))
-
-    @property
-    def expected_schema(self) -> ResponseSchema:
-        return SCHEMA_FOR_TEMPLATE[self.template_id]
 
     @property
     def user_text(self) -> str:
@@ -193,16 +172,11 @@ class ParentVerdict:
 
 
 @dataclass(frozen=True)
-class TopFive:
-    ids: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class Description:
     text: str
 
 
-ParsedResponse = Union[BestLabels, Scores, LeafVerdict, ParentVerdict, TopFive, Description]
+ParsedResponse = Union[BestLabels, Scores, LeafVerdict, ParentVerdict, Description]
 
 
 # -- provider configuration --------------------------------------------------------
@@ -268,9 +242,15 @@ def _document_block(document: Mapping[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def _label_line(node: Mapping[str, Any]) -> str:
-    description = node.get("description") or ""
-    return f"- {node['id']} | {node['name']} | {description}".rstrip(" |")
+def _label_line(node: Mapping[str, Any], prefix: str) -> str:
+    """The one way a prompt draws a node: `id | name`, then `| description`
+    and `(parent: name)` when the payload has them, each as given."""
+    line = f"{prefix}{node['id']} | {node['name']}"
+    if node.get("description"):
+        line += f" | {node['description']}"
+    if node.get("parent_name"):
+        line += f" (parent: {node['parent_name']})"
+    return line
 
 
 def render_user_text(spec: PromptSpec) -> str:
@@ -295,15 +275,11 @@ def _render_user_text(spec: PromptSpec) -> str:
             )
         return "\n".join(lines)
     if tid in (TemplateId.TRAV_SELECT, TemplateId.RERANK, TemplateId.DECREASE_LABELS):
-        parts = [_document_block(payload["document"]), "", "Labels:"]
-        for node in payload["nodes"]:
-            line = _label_line(node)
-            if node.get("parent_name"):
-                line += f" (parent: {node['parent_name']})"
-            parts.append(line)
-        return "\n".join(parts)
+        labels = [_label_line(node, "- ") for node in payload["nodes"]]
+        return "\n".join([_document_block(payload["document"]), "", "Labels:", *labels])
     if tid is TemplateId.SELECT_ONE_PASS:
-        return "\n".join([_document_block(payload["document"]), "", "Taxonomy:", payload["tree"]])
+        tree = [_label_line(node, "  " * node["depth"]) for node in payload["nodes"]]
+        return "\n".join([_document_block(payload["document"]), "", "Taxonomy:", *tree])
     if tid in (TemplateId.SELECTP_LEAF, TemplateId.SELECTP_PARENT):
         node = payload["node"]
         parts = [
@@ -319,6 +295,17 @@ def _render_user_text(spec: PromptSpec) -> str:
 
 
 # -- spec builders -------------------------------------------------------------------
+
+DESCRIPTION_MAX_WORDS = 60  # keeps multi-node prompts inside context limits
+
+
+def node_payload(node: TaxonomyNode, **extra: Any) -> dict[str, Any]:
+    """A taxonomy node as every prompt shows it, plus `extra` keys.
+
+    The description is cut to DESCRIPTION_MAX_WORDS words.
+    """
+    description = node.description and truncate_words(node.description, DESCRIPTION_MAX_WORDS)
+    return {"id": node.id, "name": node.name, "description": description, **extra}
 
 
 def doc_payload(doc: Document) -> dict[str, Any]:
@@ -353,12 +340,11 @@ def build_trav_select_spec(doc: Document, nodes: Sequence[Mapping[str, Any]]) ->
     )
 
 
-def build_select_one_pass_spec(
-    doc: Document, tree: str, nodes: Sequence[Mapping[str, Any]]
-) -> PromptSpec:
+def build_select_one_pass_spec(doc: Document, nodes: Sequence[Mapping[str, Any]]) -> PromptSpec:
+    """`nodes` in depth-first order, each with its `depth` (0 at the top) and `is_leaf`."""
     return PromptSpec(
         template_id=TemplateId.SELECT_ONE_PASS,
-        user_payload={"document": doc_payload(doc), "tree": tree, "nodes": list(nodes)},
+        user_payload={"document": doc_payload(doc), "nodes": list(nodes)},
     )
 
 
@@ -367,7 +353,7 @@ def build_rerank_spec(doc: Document, nodes: Sequence[Mapping[str, Any]]) -> Prom
     system_text = load_template(TemplateId.RERANK).format(count, count, count)
     return PromptSpec(
         template_id=TemplateId.RERANK,
-        user_payload={"document": doc_payload(doc), "nodes": list(nodes), "count": count},
+        user_payload={"document": doc_payload(doc), "nodes": list(nodes)},
         system_text=system_text,
     )
 
@@ -453,19 +439,19 @@ def _checked_bool(obj: dict, key: str) -> bool:
     return obj[key]
 
 
-def extract_response(raw: str, expected: ResponseSchema) -> ParsedResponse:
-    """Locate the first JSON object in raw text and validate it as `expected`.
+def extract_response(raw: str, template_id: TemplateId) -> ParsedResponse:
+    """Locate the first JSON object in raw text and validate it as the reply
+    `template_id` asks for.
 
     Surrounding prose and code fences are tolerated. Scores are clamped
     only when within 0.005 of a range bound; anything further out is a
     parse failure the caller may retry.
     """
     obj = _first_json_object(raw)
-    if expected is ResponseSchema.BEST_LABELS:
+    if template_id in (TemplateId.TRAV_SELECT, TemplateId.SELECT_ONE_PASS,
+                       TemplateId.DECREASE_LABELS):
         return BestLabels(ids=_id_list(obj, "best_labels"))
-    if expected is ResponseSchema.TOP_FIVE:
-        return TopFive(ids=_id_list(obj, "best_labels"))
-    if expected is ResponseSchema.SCORES:
+    if template_id is TemplateId.RERANK:
         if "scores" not in obj or not isinstance(obj["scores"], list):
             raise SchemaError("missing 'scores' list")
         pairs = []
@@ -483,12 +469,12 @@ def extract_response(raw: str, expected: ResponseSchema) -> ParsedResponse:
             score = round(_checked_score(value, 0.01, 1.00), 2)
             pairs.append((label, score))
         return Scores(pairs=tuple(pairs))
-    if expected is ResponseSchema.LEAF_VERDICT:
+    if template_id is TemplateId.SELECTP_LEAF:
         return LeafVerdict(
             main_focus=_checked_str(obj, "main_focus"),
             label_fit=_checked_bool(obj, "label_fit"),
         )
-    if expected is ResponseSchema.PARENT_VERDICT:
+    if template_id is TemplateId.SELECTP_PARENT:
         if "relevancy_score" not in obj:
             raise SchemaError("missing key 'relevancy_score'")
         return ParentVerdict(
@@ -496,25 +482,28 @@ def extract_response(raw: str, expected: ResponseSchema) -> ParsedResponse:
             label_fit=_checked_bool(obj, "label_fit"),
             relevancy_score=_checked_score(obj["relevancy_score"], 0.0, 1.0),
         )
-    if expected is ResponseSchema.DESCRIPTION:
+    if template_id is TemplateId.DESC_GEN:
         return Description(text=_checked_str(obj, "description"))
-    raise ConfigError(f"unknown schema {expected!r}")
+    raise ConfigError(f"unknown template {template_id!r}")
 
 
-_SCHEMA_REMINDERS: dict[ResponseSchema, str] = {
-    ResponseSchema.BEST_LABELS: 'a JSON object {"best_labels": [label ids]}',
-    ResponseSchema.TOP_FIVE: 'a JSON object {"best_labels": [the top 5 label ids]}',
-    ResponseSchema.SCORES: 'a JSON object {"scores": [[label id, score], ...]} '
+_BEST_LABELS_REPLY = 'a JSON object {"best_labels": [label ids]}'
+_REPLIES: dict[TemplateId, str] = {
+    TemplateId.TRAV_SELECT: _BEST_LABELS_REPLY,
+    TemplateId.SELECT_ONE_PASS: _BEST_LABELS_REPLY,
+    TemplateId.DECREASE_LABELS: 'a JSON object {"best_labels": [the top 5 label ids]}',
+    TemplateId.RERANK: 'a JSON object {"scores": [[label id, score], ...]} '
     "with scores between 0.01 and 1.00",
-    ResponseSchema.LEAF_VERDICT: 'a JSON object {"main_focus": text, "label_fit": boolean}',
-    ResponseSchema.PARENT_VERDICT: 'a JSON object {"main_focus": text, "label_fit": boolean, '
+    TemplateId.SELECTP_LEAF: 'a JSON object {"main_focus": text, "label_fit": boolean}',
+    TemplateId.SELECTP_PARENT: 'a JSON object {"main_focus": text, "label_fit": boolean, '
     '"relevancy_score": number between 0 and 1}',
-    ResponseSchema.DESCRIPTION: 'a JSON object {"description": text}',
+    TemplateId.DESC_GEN: 'a JSON object {"description": text}',
 }
 
 
-def schema_reminder(schema: ResponseSchema) -> str:
-    return f"Reminder: respond with only {_SCHEMA_REMINDERS[schema]}."
+def schema_reminder(template_id: TemplateId) -> str:
+    """The retry hint naming the reply `template_id` asks for."""
+    return f"Reminder: respond with only {_REPLIES[template_id]}."
 
 
 # -- deterministic mock provider ----------------------------------------------------------
@@ -551,7 +540,7 @@ def mock_complete(spec: PromptSpec, threshold: float = DEFAULT_OVERLAP_THRESHOLD
     A node "fits" a document when the overlap between the document content
     and the node's name-plus-description reaches the threshold; relevancy
     scores are the overlap rounded to two decimals and clamped to
-    [0.01, 1.00]. Output is always valid JSON for the template's schema.
+    [0.01, 1.00]. Output is always a valid reply for the template.
     """
     payload = spec.user_payload
     tid = spec.template_id
@@ -583,7 +572,8 @@ def mock_complete(spec: PromptSpec, threshold: float = DEFAULT_OVERLAP_THRESHOLD
         ranked = sorted(overlaps, key=lambda item: (-item[1], item[0]))
         return json.dumps({"best_labels": [nid for nid, _ in ranked[:5]]})
     if tid is TemplateId.SELECT_ONE_PASS:
-        chosen = [n["id"] for n in nodes if n.get("is_leaf") and dict(overlaps)[n["id"]] >= threshold]
+        overlap_of = dict(overlaps)
+        chosen = [n["id"] for n in nodes if n.get("is_leaf") and overlap_of[n["id"]] >= threshold]
         return json.dumps({"best_labels": chosen})
     if tid is TemplateId.TRAV_SELECT:
         return json.dumps({"best_labels": [nid for nid, o in overlaps if o >= threshold]})
@@ -591,14 +581,12 @@ def mock_complete(spec: PromptSpec, threshold: float = DEFAULT_OVERLAP_THRESHOLD
 
 
 class MockProvider:
-    """Offline provider double; records every PromptSpec for transcript checks."""
+    """Offline provider double answering with mock_complete; keeps no state per call."""
 
     def __init__(self, threshold: float = DEFAULT_OVERLAP_THRESHOLD):
         self.threshold = threshold
-        self.calls: list[PromptSpec] = []
 
     def complete(self, spec: PromptSpec, reminder: str | None = None) -> str:
-        self.calls.append(spec)
         return mock_complete(spec, self.threshold)
 
 
@@ -796,14 +784,14 @@ class LlmGateway:
                 continue
             self._count(spec, raw)
             try:
-                parsed = extract_response(raw, spec.expected_schema)
+                parsed = extract_response(raw, spec.template_id)
             except ResponseParseError as exc:
                 self._audit(spec, doc_id, attempt, f"parse_error:{type(exc).__name__}")
                 last_error = RetryExhaustedError(
                     f"{attempts} attempts failed for {spec.template_id.value}: {exc}",
                     last_raw=raw,
                 )
-                reminder = schema_reminder(spec.expected_schema)
+                reminder = schema_reminder(spec.template_id)
                 continue
             self._audit(spec, doc_id, attempt, "ok")
             return parsed

@@ -16,7 +16,7 @@ from typing import Mapping
 from . import gateway as gw
 from .documents import Document
 from .retrieval import PrunedTaxonomy
-from .strategies import LabelSet, Method, _node_payload, with_flags
+from .strategies import LabelSet, Method, with_flags
 from .taxonomy import Taxonomy
 
 logger = logging.getLogger(__name__)
@@ -70,10 +70,8 @@ def decrease_labels(
     payloads = []
     for node_id in candidates:
         node = taxonomy.node(node_id)
-        payload = _node_payload(node)
-        if node.parent_id is not None:
-            payload["parent_name"] = taxonomy.node(node.parent_id).name
-        payloads.append(payload)
+        parent = taxonomy.node(node.parent_id) if node.parent_id is not None else None
+        payloads.append(gw.node_payload(node, parent_name=parent and parent.name))
 
     flags: list[str] = []
     candidate_set = set(candidates)

@@ -22,11 +22,8 @@ from . import gateway as gw
 from .documents import Document
 from .retrieval import PrunedTaxonomy
 from .taxonomy import Taxonomy, TaxonomyNode
-from .textproc import truncate_words
 
 logger = logging.getLogger(__name__)
-
-DESCRIPTION_MAX_WORDS = 60  # keeps multi-node prompts inside context limits
 
 FLAG_EMPTY_RESULT = "empty-result"
 FLAG_SHORTFALL = "shortfall"
@@ -83,14 +80,6 @@ class ParentAssessment:
     main_focus: str
 
 
-# -- payload helpers ----------------------------------------------------------
-
-
-def _node_payload(node: TaxonomyNode) -> dict[str, Any]:
-    description = node.description and truncate_words(node.description, DESCRIPTION_MAX_WORDS)
-    return {"id": node.id, "name": node.name, "description": description}
-
-
 def _known_ids(ids: Sequence[str], known: set[str], context: str) -> list[str]:
     """Drop provider-returned ids that are not in the candidate set, keeping order."""
     kept = []
@@ -121,7 +110,7 @@ def classify_trav_select(
     rounds: list[dict[str, Any]] = []
     flags: list[str] = []
     while frontier:
-        nodes = [_node_payload(taxonomy.node(nid)) for nid in frontier]
+        nodes = [gw.node_payload(taxonomy.node(nid)) for nid in frontier]
         parsed = gateway.call_with_retry(gw.build_trav_select_spec(doc, nodes))
         chosen = _known_ids(parsed.ids, set(frontier), f"trav_select[{doc.doc_id}]")
         rounds.append({"frontier": list(frontier), "selected": list(chosen)})
@@ -149,28 +138,17 @@ def classify_trav_select(
 # -- SelectO (one pass) -------------------------------------------------------------
 
 
-def render_pruned_tree(taxonomy: Taxonomy, pt: PrunedTaxonomy) -> tuple[str, list[dict[str, Any]]]:
-    """Depth-indented 'id | name | description' rendering of the pruned taxonomy.
-
-    Returns the rendered text plus the node payloads in render order, each
-    flagged with is_leaf (leaf within the full taxonomy).
-    """
-    lines: list[str] = []
+def _pruned_tree_payloads(taxonomy: Taxonomy, pt: PrunedTaxonomy) -> list[dict[str, Any]]:
+    """The pruned taxonomy's node payloads in depth-first order, each with its
+    depth in the pruned tree and is_leaf (leaf within the full taxonomy)."""
     payloads: list[dict[str, Any]] = []
 
-    def visit(node_id: str, indent: int) -> None:
-        node = taxonomy.node(node_id)
-        payload = _node_payload(node)
-        payload["is_leaf"] = taxonomy.is_leaf(node_id)
-        payloads.append(payload)
-        description = payload["description"] or ""
-        line = f"{'  ' * indent}{node.id} | {node.name}"
-        if description:
-            line += f" | {description}"
-        lines.append(line)
+    def visit(node_id: str, depth: int) -> None:
+        payloads.append(gw.node_payload(
+            taxonomy.node(node_id), depth=depth, is_leaf=taxonomy.is_leaf(node_id)))
         for child in taxonomy.children(node_id):
             if child in pt.node_ids:
-                visit(child, indent + 1)
+                visit(child, depth + 1)
 
     pt_roots = sorted(
         nid
@@ -179,7 +157,7 @@ def render_pruned_tree(taxonomy: Taxonomy, pt: PrunedTaxonomy) -> tuple[str, lis
     )
     for root in pt_roots:
         visit(root, 0)
-    return "\n".join(lines), payloads
+    return payloads
 
 
 def classify_select_one_pass(
@@ -189,8 +167,8 @@ def classify_select_one_pass(
     gateway: gw.LlmGateway,
 ) -> LabelSet:
     """Single prompt over the whole pruned taxonomy; keep returned leaf ids."""
-    tree, payloads = render_pruned_tree(taxonomy, pt)
-    parsed = gateway.call_with_retry(gw.build_select_one_pass_spec(doc, tree, payloads))
+    nodes = _pruned_tree_payloads(taxonomy, pt)
+    parsed = gateway.call_with_retry(gw.build_select_one_pass_spec(doc, nodes))
     kept = _known_ids(parsed.ids, set(pt.leaf_ids), f"select_one_pass[{doc.doc_id}]")
     flags = (FLAG_EMPTY_RESULT,) if not kept else ()
     return LabelSet(
@@ -228,7 +206,7 @@ def aggregate_score(
 
 
 def _rerank_spec(doc: Document, taxonomy: Taxonomy, node_ids: Sequence[str]) -> gw.PromptSpec:
-    return gw.build_rerank_spec(doc, [_node_payload(taxonomy.node(nid)) for nid in node_ids])
+    return gw.build_rerank_spec(doc, [gw.node_payload(taxonomy.node(nid)) for nid in node_ids])
 
 
 def _read_scores(doc: Document, node_ids: Sequence[str], parsed: gw.Scores) -> dict[str, float]:
@@ -346,7 +324,7 @@ def assess_leaves(
     gateway: gw.LlmGateway,
 ) -> list[LeafAssessment]:
     """One leaf verdict per node, asked concurrently, in node order."""
-    parsed = gateway.call_all([gw.build_selectp_leaf_spec(doc, _node_payload(n)) for n in nodes])
+    parsed = gateway.call_all([gw.build_selectp_leaf_spec(doc, gw.node_payload(n)) for n in nodes])
     return [
         LeafAssessment(node_id=node.id, label_fit=p.label_fit, main_focus=p.main_focus)
         for node, p in zip(nodes, parsed)
@@ -359,7 +337,8 @@ def assess_parents(
     gateway: gw.LlmGateway,
 ) -> list[ParentAssessment]:
     """One parent verdict per node, asked concurrently, in node order."""
-    parsed = gateway.call_all([gw.build_selectp_parent_spec(doc, _node_payload(n)) for n in nodes])
+    parsed = gateway.call_all(
+        [gw.build_selectp_parent_spec(doc, gw.node_payload(n)) for n in nodes])
     return [
         ParentAssessment(
             node_id=node.id,

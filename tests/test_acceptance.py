@@ -28,7 +28,7 @@ import pytest
 
 from taxocat import cli
 from taxocat.evaluation import compare_methods, compute_metrics, load_judgments, percent
-from taxocat.gateway import LlmGateway, MockProvider, ProviderConfig, TemplateId, mock_gateway
+from taxocat.gateway import LlmGateway, ProviderConfig, TemplateId, mock_gateway
 from taxocat.postprocess import FLAG_NEEDS_REVIEW, PostProcessConfig, postprocess_chain
 from taxocat.retrieval import LeafRanking, build_pruned_taxonomy
 from taxocat.strategies import (
@@ -44,6 +44,7 @@ from taxocat.strategies import (
 from taxocat.taxonomy import Taxonomy, TaxonomyNode, hierarchy_stats, save_taxonomy
 
 from .util import (
+    RecordingMockProvider,
     TableProvider,
     make_doc,
     oracle_one_pass,
@@ -313,7 +314,7 @@ def test_criterion_6_trav_select_termination():
     for trial in range(10):
         tax = _depth9_taxonomy(rng)
         assert max(tax.depth(node.id) for node in tax) == 9
-        provider = MockProvider(threshold=0.0 if trial == 0 else THRESHOLD)
+        provider = RecordingMockProvider(threshold=0.0 if trial == 0 else THRESHOLD)
         gateway = LlmGateway(provider, ProviderConfig())
         doc = make_doc("d", "alpha beta topic")
         classify_trav_select(doc, tax, gateway)

@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from .util import (
     make_doc,
     o_overlap,
     o_relevancy,
+    record_cli_gateways,
     ternary_taxonomy,
     vocab_doc,
     write_ndjson,
@@ -149,6 +152,32 @@ class TestClassify:
             assert 1 <= len(record["labels"]) <= 5
             assert list(record) == ["doc_id", "method", "labels", "provenance", "flags"]
 
+    def test_mock_run_keeps_no_prompt(self, workdir, monkeypatch):
+        # Checked while the run's gateway is still alive, so a provider that
+        # kept its prompts would be seen holding them.
+        tmp, _, docs = workdir
+        specs = []
+        mock_complete = gw.mock_complete
+
+        def answer(spec, *args):
+            specs.append(weakref.ref(spec))
+            return mock_complete(spec, *args)
+
+        monkeypatch.setattr(gw, "mock_complete", answer)
+        alive = []
+        run_classification = cli.run_classification
+
+        def checked_run(config, gateway, *args, **kwargs):
+            code = run_classification(config, gateway, *args, **kwargs)
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in specs))
+            return code
+
+        monkeypatch.setattr(cli, "run_classification", checked_run)
+        code, _ = self._run(tmp, ["--strategy", "pointwise"])
+        assert code == 0
+        assert len(specs) > len(docs) and alive == [0]
+
     def test_rerank_leaf_only_matches_raw_score_sort(self, workdir):
         tmp, tax, docs = workdir
         code, out = self._run(
@@ -209,7 +238,7 @@ class TestClassify:
         embedders, rankings = [], []
         real_rank = retrieval.rank_leaves
 
-        def counting_embedder(args):
+        def counting_embedder(config):
             embedders.append(CountingEmbedder())
             return embedders[-1]
 
@@ -303,14 +332,7 @@ class TestClassify:
         save_taxonomy(Taxonomy(nodes), tmp_path / "taxonomy.ndjson")
         write_ndjson(tmp_path / "docs.ndjson",
                      [{"doc_id": "d1", "title": "auction", "keywords": [], "abstract": ""}])
-        gateways = []
-        real_mock_gateway = gw.mock_gateway
-
-        def recording_mock_gateway(**kwargs):
-            gateways.append(real_mock_gateway(**kwargs))
-            return gateways[-1]
-
-        monkeypatch.setattr(cli.gw, "mock_gateway", recording_mock_gateway)
+        gateways = record_cli_gateways(monkeypatch)
         args = ["--strategy", strategy, "--top-k", "10"]
         code, _ = self._run(tmp_path, args + (["--ablation", ablation] if ablation else []))
         assert code == 0
@@ -435,7 +457,7 @@ class TestProviderWiring:
         assert "error: HTTP 401" in capsys.readouterr().err
 
     def test_auth_error_stops_a_pointwise_wave(self, workdir, bodies, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_make_embedder", lambda args: retrieval.HashBagEmbedder())
+        monkeypatch.setattr(cli, "_make_embedder", lambda config: retrieval.HashBagEmbedder())
         tmp, _, _ = workdir
         code = self._classify(tmp, {"endpoint": "https://api.example/chat", "model_name": "m"},
                               strategy="pointwise")
@@ -447,7 +469,8 @@ class TestProviderWiring:
         provider = tmp_path / "provider.json"
         provider.write_text(json.dumps({"credentials": "EMB_KEY", "embedding_model": "e",
                                         "embedding_endpoint": "https://api.example/emb"}))
-        embedder = cli._make_embedder(argparse.Namespace(mock=False, provider=str(provider)))
+        embedder = cli._make_embedder(
+            cli._provider_config(argparse.Namespace(mock=False, provider=str(provider))))
         assert isinstance(embedder, retrieval.HttpEmbedder)
         assert (embedder.endpoint, embedder.model_name, embedder.credentials) == (
             "https://api.example/emb", "e", "EMB_KEY")
@@ -465,9 +488,50 @@ class TestProviderWiring:
         provider = tmp_path / "provider.json"
         provider.write_text(json.dumps({"timeout": 5, "embedding_model": "e",
                                         "embedding_endpoint": "https://api.example/emb"}))
-        embedder = cli._make_embedder(argparse.Namespace(mock=False, provider=str(provider)))
+        embedder = cli._make_embedder(
+            cli._provider_config(argparse.Namespace(mock=False, provider=str(provider))))
         embedder.embed("text")
         assert timeouts == [5.0]
+
+    @pytest.mark.parametrize("command", ["classify", "rank"])
+    def test_embedding_requests_carry_the_api_key(self, workdir, monkeypatch, tmp_path, command):
+        # The provider file names no credentials, so TAXOCAT_API_KEY is the
+        # secret for the LLM calls and the embedding requests alike. Rank's
+        # file has only embedding keys: it needs no LLM model.
+        tmp, _, docs = workdir
+        monkeypatch.setenv("TAXOCAT_API_KEY", "sk-test")
+        emb = "https://api.example/emb"
+        sent = []
+
+        class Session:
+            def mount(self, prefix, adapter):
+                pass
+
+            def post(self, url, json=None, headers=None, timeout=None):
+                sent.append((url, headers.get("Authorization")))
+                if url == emb:
+                    rows = [{"index": i, "embedding": [1.0, float(i)]}
+                            for i in range(len(json["input"]))]
+                    return argparse.Namespace(status_code=200, json=lambda: {"data": rows})
+                reply = {"choices": [{"message": {"content": '{"best_labels": []}'}}]}
+                return argparse.Namespace(status_code=200, text="", json=lambda: reply)
+
+        monkeypatch.setattr("requests.Session", Session)
+        provider = tmp_path / "provider.json"
+        fields = {"embedding_endpoint": emb, "embedding_model": "e"}
+        if command == "classify":
+            fields.update(endpoint="https://api.example/chat", model_name="m")
+            args = ["classify", "--output", str(tmp_path / "out.ndjson"),
+                    "--strategy", "one-pass", "--parallelism", "1"]
+        else:
+            write_ndjson(tmp_path / "gold.ndjson", [{"doc_id": d.doc_id, "gold": []} for d in docs])
+            args = ["rank", "--gold", str(tmp_path / "gold.ndjson")]
+        provider.write_text(json.dumps(fields))
+        code = cli.main(args + ["--taxonomy", str(tmp / "taxonomy.ndjson"), "--documents",
+                                str(tmp / "docs.ndjson"), "--provider", str(provider)])
+        assert code == 0
+        assert {auth for url, auth in sent if url == emb} == {"Bearer sk-test"}
+        assert all(auth == "Bearer sk-test" for _, auth in sent)
 
     def test_real_endpoint_needs_a_model_name(self, workdir, bodies, capsys):
         tmp, _, _ = workdir

@@ -24,21 +24,22 @@ from taxocat.gateway import (
     LeafVerdict,
     LlmGateway,
     MAX_IN_FLIGHT,
-    MockProvider,
     NoJsonError,
     ParentVerdict,
     PromptSpec,
     ProviderConfig,
     ProviderTimeout,
-    ResponseSchema,
     RetryExhaustedError,
     SchemaError,
     Scores,
     ScoreRangeError,
     TemplateId,
-    TopFive,
     TransportError,
+    build_decrease_labels_spec,
+    build_desc_gen_spec,
     build_rerank_spec,
+    build_select_one_pass_spec,
+    build_selectp_leaf_spec,
     build_selectp_parent_spec,
     build_trav_select_spec,
     extract_response,
@@ -46,8 +47,11 @@ from taxocat.gateway import (
     load_template,
     mock_complete,
     mock_gateway,
+    node_payload,
     render_user_text,
+    schema_reminder,
 )
+from taxocat.taxonomy import TaxonomyNode
 
 from .util import ScriptedProvider, make_doc, o_jaccard, o_tokens
 
@@ -57,10 +61,9 @@ class TestTemplatesAndSpecs:
         for template_id in TemplateId:
             assert load_template(template_id).strip()
 
-    def test_spec_autofills_schema(self):
+    def test_spec_autofills_system_text(self):
         spec = PromptSpec(template_id=TemplateId.SELECTP_LEAF, user_payload={})
-        assert spec.expected_schema is ResponseSchema.LEAF_VERDICT
-        assert spec.system_text
+        assert spec.system_text == load_template(TemplateId.SELECTP_LEAF)
 
     def test_rerank_spec_fills_counts(self):
         doc = make_doc("d", "auctions")
@@ -139,9 +142,71 @@ class TestTemplatesAndSpecs:
             load_provider_config(path)
 
 
+class TestNodeLines:
+    def test_node_payload_cuts_description_and_adds_keys(self):
+        node = TaxonomyNode(id="n1", name="Markets",
+                            description=" ".join(f"w{i}" for i in range(80)))
+        payload = node_payload(node, depth=2)
+        assert payload == {"id": "n1", "name": "Markets",
+                           "description": " ".join(f"w{i}" for i in range(60)), "depth": 2}
+        assert node_payload(TaxonomyNode(id="n2", name="Bids"))["description"] is None
+
+    def test_list_and_tree_draw_a_node_alike(self):
+        # One line rule: "id | name", then "| description" when there is one,
+        # as given, so a description's trailing space stays.
+        doc = make_doc("d", "auctions")
+        described = node_payload(TaxonomyNode(id="n1", name="Markets", description="trade "))
+        bare = node_payload(TaxonomyNode(id="n2", name="Bids", parent_id="n1"))
+        listed = render_user_text(build_trav_select_spec(doc, [described, bare]))
+        assert listed.endswith("Labels:\n- n1 | Markets | trade \n- n2 | Bids")
+        tree = render_user_text(build_select_one_pass_spec(
+            doc, [dict(described, depth=0, is_leaf=False), dict(bare, depth=1, is_leaf=True)]))
+        assert tree.endswith("Taxonomy:\nn1 | Markets | trade \n  n2 | Bids")
+        decrease = render_user_text(build_decrease_labels_spec(
+            doc, [dict(described, parent_name=None), dict(bare, parent_name="Markets")]))
+        assert decrease.endswith("- n1 | Markets | trade \n- n2 | Bids (parent: Markets)")
+
+
+_NODES = [{"id": "n1", "name": "auction design", "description": "bids"},
+          {"id": "n2", "name": "ecology", "description": None}]
+_DOC = make_doc("d", "auction design", keywords=["bids"])
+_SPECS = {
+    TemplateId.DESC_GEN: build_desc_gen_spec("Auctions", None, None, "Bids", "About bids."),
+    TemplateId.TRAV_SELECT: build_trav_select_spec(_DOC, _NODES),
+    TemplateId.SELECT_ONE_PASS: build_select_one_pass_spec(
+        _DOC, [dict(n, depth=0, is_leaf=True) for n in _NODES]),
+    TemplateId.RERANK: build_rerank_spec(_DOC, _NODES),
+    TemplateId.SELECTP_LEAF: build_selectp_leaf_spec(_DOC, _NODES[0]),
+    TemplateId.SELECTP_PARENT: build_selectp_parent_spec(_DOC, _NODES[0]),
+    TemplateId.DECREASE_LABELS: build_decrease_labels_spec(_DOC, _NODES),
+}
+_REPLIES = {
+    TemplateId.DESC_GEN: (Description, 'a JSON object {"description": text}'),
+    TemplateId.TRAV_SELECT: (BestLabels, 'a JSON object {"best_labels": [label ids]}'),
+    TemplateId.SELECT_ONE_PASS: (BestLabels, 'a JSON object {"best_labels": [label ids]}'),
+    TemplateId.RERANK: (Scores, 'a JSON object {"scores": [[label id, score], ...]} '
+                                "with scores between 0.01 and 1.00"),
+    TemplateId.SELECTP_LEAF: (LeafVerdict,
+                              'a JSON object {"main_focus": text, "label_fit": boolean}'),
+    TemplateId.SELECTP_PARENT: (ParentVerdict, 'a JSON object {"main_focus": text, '
+                                '"label_fit": boolean, "relevancy_score": number between 0 and 1}'),
+    TemplateId.DECREASE_LABELS: (BestLabels,
+                                 'a JSON object {"best_labels": [the top 5 label ids]}'),
+}
+
+
+@pytest.mark.parametrize("template_id", list(TemplateId))
+def test_every_template_names_its_reply(template_id):
+    reply_type, reply = _REPLIES[template_id]
+    assert schema_reminder(template_id) == f"Reminder: respond with only {reply}."
+    spec = _SPECS[template_id]
+    assert spec.template_id is template_id
+    assert isinstance(extract_response(mock_complete(spec), template_id), reply_type)
+
+
 class TestExtractResponse:
     def test_best_labels_exact(self):
-        parsed = extract_response('{"best_labels": ["n3", "n7"]}', ResponseSchema.BEST_LABELS)
+        parsed = extract_response('{"best_labels": ["n3", "n7"]}', TemplateId.TRAV_SELECT)
         assert parsed == BestLabels(ids=("n3", "n7"))
 
     def test_scores_with_prose_and_fence(self):
@@ -151,7 +216,7 @@ class TestExtractResponse:
             '{"scores": [["a", 0.42], ["b", 0.07]]}\n'
             "```\nLet me know if you need anything else."
         )
-        parsed = extract_response(raw, ResponseSchema.SCORES)
+        parsed = extract_response(raw, TemplateId.RERANK)
         # Oracle: standalone JSON parse of the fenced span.
         start, end = raw.index("{"), raw.rindex("}") + 1
         oracle = json.loads(raw[start:end])
@@ -159,73 +224,73 @@ class TestExtractResponse:
 
     def test_leaf_verdict(self):
         parsed = extract_response(
-            '{"label_fit": true, "main_focus": "auction design"}', ResponseSchema.LEAF_VERDICT
+            '{"label_fit": true, "main_focus": "auction design"}', TemplateId.SELECTP_LEAF
         )
         assert parsed == LeafVerdict(main_focus="auction design", label_fit=True)
 
     def test_parent_verdict(self):
         parsed = extract_response(
             '{"main_focus": "x", "label_fit": false, "relevancy_score": 0.35}',
-            ResponseSchema.PARENT_VERDICT,
+            TemplateId.SELECTP_PARENT,
         )
         assert parsed == ParentVerdict(main_focus="x", label_fit=False, relevancy_score=0.35)
 
     def test_description(self):
-        parsed = extract_response('{"description": "About auctions."}', ResponseSchema.DESCRIPTION)
+        parsed = extract_response('{"description": "About auctions."}', TemplateId.DESC_GEN)
         assert parsed == Description(text="About auctions.")
 
-    def test_top_five(self):
-        parsed = extract_response('{"best_labels": ["a", "b"]}', ResponseSchema.TOP_FIVE)
-        assert parsed == TopFive(ids=("a", "b"))
+    def test_decrease_reply_is_best_labels(self):
+        parsed = extract_response('{"best_labels": ["a", "b"]}', TemplateId.DECREASE_LABELS)
+        assert parsed == BestLabels(ids=("a", "b"))
 
     def test_first_object_wins_over_later_ones(self):
         raw = 'broken { here {"best_labels": []} and {"best_labels": ["x"]}'
-        assert extract_response(raw, ResponseSchema.BEST_LABELS) == BestLabels(ids=())
+        assert extract_response(raw, TemplateId.TRAV_SELECT) == BestLabels(ids=())
 
     def test_no_json(self):
         with pytest.raises(NoJsonError):
-            extract_response("no structured content here", ResponseSchema.BEST_LABELS)
+            extract_response("no structured content here", TemplateId.TRAV_SELECT)
 
     def test_missing_key(self):
         with pytest.raises(SchemaError, match="best_labels"):
-            extract_response('{"labels": ["x"]}', ResponseSchema.BEST_LABELS)
+            extract_response('{"labels": ["x"]}', TemplateId.TRAV_SELECT)
 
     def test_wrong_type(self):
         with pytest.raises(SchemaError):
-            extract_response('{"label_fit": "yes", "main_focus": "x"}', ResponseSchema.LEAF_VERDICT)
+            extract_response('{"label_fit": "yes", "main_focus": "x"}', TemplateId.SELECTP_LEAF)
 
     def test_duplicate_ids(self):
         with pytest.raises(DuplicateIdError):
-            extract_response('{"best_labels": ["a", "a"]}', ResponseSchema.BEST_LABELS)
+            extract_response('{"best_labels": ["a", "a"]}', TemplateId.TRAV_SELECT)
         with pytest.raises(DuplicateIdError):
-            extract_response('{"scores": [["a", 0.5], ["a", 0.6]]}', ResponseSchema.SCORES)
+            extract_response('{"scores": [["a", 0.5], ["a", 0.6]]}', TemplateId.RERANK)
 
     def test_score_clamp_near_bounds_only(self):
-        parsed = extract_response('{"scores": [["a", 1.004], ["b", 0.007]]}', ResponseSchema.SCORES)
+        parsed = extract_response('{"scores": [["a", 1.004], ["b", 0.007]]}', TemplateId.RERANK)
         assert dict(parsed.pairs) == {"a": 1.0, "b": 0.01}
         with pytest.raises(ScoreRangeError):
-            extract_response('{"scores": [["a", 1.2]]}', ResponseSchema.SCORES)
+            extract_response('{"scores": [["a", 1.2]]}', TemplateId.RERANK)
         with pytest.raises(ScoreRangeError):
-            extract_response('{"scores": [["a", 0.001]]}', ResponseSchema.SCORES)
+            extract_response('{"scores": [["a", 0.001]]}', TemplateId.RERANK)
 
     def test_relevancy_range(self):
         parsed = extract_response(
             '{"main_focus": "x", "label_fit": true, "relevancy_score": 1.003}',
-            ResponseSchema.PARENT_VERDICT,
+            TemplateId.SELECTP_PARENT,
         )
         assert parsed.relevancy_score == 1.0
         with pytest.raises(ScoreRangeError):
             extract_response(
                 '{"main_focus": "x", "label_fit": true, "relevancy_score": -0.2}',
-                ResponseSchema.PARENT_VERDICT,
+                TemplateId.SELECTP_PARENT,
             )
 
     def test_scores_quantized_to_two_decimals(self):
-        parsed = extract_response('{"scores": [["a", 0.333]]}', ResponseSchema.SCORES)
+        parsed = extract_response('{"scores": [["a", 0.333]]}', TemplateId.RERANK)
         assert dict(parsed.pairs) == {"a": 0.33}
 
     def test_numeric_ids_coerced_to_strings(self):
-        parsed = extract_response('{"best_labels": [12, "x"]}', ResponseSchema.BEST_LABELS)
+        parsed = extract_response('{"best_labels": [12, "x"]}', TemplateId.TRAV_SELECT)
         assert parsed.ids == ("12", "x")
 
 
@@ -246,14 +311,14 @@ class TestMockProvider:
         doc = make_doc("d", "auction design")
         spec = build_selectp_parent_spec(doc, {"id": "p", "name": "auction design",
                                                "description": None})
-        parsed = extract_response(mock_complete(spec), ResponseSchema.PARENT_VERDICT)
+        parsed = extract_response(mock_complete(spec), TemplateId.SELECTP_PARENT)
         assert parsed.label_fit is True
         assert parsed.relevancy_score == 1.0
 
     def test_disjoint_tokens_floor_clamp(self):
         doc = make_doc("d", "ecology")
         spec = build_selectp_parent_spec(doc, {"id": "p", "name": "auction", "description": None})
-        parsed = extract_response(mock_complete(spec), ResponseSchema.PARENT_VERDICT)
+        parsed = extract_response(mock_complete(spec), TemplateId.SELECTP_PARENT)
         assert parsed.label_fit is False
         assert parsed.relevancy_score == 0.01
 
@@ -268,7 +333,7 @@ class TestMockProvider:
             doc = make_doc("d", title)
             node = {"id": "n", "name": name, "description": description}
             spec = build_rerank_spec(doc, [node])
-            parsed = extract_response(mock_complete(spec), ResponseSchema.SCORES)
+            parsed = extract_response(mock_complete(spec), TemplateId.RERANK)
             node_text = f"{name}: {description}" if description else name
             expected = min(1.0, max(0.01, round(o_jaccard(o_tokens(title), o_tokens(node_text)), 2)))
             assert dict(parsed.pairs) == {"n": expected}
@@ -287,7 +352,7 @@ class TestMockProvider:
         spec = PromptSpec(template_id=TemplateId.DECREASE_LABELS,
                           user_payload={"document": _doc_payload("alpha beta gamma delta"),
                                         "nodes": nodes})
-        parsed = extract_response(mock_complete(spec), ResponseSchema.TOP_FIVE)
+        parsed = extract_response(mock_complete(spec), TemplateId.DECREASE_LABELS)
         assert len(parsed.ids) == 5
         assert set(parsed.ids[:4]) == {"n0", "n1", "n2", "n3"}
 
@@ -311,10 +376,8 @@ class TestMockProvider:
                  "description": None, "is_leaf": i % 2 == 0}
                 for i in range(n_nodes)
             ]
-            if template_id is TemplateId.SELECT_ONE_PASS:
-                payload["tree"] = "rendered"
         spec = PromptSpec(template_id=template_id, user_payload=payload)
-        parsed = extract_response(mock_complete(spec), spec.expected_schema)
+        parsed = extract_response(mock_complete(spec), spec.template_id)
         assert parsed is not None
 
 

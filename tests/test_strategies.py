@@ -16,7 +16,6 @@ from taxocat.gateway import (
     AuthError,
     ClientError,
     LlmGateway,
-    MockProvider,
     ProviderConfig,
     TemplateId,
     TransportError,
@@ -41,11 +40,11 @@ from taxocat.strategies import (
     classify_select_one_pass,
     classify_select_pointwise,
     classify_trav_select,
-    render_pruned_tree,
 )
 from taxocat.taxonomy import Taxonomy, TaxonomyNode
 
 from .util import (
+    RecordingMockProvider,
     ScriptedProvider,
     TableProvider,
     make_doc,
@@ -55,6 +54,7 @@ from .util import (
     o_overlap,
     o_relevancy,
     random_forest,
+    recording_mock_gateway,
     ternary_taxonomy,
     vocab_doc,
 )
@@ -165,7 +165,7 @@ class TestTravSelect:
             nodes.append(TaxonomyNode(id=f"s{depth}", name="alpha side", parent_id=parent))
             parent = nid
         tax = Taxonomy(nodes)
-        provider = MockProvider(threshold=THRESHOLD)
+        provider = RecordingMockProvider(threshold=THRESHOLD)
         gateway = LlmGateway(provider, ProviderConfig())
         classify_trav_select(make_doc("d", "alpha"), tax, gateway)
         trav_calls = [c for c in provider.calls if c.template_id is TemplateId.TRAV_SELECT]
@@ -218,13 +218,13 @@ class TestSelectOnePass:
                 TaxonomyNode(id="c", name="child node", parent_id="r"),
             ]
         )
-        pt = full_pt(tax)
-        tree, payloads = render_pruned_tree(tax, pt)
-        lines = tree.splitlines()
-        assert lines[0].startswith("r | root node | w0")
-        assert "w60" not in lines[0]
-        assert lines[1].startswith("  c | child node")
-        assert payloads[0]["is_leaf"] is False and payloads[1]["is_leaf"] is True
+        gateway = recording_mock_gateway()
+        classify_select_one_pass(make_doc("d", "root"), tax, full_pt(tax), gateway)
+        (spec,) = gateway.provider.calls
+        tree = spec.user_text.split("\nTaxonomy:\n")[1].splitlines()
+        assert tree == ["r | root node | " + " ".join(f"w{i}" for i in range(60)),
+                        "  c | child node"]
+        assert [node["is_leaf"] for node in spec.user_payload["nodes"]] == [False, True]
 
 
 def _chain_taxonomy():
@@ -643,14 +643,14 @@ class TestSelectPointwise:
 
     def test_contextualize_off_skips_parent_stage(self, mock_gw):
         tax = self._three_leaf_taxonomy()
-        provider = MockProvider(threshold=THRESHOLD)
+        provider = RecordingMockProvider(threshold=THRESHOLD)
         gateway = LlmGateway(provider, ProviderConfig())
         doc = make_doc("d", "auction design pricing markets")
         classify_select_pointwise(doc, tax, full_pt(tax), gateway, contextualize=False)
         assert all(c.template_id is not TemplateId.SELECTP_PARENT for c in provider.calls)
 
     def test_parents_assessed_once_per_document(self, ternary):
-        provider = MockProvider(threshold=0.0)  # everything fits: max parent pressure
+        provider = RecordingMockProvider(threshold=0.0)  # everything fits: max parent pressure
         gateway = LlmGateway(provider, ProviderConfig())
         doc = make_doc("d", "auction")
         classify_select_pointwise(doc, ternary, full_pt(ternary), gateway)

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taxocat.gateway import MockProvider, mock_gateway
 from taxocat.taxonomy import (
     AcronymMap,
     Taxonomy,
@@ -24,7 +23,7 @@ from taxocat.taxonomy import (
     suggest_acronyms,
 )
 
-from .util import random_forest
+from .util import random_forest, recording_mock_gateway
 
 
 def _load(text: str) -> Taxonomy:
@@ -275,11 +274,9 @@ class TestGenerateDescription:
         )
 
     def test_prompt_carries_label_parent_and_exemplar(self):
-        provider = MockProvider()
-        gateway = mock_gateway()
-        gateway.provider = provider
+        gateway = recording_mock_gateway()
         generate_description(self._taxonomy(), "c", gateway, exemplar_id="e")
-        payload = provider.calls[0].user_payload
+        payload = gateway.provider.calls[0].user_payload
         assert payload["label_name"] == "Auction Design"
         assert payload["parent_name"] == "Game Theory"
         assert payload["parent_description"] == "Strategic interaction"
@@ -292,12 +289,10 @@ class TestGenerateDescription:
                 TaxonomyNode(id="e", name="Biology", description="Living systems"),
             ]
         )
-        provider = MockProvider()
-        gateway = mock_gateway()
-        gateway.provider = provider
+        gateway = recording_mock_gateway()
         text = generate_description(tax, "r", gateway, exemplar_id="e")
         assert text
-        payload = provider.calls[0].user_payload
+        payload = gateway.provider.calls[0].user_payload
         assert "parent_name" not in payload and "parent_description" not in payload
 
     def test_mock_description_contains_node_name(self, mock_gw):

@@ -15,6 +15,7 @@ from collections import defaultdict
 import numpy as np
 
 from taxocat.documents import Document
+from taxocat.gateway import DEFAULT_OVERLAP_THRESHOLD, mock_complete, mock_gateway
 from taxocat.retrieval import EmbeddingVector, HashBagEmbedder, RetrievalError
 from taxocat.taxonomy import Taxonomy, TaxonomyNode
 
@@ -121,6 +122,39 @@ class CountingEmbedder(HashBagEmbedder):
 
 
 # -- scripted providers --------------------------------------------------------
+
+
+class RecordingMockProvider:
+    """The mock provider's replies, keeping every PromptSpec for transcript checks."""
+
+    def __init__(self, threshold: float = DEFAULT_OVERLAP_THRESHOLD):
+        self.threshold = threshold
+        self.calls: list = []
+
+    def complete(self, spec, reminder=None):
+        self.calls.append(spec)
+        return mock_complete(spec, self.threshold)
+
+
+def recording_mock_gateway(threshold: float = DEFAULT_OVERLAP_THRESHOLD, audit_log=None):
+    """A mock_gateway whose provider is a RecordingMockProvider."""
+    gateway = mock_gateway(threshold=threshold, audit_log=audit_log)
+    gateway.provider = RecordingMockProvider(threshold)
+    return gateway
+
+
+def record_cli_gateways(monkeypatch) -> list:
+    """Make the CLI's --mock gateways record their prompts; returns them as they are built."""
+    from taxocat import cli
+
+    gateways: list = []
+
+    def build(**kwargs):
+        gateways.append(recording_mock_gateway(**kwargs))
+        return gateways[-1]
+
+    monkeypatch.setattr(cli.gw, "mock_gateway", build)
+    return gateways
 
 
 class ScriptedProvider:
