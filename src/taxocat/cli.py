@@ -169,9 +169,9 @@ def _embedding_store(
     taxonomy: tax.Taxonomy,
     embedder: retrieval.Embedder | None,
 ) -> retrieval.EmbeddingStore:
-    """The taxonomy's leaf index, reusing --embedding-cache rows by leaf id.
+    """The taxonomy's leaf index, reusing --embedding-cache rows by leaf id and text.
 
-    A missing cache file is written; an existing one is read, not updated.
+    The cache file is written when it is missing or holds other leaves or texts.
     """
     if embedder is None:
         raise CliError("document embedding requires --mock or an embedding provider")
@@ -180,7 +180,8 @@ def _embedding_store(
     if cache and Path(cache).exists():
         cached = retrieval.EmbeddingStore.load(cache, model_tag=embedder.model_tag)
     store = retrieval.embed_taxonomy_leaves(taxonomy, embedder, cached)
-    if cache and cached is None:
+    stale = cached is None or (cached.ids, cached.text_hashes) != (store.ids, store.text_hashes)
+    if cache and stale:
         store.save(cache)
     return store
 

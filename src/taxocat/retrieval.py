@@ -9,10 +9,11 @@ taxonomy handed to the LLM strategies.
 from __future__ import annotations
 
 import hashlib
+import os
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Protocol, Sequence
+from typing import IO, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -48,18 +49,6 @@ class EmbeddingVector:
     values: np.ndarray
     model_tag: str
 
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 1:
-            raise RetrievalError("embedding must be a 1-D vector")
-        if not np.all(np.isfinite(arr)):
-            raise RetrievalError("embedding contains non-finite values")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.shape[0])
-
 
 def node_text(node: TaxonomyNode) -> str:
     """Text a node is embedded as: name, plus ': description' when present."""
@@ -68,21 +57,26 @@ def node_text(node: TaxonomyNode) -> str:
     return node.name
 
 
+def text_sha256(text: str) -> str:
+    """Hex sha256 of the UTF-8 text: what a cached row was embedded from."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 class Embedder(Protocol):
     @property
     def model_tag(self) -> str: ...
 
-    def embed(self, text: str) -> EmbeddingVector: ...
-
-    def embed_many(self, texts: Iterable[str]) -> Iterator[EmbeddingVector]: ...
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        """Raw rows, not normalised, as a new (len(texts), dim) float64 array."""
 
 
 class HashBagEmbedder:
     """Deterministic offline embedder: tokens hashed into a bag vector.
 
-    Each token increments one coordinate chosen by a stable digest; the
-    result is unit-normalized. Identical texts map to identical vectors on
-    every platform, which is all the tests and the --mock CLI path need.
+    Each token increments one coordinate chosen by a stable digest, and a
+    text with no tokens counts once in coordinate 0. Identical texts map to
+    identical vectors on every platform, which is all the tests and the
+    --mock CLI path need.
     """
 
     def __init__(self, dim: int = 256):
@@ -97,26 +91,26 @@ class HashBagEmbedder:
         return f"hash-bag-{self.dim}"
 
     def embed(self, text: str) -> EmbeddingVector:
+        return EmbeddingVector(values=self.embed_many([text])[0], model_tag=self.model_tag)
+
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         from .textproc import tokenize
 
         slots = self._slots
-        vec = np.zeros(self.dim, dtype=np.float64)
-        for token in tokenize(text):
-            slot = slots.get(token)
-            if slot is None:
-                if len(slots) >= SLOT_MEMO_SIZE:
-                    slots.clear()
-                digest = hashlib.sha1(token.encode("utf-8")).digest()
-                slot = slots[token] = int.from_bytes(digest[:4], "big") % self.dim
-            vec[slot] += 1.0
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            vec[0] = 1.0
-            norm = 1.0
-        return EmbeddingVector(values=vec / norm, model_tag=self.model_tag)
-
-    def embed_many(self, texts: Iterable[str]) -> Iterator[EmbeddingVector]:
-        return map(self.embed, texts)
+        matrix = np.zeros((len(texts), self.dim))
+        for row, text in zip(matrix, texts):
+            tokens = tokenize(text)
+            if not tokens:
+                row[0] = 1.0
+            for token in tokens:
+                slot = slots.get(token)
+                if slot is None:
+                    if len(slots) >= SLOT_MEMO_SIZE:
+                        slots.clear()
+                    digest = hashlib.sha1(token.encode("utf-8")).digest()
+                    slot = slots[token] = int.from_bytes(digest[:4], "big") % self.dim
+                row[slot] += 1.0
+        return matrix
 
 
 class HttpEmbedder:
@@ -148,18 +142,23 @@ class HttpEmbedder:
     def model_tag(self) -> str:
         return self.model_name
 
-    def embed(self, text: str) -> EmbeddingVector:
-        return self._post([text])[0]
-
-    def embed_many(self, texts: Iterable[str]) -> Iterator[EmbeddingVector]:
-        """Embeddings of `texts` in order, EMBED_BATCH texts per request."""
-        texts = list(texts)
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        """Raw embeddings of `texts` in order, EMBED_BATCH texts per request."""
+        rows: list = []
         for start in range(0, len(texts), EMBED_BATCH):
-            yield from self._post(texts[start:start + EMBED_BATCH])
+            rows += self._post(texts[start:start + EMBED_BATCH])
+        if not rows:
+            return np.empty((0, 0))
+        try:
+            matrix = np.array(rows, dtype=np.float64)
+        except (TypeError, ValueError) as exc:  # ragged rows or non-numbers
+            raise RetrievalError(f"malformed embedding response: {exc}") from exc
+        if matrix.ndim != 2:
+            raise RetrievalError("malformed embedding response: embeddings are not flat lists")
+        return matrix
 
-    def _post(self, texts: list[str]) -> list[EmbeddingVector]:
-        import os
-
+    def _post(self, texts: Sequence[str]) -> list:
+        """The endpoint's embeddings of `texts`, as the reply's JSON, in order."""
         import requests
 
         headers = {"Content-Type": "application/json"}
@@ -182,14 +181,14 @@ class HttpEmbedder:
         try:
             data = response.json()["data"]
             indices = [item["index"] for item in data]
-            rows = [np.array(item["embedding"], dtype=np.float64) for item in data]
+            rows = [item["embedding"] for item in data]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise RetrievalError(f"malformed embedding response: {exc}") from exc
         if indices != list(range(len(texts))):
             raise RetrievalError(
                 f"embedding response for {len(texts)} texts has indices {indices[:10]}"
             )
-        return [EmbeddingVector(values=row, model_tag=self.model_tag) for row in rows]
+        return rows
 
 
 _NUMBER_TYPES = frozenset({int, float})  # exact types: rejects bools and numeric strings
@@ -198,13 +197,17 @@ _NUMBER_TYPES = frozenset({int, float})  # exact types: rejects bools and numeri
 class EmbeddingStore:
     """Node vectors as one read-only matrix of unit-norm rows, ids in row order.
 
-    A store never changes once built: embed_taxonomy_leaves and load build it.
+    Each row keeps the text_sha256 of the text it was embedded from. A store
+    never changes once built: embed_taxonomy_leaves and load build it.
     """
 
-    def __init__(self, model_tag: str, ids: Sequence[str], matrix: np.ndarray):
+    def __init__(self, model_tag: str, ids: Sequence[str], matrix: np.ndarray,
+                 text_hashes: Sequence[str]):
         ids = tuple(ids)
         if len(matrix) != len(ids):
             raise RetrievalError(f"{len(matrix)} embedding rows for {len(ids)} nodes")
+        if len(text_hashes) != len(ids):
+            raise RetrievalError(f"{len(text_hashes)} text hashes for {len(ids)} nodes")
         self._row = {node_id: row for row, node_id in enumerate(ids)}
         if len(self._row) != len(ids):
             duplicates = sorted(node_id for node_id, n in Counter(ids).items() if n > 1)
@@ -213,6 +216,7 @@ class EmbeddingStore:
         self.model_tag = model_tag
         self.ids = ids
         self.matrix = matrix
+        self.text_hashes = tuple(text_hashes)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -227,59 +231,82 @@ class EmbeddingStore:
         return EmbeddingVector(values=self.matrix[row], model_tag=self.model_tag)
 
     def save(self, target: str | Path | IO[str]) -> None:
+        """Write one record per row, sorted by id; a path is replaced atomically.
+
+        The records go to a temporary file beside the path, which then
+        replaces it, so a run that dies mid-write leaves the old file or none.
+        """
         records = (
             {"node_id": node_id, "model_tag": self.model_tag,
-             "vector": self.matrix[self._row[node_id]].tolist()}
-            for node_id in sorted(self.ids)
+             "text_sha256": self.text_hashes[row], "vector": self.matrix[row].tolist()}
+            for node_id, row in sorted(self._row.items())
         )
-        ndjson.write_records(target, records, RetrievalError, "embedding cache")
+        if not isinstance(target, (str, Path)):
+            ndjson.write_records(target, records, RetrievalError, "embedding cache")
+            return
+        target = Path(target)
+        temp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+        try:
+            ndjson.write_records(temp, records, RetrievalError, "embedding cache")
+            os.replace(temp, target)
+        except OSError as exc:
+            raise RetrievalError(
+                f"cannot write embedding cache {target}: {exc.strerror or exc}") from exc
+        finally:
+            temp.unlink(missing_ok=True)
 
     @classmethod
     def load(cls, source: str | Path | IO[str], model_tag: str | None = None) -> "EmbeddingStore":
+        """The store a save wrote: every row is checked to be a unit vector of
+        one dimension, under one model tag, then copied bit for bit."""
         ids: list[str] = []
-        vectors: list[EmbeddingVector] = []
+        hashes: list[str] = []
+        vectors: list[list[float]] = []
         for lineno, record in ndjson.read_records(source, RetrievalError, "embedding cache"):
+            vector = record.get("vector")
             if not (
                 isinstance(record.get("node_id"), str)
                 and isinstance(record.get("model_tag"), str)
-                and isinstance(record.get("vector"), list)
-                and set(map(type, record["vector"])) <= _NUMBER_TYPES
+                and isinstance(record.get("text_sha256"), str)
+                and isinstance(vector, list)
+                and set(map(type, vector)) <= _NUMBER_TYPES
             ):
                 raise RetrievalError(
-                    f"embedding cache line {lineno}: expected "
-                    "{node_id, model_tag, vector: [numbers]}"
-                )
-            tag = record["model_tag"]
-            if model_tag is not None and tag != model_tag:
-                raise RetrievalError(
-                    f"embedding cache line {lineno}: model_tag {tag!r}, expected {model_tag!r}"
-                )
+                    f"embedding cache line {lineno}: expected {{node_id, model_tag, "
+                    "text_sha256, vector: [numbers]}; delete the file to rebuild it")
+            model_tag = record["model_tag"] if model_tag is None else model_tag
+            if record["model_tag"] != model_tag:
+                raise RetrievalError(f"embedding cache line {lineno}: "
+                                     f"model_tag {record['model_tag']!r}, expected {model_tag!r}")
+            if vectors and len(vector) != len(vectors[0]):
+                raise RetrievalError(f"embedding cache line {lineno}: "
+                                     f"{len(vector)} numbers, expected {len(vectors[0])}")
             ids.append(record["node_id"])
-            vectors.append(EmbeddingVector(values=np.array(record["vector"]), model_tag=tag))
-        # The first line's tag is the store's; _unit_rows rejects any other.
-        tag = vectors[0].model_tag if vectors else model_tag or "empty"
-        return cls(tag, ids, _unit_rows(tag, ids, vectors))
+            hashes.append(record["text_sha256"])
+            vectors.append(vector)
+        dim = len(vectors[0]) if vectors else 0
+        matrix = np.array(vectors, dtype=np.float64).reshape(len(vectors), dim)
+        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+        off = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-9))
+        if len(off):
+            raise RetrievalError(f"embedding cache: vector of {ids[off[0]]!r} is not unit "
+                                 "length; delete the file to rebuild it")
+        return cls("empty" if model_tag is None else model_tag, ids, matrix, hashes)
 
 
-def _unit_rows(model_tag: str, ids: Sequence[str],
-               vectors: Iterable[EmbeddingVector]) -> np.ndarray:
-    """A new matrix with each vector normalised into its id's row, checked on the way."""
-    matrix = np.empty((0, 0))
-    filled = 0
-    for node_id, vector in zip(ids, vectors):
-        if vector.model_tag != model_tag:
-            raise RetrievalError(f"store is {model_tag!r}, got vector for {vector.model_tag!r}")
-        if filled == 0:
-            matrix = np.empty((len(ids), vector.dim))
-        elif vector.dim != matrix.shape[1]:
-            raise RetrievalError(f"dimension mismatch: {vector.dim} vs {matrix.shape[1]}")
-        norm = float(np.linalg.norm(vector.values))
-        if norm == 0.0:
-            raise RetrievalError(f"zero-norm embedding for node {node_id!r}")
-        np.divide(vector.values, norm, out=matrix[filled])
-        filled += 1
-    if filled != len(ids):
-        raise RetrievalError(f"got {filled} embeddings for {len(ids)} nodes")
+def _unit_rows(ids: Sequence[str], matrix: np.ndarray) -> np.ndarray:
+    """`matrix` with each row divided by its norm, in place; row i embeds ids[i].
+
+    The one place an embedding is normalised. A zero or non-finite norm
+    raises RetrievalError naming the first such id.
+    """
+    if len(matrix) != len(ids):
+        raise RetrievalError(f"got {len(matrix)} embeddings for {len(ids)} texts")
+    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+    bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0.0)))
+    if len(bad):
+        raise RetrievalError(f"embedding of {ids[bad[0]]!r} has a zero or non-finite norm")
+    matrix /= norms[:, np.newaxis]
     return matrix
 
 
@@ -287,29 +314,31 @@ def embed_taxonomy_leaves(taxonomy: Taxonomy, embedder: Embedder,
                           cached: EmbeddingStore | None = None) -> EmbeddingStore:
     """Store of every leaf's embedding, rows in ascending leaf-id order.
 
-    A leaf whose id is in `cached` keeps that row bit for bit; only the
-    other leaves are embedded, in one embed_many call. Cached rows of ids
-    that are no longer leaves are left out.
+    A leaf whose id and text hash are both in `cached` keeps that row bit
+    for bit; only the other leaves are embedded, in one embed_many call.
+    Cached rows of ids that are no longer leaves are left out.
     """
     leaves = taxonomy.leaf_ids()
     model_tag = embedder.model_tag
     if cached is not None and cached.model_tag != model_tag:
         raise RetrievalError(f"embedding cache is {cached.model_tag!r}, embedder is {model_tag!r}")
-    cached_row = {} if cached is None else cached._row
-    new = [i for i, leaf_id in enumerate(leaves) if leaf_id not in cached_row]
-    new_ids = [leaves[i] for i in new]
-    texts = (node_text(taxonomy.node(leaf_id)) for leaf_id in new_ids)
-    fresh = _unit_rows(model_tag, new_ids, embedder.embed_many(texts))
+    texts = [node_text(taxonomy.node(leaf_id)) for leaf_id in leaves]
+    hashes = [text_sha256(text) for text in texts]
+    cached_row = {} if cached is None else {
+        key: row for row, key in enumerate(zip(cached.ids, cached.text_hashes))}
+    rows = [cached_row.get(key) for key in zip(leaves, hashes)]
+    new = [i for i, row in enumerate(rows) if row is None]
+    fresh = _unit_rows([leaves[i] for i in new], embedder.embed_many([texts[i] for i in new]))
     if len(new) == len(leaves):
-        return EmbeddingStore(model_tag, leaves, fresh)
+        return EmbeddingStore(model_tag, leaves, fresh, hashes)
     matrix = np.empty((len(leaves), cached.matrix.shape[1]))
     if new:
         if fresh.shape[1] != matrix.shape[1]:
             raise RetrievalError(f"dimension mismatch: {fresh.shape[1]} vs {matrix.shape[1]}")
         matrix[new] = fresh
-    kept = [i for i, leaf_id in enumerate(leaves) if leaf_id in cached_row]
-    matrix[kept] = cached.matrix[[cached_row[leaves[i]] for i in kept]]
-    return EmbeddingStore(model_tag, leaves, matrix)
+    kept = [i for i, row in enumerate(rows) if row is not None]
+    matrix[kept] = cached.matrix[[rows[i] for i in kept]]
+    return EmbeddingStore(model_tag, leaves, matrix, hashes)
 
 
 # -- ranking and pruning -----------------------------------------------------
@@ -374,14 +403,11 @@ def rank_leaves(
             raise IndexIncompleteError(missing)
         raise RetrievalError("embedding store rows are not the taxonomy's leaves in order")
     matrix = store.matrix
-    query = embedder.embed(document_text(doc)).values
+    query = _unit_rows([doc.doc_id], embedder.embed_many([document_text(doc)]))[0]
     if query.shape[0] != matrix.shape[1]:
         raise RetrievalError(f"dimension mismatch: {query.shape[0]} vs {matrix.shape[1]}")
-    norm = float(np.linalg.norm(query))
-    if norm == 0.0:
-        raise RetrievalError("cosine similarity undefined for zero-norm vector")
     # einsum, not matrix @ query: that goes to multithreaded BLAS, which costs more CPU here.
-    sims = np.einsum("ij,j->i", matrix, query / norm)
+    sims = np.einsum("ij,j->i", matrix, query)
     sims = np.round(np.clip(sims, -1.0, 1.0), SIM_DECIMALS)
     keys = -sims  # ascending: best first
     order = np.arange(len(keys))

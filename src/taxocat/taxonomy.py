@@ -52,8 +52,7 @@ class HierarchyStats:
 class Taxonomy:
     """Validated, immutable forest of TaxonomyNodes with parent/child indexes."""
 
-    def __init__(self, nodes: Iterable[TaxonomyNode], version_tag: str = "untagged"):
-        self.version_tag = version_tag
+    def __init__(self, nodes: Iterable[TaxonomyNode]):
         self._nodes: dict[str, TaxonomyNode] = {}
         for node in nodes:
             if node.id in self._nodes:
@@ -155,7 +154,7 @@ class Taxonomy:
             if node.id not in merged:
                 raise KeyError(f"unknown node id: {node.id!r}")
             merged[node.id] = node
-        return Taxonomy(merged.values(), version_tag=self.version_tag)
+        return Taxonomy(merged.values())
 
 
 # -- statistics ------------------------------------------------------------
@@ -186,9 +185,7 @@ def hierarchy_stats(taxonomy: Taxonomy) -> HierarchyStats:
 # "acronym_expanded" is written only when true so enrichment round-trips.
 
 
-def load_taxonomy(source: str | Path | IO[str], version_tag: str | None = None) -> Taxonomy:
-    if version_tag is None:
-        version_tag = Path(source).stem if isinstance(source, (str, Path)) else "untagged"
+def load_taxonomy(source: str | Path | IO[str]) -> Taxonomy:
     nodes = []
     for lineno, record in ndjson.read_records(source, TaxonomyParseError, "taxonomy"):
         where = f"taxonomy line {lineno}"
@@ -211,7 +208,7 @@ def load_taxonomy(source: str | Path | IO[str], version_tag: str | None = None) 
             id=node_id, name=name, description=description, parent_id=parent_id,
             acronym_expanded=bool(record.get("acronym_expanded", False)),
         ))
-    return Taxonomy(nodes, version_tag=version_tag)
+    return Taxonomy(nodes)
 
 
 def save_taxonomy(taxonomy: Taxonomy, target: str | Path | IO[str]) -> None:

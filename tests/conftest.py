@@ -17,8 +17,7 @@ def tiny_taxonomy() -> Taxonomy:
             TaxonomyNode(id="A", name="Alpha"),
             TaxonomyNode(id="B", name="Beta", parent_id="A"),
             TaxonomyNode(id="C", name="Gamma", parent_id="A"),
-        ],
-        version_tag="tiny",
+        ]
     )
 
 

@@ -422,7 +422,7 @@ def _reference_scale_taxonomy() -> Taxonomy:
     add_parents_with_leaves(157, "s2", 1170, "b")                  # leaves at depth 4
     add_parents_with_leaves(157, "s3", 158, "c")                   # leaves at depth 5
     add_parents_with_leaves(55, "s4", 790, "d")                    # leaves at depth 6
-    return Taxonomy(nodes, version_tag="reference-scale")
+    return Taxonomy(nodes)
 
 
 def test_criterion_8_hierarchy_stats():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import json
 import logging
@@ -224,7 +225,34 @@ class TestClassify:
             tmp, ["--strategy", "one-pass", "--embedding-cache", str(cache)], out_name="c2.ndjson"
         )
         assert code == 0
-        assert (tmp / "c1.ndjson").read_bytes() == (tmp / "c2.ndjson").read_bytes()
+        assert self._run(tmp, ["--strategy", "one-pass"], out_name="c0.ndjson")[0] == 0
+        assert ((tmp / "c0.ndjson").read_bytes() == (tmp / "c1.ndjson").read_bytes()
+                == (tmp / "c2.ndjson").read_bytes())
+
+    def test_edited_leaf_is_embedded_again_once(self, workdir, monkeypatch):
+        tmp, tax, _ = workdir
+        cache = tmp / "emb.ndjson"
+        args = ["--strategy", "one-pass", "--embedding-cache", str(cache)]
+        assert self._run(tmp, args, out_name="c1.ndjson")[0] == 0
+        written = cache.read_bytes()
+        edited = dataclasses.replace(tax.node("t2m1l0"), description="auction credit")
+        save_taxonomy(tax.with_nodes([edited]), tmp / "taxonomy.ndjson")
+        embedders = []
+
+        def counting_embedder(config):
+            embedders.append(CountingEmbedder())
+            return embedders[-1]
+
+        monkeypatch.setattr(cli, "_make_embedder", counting_embedder)
+        assert self._run(tmp, args, out_name="c2.ndjson")[0] == 0
+        assert embedders[0].batches[0] == [retrieval.node_text(edited)]
+        rewritten = cache.read_bytes()
+        assert rewritten != written
+        assert self._run(tmp, args, out_name="c3.ndjson")[0] == 0
+        assert embedders[1].batches[0] == []
+        assert cache.read_bytes() == rewritten
+        assert self._run(tmp, ["--strategy", "one-pass"], out_name="c4.ndjson")[0] == 0
+        assert (tmp / "c2.ndjson").read_bytes() == (tmp / "c4.ndjson").read_bytes()
 
     def test_leaf_added_after_the_cache_was_written(self, workdir, monkeypatch):
         tmp, tax, _ = workdir
@@ -252,8 +280,10 @@ class TestClassify:
         assert code == 0
         records = [json.loads(line) for line in cached_out.read_text().splitlines()]
         assert not any("hard-failure" in record["flags"] for record in records)
-        assert embedders[0].batches == [["auction credit: risk pricing"]]
-        assert cache.read_bytes() == written
+        assert embedders[0].batches[0] == ["auction credit: risk pricing"]
+        assert cache.read_bytes() != written
+        grown = tuple(sorted(tax.leaf_ids() + ("t2m1l9",)))
+        assert retrieval.EmbeddingStore.load(cache).ids == grown
         # Ranked as by an index built from scratch.
         code, fresh_out = self._run(tmp, ["--strategy", "one-pass"], out_name="c3.ndjson")
         assert code == 0
@@ -490,7 +520,7 @@ class TestProviderWiring:
                                         "embedding_endpoint": "https://api.example/emb"}))
         embedder = cli._make_embedder(
             cli._provider_config(argparse.Namespace(mock=False, provider=str(provider))))
-        embedder.embed("text")
+        embedder.embed_many(["text"])
         assert timeouts == [5.0]
 
     @pytest.mark.parametrize("command", ["classify", "rank"])

@@ -59,13 +59,14 @@ def _store() -> EmbeddingStore:
     rng = np.random.default_rng(3)
     rows = rng.normal(size=(4, 5))
     return EmbeddingStore("modèle-1", ("b", "a", "nœud", "c"),
-                          rows / np.linalg.norm(rows, axis=1, keepdims=True))
+                          rows / np.linalg.norm(rows, axis=1, keepdims=True), "wxyz")
 
 
 class TestEmbeddingCacheRoundTrip:
     def _assert_same(self, loaded: EmbeddingStore, store: EmbeddingStore) -> None:
         assert loaded.model_tag == store.model_tag
-        assert sorted(loaded.ids) == sorted(store.ids)
+        assert (sorted(zip(loaded.ids, loaded.text_hashes))
+                == sorted(zip(store.ids, store.text_hashes)))
         for node_id in store.ids:
             assert loaded.get(node_id).values.tobytes() == store.get(node_id).values.tobytes()
 
@@ -85,8 +86,9 @@ class TestEmbeddingCacheRoundTrip:
         store = _store()
         path = tmp_path / "cache.ndjson"
         with path.open("w", encoding="utf-8") as fh:
-            for node_id in sorted(store.ids):
+            for node_id, text_hash in sorted(zip(store.ids, store.text_hashes)):
                 record = {"node_id": node_id, "model_tag": store.model_tag,
+                          "text_sha256": text_hash,
                           "vector": [float(x) for x in store.get(node_id).values]}
                 fh.write(json.dumps(record) + "\n")
         assert "\\u0153" in path.read_text(encoding="utf-8")

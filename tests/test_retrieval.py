@@ -1,6 +1,7 @@
 """Embedding, ranking, pruning, and recall metrics."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -12,13 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taxocat import ndjson
 from taxocat.documents import Document, DocumentError, document_text
 from taxocat.retrieval import (
     EMBED_BATCH,
     SIM_DECIMALS,
     DepthRecall,
     EmbeddingStore,
-    EmbeddingVector,
     HashBagEmbedder,
     HttpEmbedder,
     IndexIncompleteError,
@@ -30,6 +31,7 @@ from taxocat.retrieval import (
     node_text,
     rank_leaves,
     recall_at_k,
+    text_sha256,
 )
 from taxocat.taxonomy import Taxonomy, TaxonomyNode
 
@@ -109,8 +111,8 @@ class TestDocumentLoading:
 
 
 class TestCosine:
-    def _vec(self, *values, tag="t"):
-        return EmbeddingVector(values=np.array(values, dtype=float), model_tag=tag)
+    def _vec(self, *values):
+        return np.array(values, dtype=float)
 
     def test_self_similarity(self):
         v = self._vec(0.3, -0.2, 0.9)
@@ -131,17 +133,9 @@ class TestCosine:
         with pytest.raises(RetrievalError, match="dimension"):
             cosine_similarity(self._vec(1, 2), self._vec(1, 2, 3))
 
-    def test_model_tag_mismatch(self):
-        with pytest.raises(RetrievalError, match="model_tag"):
-            cosine_similarity(self._vec(1, 2), self._vec(1, 2, tag="other"))
-
     def test_zero_norm(self):
         with pytest.raises(RetrievalError, match="zero-norm"):
             cosine_similarity(self._vec(0, 0), self._vec(1, 2))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(RetrievalError):
-            self._vec(float("nan"), 1.0)
 
     @given(
         st.lists(st.floats(-5, 5), min_size=3, max_size=3),
@@ -159,13 +153,15 @@ class TestCosine:
 
 
 class TestEmbedderAndStore:
-    def test_hash_bag_deterministic_and_unit_norm(self):
+    def test_hash_bag_rows_are_raw_token_counts(self):
         embedder = HashBagEmbedder(dim=64)
-        v1 = embedder.embed("auction design and markets")
-        v2 = embedder.embed("auction design and markets")
-        assert np.array_equal(v1.values, v2.values)
-        assert np.linalg.norm(v1.values) == pytest.approx(1.0)
-        assert v1.model_tag == "hash-bag-64"
+        texts = ["auction design and markets auction", "auction design and markets auction"]
+        rows = embedder.embed_many(texts)
+        assert rows.shape == (2, 64) and rows.dtype == np.float64
+        assert np.array_equal(rows[0], rows[1])
+        assert sorted(rows[0][rows[0] > 0].tolist()) == [1.0, 1.0, 1.0, 2.0]
+        assert np.array_equal(embedder.embed(texts[0]).values, rows[0])
+        assert embedder.embed(texts[0]).model_tag == "hash-bag-64"
 
     def test_hash_bag_word_memo_is_bounded(self, monkeypatch):
         texts = ["auction design and markets", "credit risk pricing", "auction risk"]
@@ -176,26 +172,25 @@ class TestEmbedderAndStore:
             assert np.array_equal(embedder.embed(text).values, values)
         assert len(embedder._slots) <= 3
 
-    def test_empty_text_still_embeds(self):
-        v = HashBagEmbedder(dim=16).embed("")
-        assert np.linalg.norm(v.values) == pytest.approx(1.0)
+    def test_empty_text_counts_once_in_slot_0(self):
+        assert HashBagEmbedder(dim=16).embed("").values.tolist() == [1.0] + [0.0] * 15
 
     def test_store_normalizes_at_ingest(self, tiny_taxonomy):
         store = embed_taxonomy_leaves(tiny_taxonomy, FixedEmbedder({"Beta": [3.0, 4.0]}))
         assert np.allclose(store.get("B").values, [0.6, 0.8])
-        cache = io.StringIO('{"node_id": "a", "model_tag": "t", "vector": [0, -2]}\n')
-        assert np.allclose(EmbeddingStore.load(cache).get("a").values, [0.0, -1.0])
 
-    def test_store_rejects_foreign_tag(self, tiny_taxonomy):
-        embedder = FixedEmbedder({}, vector_tag="other")
-        with pytest.raises(RetrievalError, match="store"):
-            embed_taxonomy_leaves(tiny_taxonomy, embedder)
+    def test_load_rejects_a_row_that_is_not_unit_length(self):
+        line = '{"node_id": "a", "model_tag": "t", "text_sha256": "h", "vector": [0, -2]}\n'
+        with pytest.raises(RetrievalError, match="'a' is not unit length; delete the file"):
+            EmbeddingStore.load(io.StringIO(line))
 
     def test_store_rejects_duplicate_ids_and_row_count_mismatch(self):
         with pytest.raises(RetrievalError, match="duplicate embedding ids: a"):
-            EmbeddingStore("t", ("a", "b", "a"), np.eye(3))
+            EmbeddingStore("t", ("a", "b", "a"), np.eye(3), ("h",) * 3)
         with pytest.raises(RetrievalError, match="2 embedding rows for 3 nodes"):
-            EmbeddingStore("t", ("a", "b", "c"), np.eye(2))
+            EmbeddingStore("t", ("a", "b", "c"), np.eye(2), ("h",) * 3)
+        with pytest.raises(RetrievalError, match="2 text hashes for 3 nodes"):
+            EmbeddingStore("t", ("a", "b", "c"), np.eye(3), ("h",) * 2)
 
     def test_save_load_round_trip(self, tmp_path):
         embedder = HashBagEmbedder(dim=32)
@@ -203,12 +198,51 @@ class TestEmbedderAndStore:
         path = tmp_path / "cache.ndjson"
         store.save(path)
         loaded = EmbeddingStore.load(path, model_tag=embedder.model_tag)
-        assert len(loaded) == len(store)
-        for node_id in store.ids:
-            assert np.allclose(loaded.get(node_id).values, store.get(node_id).values)
+        assert loaded.ids == store.ids and loaded.text_hashes == store.text_hashes
+        assert np.array_equal(loaded.matrix, store.matrix)
+
+    def test_save_load_is_bit_for_bit_where_normalising_again_is_not(self):
+        # Found by search: dividing this leaf's unit row by its norm again
+        # changes its bits, as the load of a saved cache used to do.
+        name = ("gapivo ranado bosola gapivo ranado bosola sopode kolepi tucike ritoru tafidu "
+                "kilagu larogo sekeda pidalu locato nudede debudo kusisi ratoti zekuku sezosu "
+                "gezoko mugola redapu rucepu")
+        tax = Taxonomy([TaxonomyNode(id="r", name="root"),
+                        TaxonomyNode(id="L", name=name, parent_id="r")])
+        store = embed_taxonomy_leaves(tax, HashBagEmbedder())
+        row = store.get("L").values
+        assert not np.array_equal(row / np.linalg.norm(row), row)
+        buffer = io.StringIO()
+        store.save(buffer)
+        loaded = EmbeddingStore.load(io.StringIO(buffer.getvalue()))
+        assert np.array_equal(loaded.get("L").values, row)
+
+    def test_failed_write_leaves_neither_file(self, tmp_path, monkeypatch):
+        store = embed_taxonomy_leaves(random_forest(random.Random(6), 30), HashBagEmbedder(dim=8))
+        real_write = ndjson.write_records
+
+        def torn_write(file, records, error, what):
+            def first_then_fail():
+                yield next(iter(records))
+                raise error("disk full")
+
+            real_write(file, first_then_fail(), error, what)
+
+        monkeypatch.setattr(ndjson, "write_records", torn_write)
+        with pytest.raises(RetrievalError, match="disk full"):
+            store.save(tmp_path / "cache.ndjson")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_save_replaces_the_file(self, tmp_path):
+        path = tmp_path / "cache.ndjson"
+        path.write_text("torn {\n")
+        store = EmbeddingStore("a", ("x",), np.array([[0.6, 0.8]]), ("h",))
+        store.save(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.ndjson"]
+        assert EmbeddingStore.load(path).ids == ("x",)
 
     def test_load_rejects_tag_mismatch(self, tmp_path):
-        store = EmbeddingStore("a", ("x",), np.array([[0.6, 0.8]]))
+        store = EmbeddingStore("a", ("x",), np.array([[0.6, 0.8]]), ("h",))
         path = tmp_path / "cache.ndjson"
         store.save(path)
         with pytest.raises(RetrievalError, match="model_tag"):
@@ -227,9 +261,8 @@ class TestEmbedderAndStore:
 
         embedder = HttpEmbedder(endpoint="https://x/emb", model_name="m",
                                 session=FakeSession())
-        vec = embedder.embed("hello")
-        assert vec.model_tag == "m"
-        assert np.allclose(vec.values, [1.0, 2.0, 2.0])
+        assert embedder.model_tag == "m"
+        assert embedder.embed_many(["hello"]).tolist() == [[1.0, 2.0, 2.0]]
 
     def test_http_embedder_error(self):
         class FakeSession:
@@ -244,7 +277,7 @@ class TestEmbedderAndStore:
 
         embedder = HttpEmbedder(endpoint="https://x/emb", model_name="m", session=FakeSession())
         with pytest.raises(RetrievalError, match="HTTP 500"):
-            embedder.embed("hello")
+            embedder.embed_many(["hello"])
 
     def test_http_embedder_batches_leaf_texts(self):
         session = _EmbeddingSession()
@@ -270,24 +303,35 @@ class TestEmbedderAndStore:
         session = _EmbeddingSession(reply)
         embedder = HttpEmbedder(endpoint="https://x/emb", model_name="m", session=session)
         with pytest.raises(RetrievalError, match="indices"):
-            list(embedder.embed_many(["alpha", "beta", "gamma"]))
+            embedder.embed_many(["alpha", "beta", "gamma"])
+
+    @pytest.mark.parametrize("embedding", [
+        [1.0, float("nan"), 2.0, 3.0], [1.0, 2.0], [1.0, "x", 2.0, 3.0], [0.0] * 4,
+    ], ids=["nan", "ragged", "non-numeric", "all-zero"])
+    def test_http_embedding_is_checked(self, tiny_taxonomy, embedding):
+        def reply(data):
+            return data[:-1] + [{**data[-1], "embedding": embedding}]
+
+        embedder = HttpEmbedder(endpoint="https://x/emb", model_name="m",
+                                session=_EmbeddingSession(reply))
+        with pytest.raises(RetrievalError):
+            embed_taxonomy_leaves(tiny_taxonomy, embedder)
+        store = EmbeddingStore("m", ("B", "C"), np.eye(2, 4), ("h", "h"))
+        with pytest.raises(RetrievalError):
+            rank_leaves(make_doc("d", "beta"), tiny_taxonomy, store, embedder)
 
 
 class FixedEmbedder:
-    """Embeds each text as its vector in `vectors`, or as [1, 1]."""
+    """Embeds each text as its 2-D vector in `vectors`, or as [1, 1]."""
 
     model_tag = "fixed"
 
-    def __init__(self, vectors: dict[str, list[float]], vector_tag: str = "fixed"):
+    def __init__(self, vectors: dict[str, list[float]]):
         self.vectors = vectors
-        self.vector_tag = vector_tag
-
-    def embed(self, text: str) -> EmbeddingVector:
-        return EmbeddingVector(values=np.array(self.vectors.get(text, [1.0, 1.0])),
-                               model_tag=self.vector_tag)
 
     def embed_many(self, texts):
-        return map(self.embed, texts)
+        rows = [self.vectors.get(text, [1.0, 1.0]) for text in texts]
+        return np.array(rows, dtype=np.float64).reshape(len(texts), 2)
 
 
 class TestEmbedTaxonomyLeaves:
@@ -319,21 +363,33 @@ class TestEmbedTaxonomyLeaves:
         assert "t1m2l0" not in store
         assert embedder.batches == [[]]
 
+    def test_edited_leaf_is_the_only_text_embedded(self):
+        tax = ternary_taxonomy()
+        cached = embed_taxonomy_leaves(tax, HashBagEmbedder())
+        edited = dataclasses.replace(tax.node("t1m0l1"), description="auction credit")
+        changed = tax.with_nodes([edited])
+        embedder = CountingEmbedder()
+        store = embed_taxonomy_leaves(changed, embedder, cached)
+        assert embedder.batches == [[node_text(edited)]]
+        fresh = embed_taxonomy_leaves(changed, HashBagEmbedder())
+        assert np.array_equal(store.matrix, fresh.matrix)
+
     def test_cached_row_is_copied_not_normalised_again(self, tiny_taxonomy):
         row = np.array([1.0, 1.0]) / np.linalg.norm([1.0, 1.0])
         assert (row / np.linalg.norm(row)).tobytes() != row.tobytes()
-        cached = EmbeddingStore("fixed", ("B",), np.array([row]))
+        cached = EmbeddingStore("fixed", ("B",), np.array([row]), (text_sha256("Beta"),))
         store = embed_taxonomy_leaves(tiny_taxonomy, FixedEmbedder({}), cached)
         assert store.get("B").values.tobytes() == row.tobytes()
         assert np.allclose(store.get("C").values, row)
 
     def test_cache_of_another_model_is_rejected(self, tiny_taxonomy):
-        cached = EmbeddingStore("other", ("B",), np.array([[1.0, 0.0]]))
+        cached = EmbeddingStore("other", ("B",), np.array([[1.0, 0.0]]), (text_sha256("Beta"),))
         with pytest.raises(RetrievalError, match="embedding cache is 'other'"):
             embed_taxonomy_leaves(tiny_taxonomy, FixedEmbedder({}), cached)
 
     def test_cache_of_another_dimension_is_rejected(self, tiny_taxonomy):
-        cached = EmbeddingStore("fixed", ("B",), np.array([[1.0, 0.0, 0.0]]))
+        cached = EmbeddingStore("fixed", ("B",), np.array([[1.0, 0.0, 0.0]]),
+                                (text_sha256("Beta"),))
         with pytest.raises(RetrievalError, match="dimension mismatch: 2 vs 3"):
             embed_taxonomy_leaves(tiny_taxonomy, FixedEmbedder({}), cached)
 
@@ -374,15 +430,16 @@ class DyadicEmbedder:
 
     model_tag = "dyadic-64"
 
-    def embed(self, text: str) -> EmbeddingVector:
+    @staticmethod
+    def vector(text: str) -> np.ndarray:
         rng = random.Random(hashlib.sha256(text.encode("utf-8")).digest())
         values = np.zeros(64)
         for coord in rng.sample(range(64), 16):
             values[coord] = rng.choice((-0.25, 0.25))
-        return EmbeddingVector(values=values, model_tag=self.model_tag)
+        return values
 
     def embed_many(self, texts):
-        return map(self.embed, texts)
+        return np.array([self.vector(text) for text in texts]).reshape(len(texts), 64)
 
 
 def _named_taxonomy(names: dict[str, str], parents: dict[str, str | None]) -> Taxonomy:
@@ -455,9 +512,9 @@ class TestRankLeaves:
         embedder = DyadicEmbedder()
         store = embed_taxonomy_leaves(tax, embedder)
         doc = vocab_doc(rng, "d")
-        doc_vec = embedder.embed(document_text(doc))
+        doc_vec = embedder.vector(document_text(doc))
         keyed = sorted(
-            (-round(cosine_similarity(doc_vec, embedder.embed(node_text(tax.node(leaf_id)))),
+            (-round(cosine_similarity(doc_vec, embedder.vector(node_text(tax.node(leaf_id)))),
                     SIM_DECIMALS), leaf_id)
             for leaf_id in tax.leaf_ids()
         )
@@ -482,19 +539,19 @@ class TestRankLeaves:
 
     def test_missing_embeddings_listed(self, tiny_taxonomy):
         embedder = HashBagEmbedder(dim=32)
-        store = EmbeddingStore(embedder.model_tag, ("B",), np.eye(1, 32))
+        store = EmbeddingStore(embedder.model_tag, ("B",), np.eye(1, 32), ("h",))
         with pytest.raises(IndexIncompleteError) as err:
             rank_leaves(make_doc("d", "beta"), tiny_taxonomy, store, embedder)
         assert err.value.missing_ids == ("C",)
 
     def test_store_rows_must_be_the_leaves_in_order(self, tiny_taxonomy):
         embedder = HashBagEmbedder(dim=32)
-        store = EmbeddingStore(embedder.model_tag, ("C", "B"), np.eye(2, 32))
+        store = EmbeddingStore(embedder.model_tag, ("C", "B"), np.eye(2, 32), ("h", "h"))
         with pytest.raises(RetrievalError, match="leaves in order"):
             rank_leaves(make_doc("d", "beta"), tiny_taxonomy, store, embedder)
 
     def test_embedder_store_tag_mismatch(self, tiny_taxonomy):
-        store = EmbeddingStore("other", (), np.empty((0, 0)))
+        store = EmbeddingStore("other", (), np.empty((0, 0)), ())
         with pytest.raises(RetrievalError, match="model_tag|store"):
             rank_leaves(make_doc("d", "x"), tiny_taxonomy, store, HashBagEmbedder(dim=16))
 
@@ -624,8 +681,20 @@ class TestMalformedRecords:
         with pytest.raises(RetrievalError, match="embedding cache line 1"):
             EmbeddingStore.load(io.StringIO("[1]\n"))
 
+    def test_cache_line_without_text_hash(self):
+        line = json.dumps({"node_id": "n", "model_tag": "t", "vector": [1.0, 0.0]})
+        with pytest.raises(RetrievalError, match="line 1: .*text_sha256.*delete the file"):
+            EmbeddingStore.load(io.StringIO(line + "\n"))
+
     @pytest.mark.parametrize("vector", [[1.0, "2"], [True, 1.0], [[1.0, 0.0]], "1.0", None])
     def test_cache_vector_must_be_numbers(self, vector):
-        line = json.dumps({"node_id": "n", "model_tag": "t", "vector": vector})
+        line = json.dumps({"node_id": "n", "model_tag": "t", "text_sha256": "h", "vector": vector})
         with pytest.raises(RetrievalError, match="embedding cache line 1"):
             EmbeddingStore.load(io.StringIO(line + "\n"))
+
+    def test_cache_rows_must_have_one_dimension(self):
+        lines = [json.dumps({"node_id": node_id, "model_tag": "t", "text_sha256": "h",
+                             "vector": vector})
+                 for node_id, vector in (("a", [1.0, 0.0]), ("b", [1.0, 0.0, 0.0]))]
+        with pytest.raises(RetrievalError, match="line 2: 3 numbers, expected 2"):
+            EmbeddingStore.load(io.StringIO("\n".join(lines) + "\n"))

@@ -16,7 +16,7 @@ import numpy as np
 
 from taxocat.documents import Document
 from taxocat.gateway import DEFAULT_OVERLAP_THRESHOLD, mock_complete, mock_gateway
-from taxocat.retrieval import EmbeddingVector, HashBagEmbedder, RetrievalError
+from taxocat.retrieval import HashBagEmbedder, RetrievalError
 from taxocat.taxonomy import Taxonomy, TaxonomyNode
 
 VOCAB = [
@@ -57,7 +57,7 @@ def ternary_taxonomy(with_descriptions: bool = True) -> Taxonomy:
                 nodes.append(TaxonomyNode(id=lid, name=" ".join(next_words(2)), parent_id=mid,
                                           description=" ".join(next_words(2))
                                           if with_descriptions and l % 2 == 0 else None))
-    return Taxonomy(nodes, version_tag="ternary")
+    return Taxonomy(nodes)
 
 
 def vocab_doc(rng: random.Random, doc_id: str) -> Document:
@@ -68,8 +68,7 @@ def vocab_doc(rng: random.Random, doc_id: str) -> Document:
     return Document(doc_id=doc_id, title=title, keywords=keywords, abstract=abstract)
 
 
-def random_forest(rng: random.Random, n_nodes: int, max_depth: int = 9,
-                  version_tag: str = "random") -> Taxonomy:
+def random_forest(rng: random.Random, n_nodes: int, max_depth: int = 9) -> Taxonomy:
     """Random forest of n_nodes; parents drawn among shallower earlier nodes."""
     assert n_nodes >= 1
     n_roots = rng.randint(1, max(1, n_nodes // 10))
@@ -89,23 +88,21 @@ def random_forest(rng: random.Random, n_nodes: int, max_depth: int = 9,
         name = f"{rng.choice(VOCAB)} {rng.choice(VOCAB)} {i}"
         description = " ".join(rng.choice(VOCAB) for _ in range(3)) if rng.random() < 0.4 else None
         nodes.append(TaxonomyNode(id=nid, name=name, description=description, parent_id=parent))
-    return Taxonomy(nodes, version_tag=version_tag)
+    return Taxonomy(nodes)
 
 
 # -- similarity oracle -----------------------------------------------------------
 
 
-def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """dot(a, b) / (||a|| * ||b||), clipped to [-1, 1]: the per-pair reference."""
-    if a.model_tag != b.model_tag:
-        raise RetrievalError(f"model_tag mismatch: {a.model_tag!r} vs {b.model_tag!r}")
-    if a.dim != b.dim:
-        raise RetrievalError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    norm_a = float(np.linalg.norm(a.values))
-    norm_b = float(np.linalg.norm(b.values))
+    if a.shape != b.shape:
+        raise RetrievalError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    norm_a = float(np.linalg.norm(a))
+    norm_b = float(np.linalg.norm(b))
     if norm_a == 0.0 or norm_b == 0.0:
         raise RetrievalError("cosine similarity undefined for zero-norm vector")
-    sim = float(np.dot(a.values, b.values) / (norm_a * norm_b))
+    sim = float(np.dot(a, b) / (norm_a * norm_b))
     return max(-1.0, min(1.0, sim))
 
 
