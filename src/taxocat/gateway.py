@@ -4,10 +4,11 @@ deterministic mock provider.
 
 Prompt templates live as text assets under taxocat/prompts, keyed by
 template id, so they can be versioned and audited independently of code.
-Every taxonomy node a prompt shows is shaped by node_payload and drawn by
-one line rule. Every provider response is funneled through extract_response,
-which reads the reply its template asks for; callers only ever see typed
-ParsedResponse values.
+Every prompt about a document is built by doc_spec, and every taxonomy node
+a prompt shows is shaped by node_payload and drawn by one line rule. Every
+provider response is funneled through extract_response, which reads the
+reply its template asks for; callers only ever see typed ParsedResponse
+values.
 """
 from __future__ import annotations
 
@@ -204,11 +205,20 @@ _JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (boo
                "dict": (dict,), "None": (type(None),)}
 
 
+def _finite_number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def read_json_config(path: str | Path, types: Mapping[str, str], what: str) -> dict[str, Any]:
     """The JSON object in a config file. Its keys must be in `types`, and each
-    value must have its key's type, named as in an annotation ("str | None")."""
+    value must have its key's type, named as in an annotation ("str | None").
+    NaN, Infinity and numbers too large for a float are errors."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"),
+                          parse_float=_finite_number, parse_constant=_finite_number)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
     if not isinstance(data, dict):
@@ -281,7 +291,7 @@ def _render_user_text(spec: PromptSpec) -> str:
         tree = [_label_line(node, "  " * node["depth"]) for node in payload["nodes"]]
         return "\n".join([_document_block(payload["document"]), "", "Taxonomy:", *tree])
     if tid in (TemplateId.SELECTP_LEAF, TemplateId.SELECTP_PARENT):
-        node = payload["node"]
+        [node] = payload["nodes"]
         parts = [
             _document_block(payload["document"]),
             "",
@@ -308,13 +318,19 @@ def node_payload(node: TaxonomyNode, **extra: Any) -> dict[str, Any]:
     return {"id": node.id, "name": node.name, "description": description, **extra}
 
 
-def doc_payload(doc: Document) -> dict[str, Any]:
-    return {
-        "doc_id": doc.doc_id,
-        "title": doc.title,
-        "keywords": list(doc.keywords),
-        "abstract": doc.abstract,
-    }
+def doc_spec(template_id: TemplateId, doc: Document,
+             nodes: Sequence[Mapping[str, Any]]) -> PromptSpec:
+    """The prompt `template_id` asks about `doc`, showing `nodes` as node_payload shapes them.
+
+    A pointwise template shows one node. The one-pass tree's nodes come in
+    depth-first order, each with its `depth` (0 at the top) and `is_leaf`.
+    """
+    document = {"doc_id": doc.doc_id, "title": doc.title, "keywords": list(doc.keywords),
+                "abstract": doc.abstract}
+    system_text = ""
+    if template_id is TemplateId.RERANK:
+        system_text = load_template(template_id).format(*[len(nodes)] * 3)
+    return PromptSpec(template_id, {"document": document, "nodes": list(nodes)}, system_text)
 
 
 def build_desc_gen_spec(
@@ -333,50 +349,9 @@ def build_desc_gen_spec(
     return PromptSpec(template_id=TemplateId.DESC_GEN, user_payload=payload)
 
 
-def build_trav_select_spec(doc: Document, nodes: Sequence[Mapping[str, Any]]) -> PromptSpec:
-    return PromptSpec(
-        template_id=TemplateId.TRAV_SELECT,
-        user_payload={"document": doc_payload(doc), "nodes": list(nodes)},
-    )
-
-
-def build_select_one_pass_spec(doc: Document, nodes: Sequence[Mapping[str, Any]]) -> PromptSpec:
-    """`nodes` in depth-first order, each with its `depth` (0 at the top) and `is_leaf`."""
-    return PromptSpec(
-        template_id=TemplateId.SELECT_ONE_PASS,
-        user_payload={"document": doc_payload(doc), "nodes": list(nodes)},
-    )
-
-
-def build_rerank_spec(doc: Document, nodes: Sequence[Mapping[str, Any]]) -> PromptSpec:
-    count = len(nodes)
-    system_text = load_template(TemplateId.RERANK).format(count, count, count)
-    return PromptSpec(
-        template_id=TemplateId.RERANK,
-        user_payload={"document": doc_payload(doc), "nodes": list(nodes)},
-        system_text=system_text,
-    )
-
-
 def build_selectp_leaf_spec(doc: Document, node: Mapping[str, Any]) -> PromptSpec:
-    return PromptSpec(
-        template_id=TemplateId.SELECTP_LEAF,
-        user_payload={"document": doc_payload(doc), "node": dict(node)},
-    )
-
-
-def build_selectp_parent_spec(doc: Document, node: Mapping[str, Any]) -> PromptSpec:
-    return PromptSpec(
-        template_id=TemplateId.SELECTP_PARENT,
-        user_payload={"document": doc_payload(doc), "node": dict(node)},
-    )
-
-
-def build_decrease_labels_spec(doc: Document, nodes: Sequence[Mapping[str, Any]]) -> PromptSpec:
-    return PromptSpec(
-        template_id=TemplateId.DECREASE_LABELS,
-        user_payload={"document": doc_payload(doc), "nodes": list(nodes)},
-    )
+    """doc_spec for one pointwise leaf verdict; the benchmark's tests call it by this name."""
+    return doc_spec(TemplateId.SELECTP_LEAF, doc, [node])
 
 
 # -- response extraction ---------------------------------------------------------------
@@ -417,7 +392,12 @@ def _id_list(obj: dict, key: str) -> tuple[str, ...]:
 def _checked_score(value: Any, low: float, high: float, slack: float = 0.005) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"score must be a number, got {value!r}")
-    score = float(value)
+    try:
+        score = float(value)
+    except OverflowError:  # an integer too large for a float
+        score = math.inf
+    if not math.isfinite(score):
+        raise SchemaError(f"score must be finite, got {score}")
     if score < low - slack or score > high + slack:
         raise ScoreRangeError(f"score {score} outside [{low}, {high}]")
     return min(high, max(low, score))
@@ -555,7 +535,8 @@ def mock_complete(spec: PromptSpec, threshold: float = DEFAULT_OVERLAP_THRESHOLD
 
     doc_tokens = _payload_doc_tokens(payload)
     if tid in (TemplateId.SELECTP_LEAF, TemplateId.SELECTP_PARENT):
-        overlap = jaccard(doc_tokens, _payload_node_tokens(payload["node"]))
+        [node] = payload["nodes"]
+        overlap = jaccard(doc_tokens, _payload_node_tokens(node))
         verdict: dict[str, Any] = {
             "main_focus": _mock_focus(payload),
             "label_fit": overlap >= threshold,

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from . import gateway as gw
 from .documents import Document
 from .retrieval import PrunedTaxonomy
-from .strategies import LabelSet, Method, with_flags
+from .strategies import LabelSet, Method, known_ids, with_flags
 from .taxonomy import Taxonomy
 
 logger = logging.getLogger(__name__)
@@ -29,13 +29,7 @@ FLAG_NEEDS_REVIEW = "needs-review"
 class PostProcessConfig:
     max_labels: int = 5
     sibling_cap: int = 3
-    apply_decrease: Mapping[Method, bool] = field(
-        default_factory=lambda: {
-            Method.TRAV_SELECT: True,
-            Method.SELECT_ONE_PASS: True,
-            Method.SELECT_POINTWISE: True,
-        }
-    )
+    apply_decrease: Mapping[Method, bool] = field(default_factory=dict)  # unlisted: decreased
     apply_sibling: bool = True
     random_decrease: bool = False  # ablation: seeded uniform pick instead of the LLM call
 
@@ -74,44 +68,24 @@ def decrease_labels(
         payloads.append(gw.node_payload(node, parent_name=parent and parent.name))
 
     flags: list[str] = []
-    candidate_set = set(candidates)
-    kept: list[str] = []
     returned: list[str] = []
+    kept: list[str] = []
     try:
-        parsed = gateway.call_with_retry(gw.build_decrease_labels_spec(doc, payloads))
+        parsed = gateway.call_with_retry(gw.doc_spec(gw.TemplateId.DECREASE_LABELS, doc, payloads))
         returned = list(parsed.ids)
-        for node_id in returned:
-            if node_id in candidate_set and node_id not in kept:
-                kept.append(node_id)
-            elif node_id not in candidate_set:
-                logger.warning("decrease[%s]: dropping unknown id %r", doc.doc_id, node_id)
+        kept = known_ids(returned, set(candidates), f"decrease[{doc.doc_id}]")
     except (gw.RetryExhaustedError, gw.ProviderError):
         logger.warning("decrease[%s]: provider failed, falling back to input order", doc.doc_id)
         flags.append(FLAG_DECREASE_FALLBACK)
+    if returned and len(kept) != max_labels:
+        flags.append(FLAG_DECREASE_FALLBACK)
 
-    if len(kept) != max_labels:
-        if not flags and returned:
-            flags.append(FLAG_DECREASE_FALLBACK)
-        ordered = [nid for nid in candidates if nid in kept]
-        for node_id in candidates:
-            if len(ordered) >= max_labels:
-                break
-            if node_id not in ordered:
-                ordered.append(node_id)
-        final = ordered[:max_labels]
-    else:
-        final = [nid for nid in candidates if nid in kept]
-
-    provenance = dict(labels.provenance)
-    provenance["decrease"] = {"returned": returned, "kept": final}
-    out = LabelSet(
-        doc_id=labels.doc_id,
-        leaf_ids=tuple(final),
-        method=labels.method,
-        provenance=provenance,
-        flags=labels.flags,
-    )
-    return with_flags(out, *flags) if flags else out
+    # Kept ids first, then the rest, each in input order (a stable sort).
+    final = sorted(candidates, key=lambda nid: nid not in kept)[:max_labels]
+    decrease = {"returned": returned, "kept": final}
+    out = replace(labels, leaf_ids=tuple(final),
+                  provenance={**labels.provenance, "decrease": decrease})
+    return with_flags(out, *flags)
 
 
 def random_decrease(labels: LabelSet, max_labels: int, rng: random.Random) -> LabelSet:
@@ -121,15 +95,8 @@ def random_decrease(labels: LabelSet, max_labels: int, rng: random.Random) -> La
         return labels
     picked = set(rng.sample(candidates, max_labels))
     final = tuple(nid for nid in candidates if nid in picked)
-    provenance = dict(labels.provenance)
-    provenance["decrease"] = {"random": True, "kept": list(final)}
-    return LabelSet(
-        doc_id=labels.doc_id,
-        leaf_ids=final,
-        method=labels.method,
-        provenance=provenance,
-        flags=labels.flags,
-    )
+    decrease = {"random": True, "kept": list(final)}
+    return replace(labels, leaf_ids=final, provenance={**labels.provenance, "decrease": decrease})
 
 
 def enforce_sibling_diversity(
@@ -182,18 +149,9 @@ def enforce_sibling_diversity(
             replacements.append(candidate)
             chosen.add(candidate)
 
-    provenance = dict(labels.provenance)
-    provenance["sibling_diversity"] = {
-        "dropped": dropped,
-        "replacements": list(replacements),
-    }
-    return LabelSet(
-        doc_id=labels.doc_id,
-        leaf_ids=tuple(kept + replacements),
-        method=labels.method,
-        provenance=provenance,
-        flags=labels.flags,
-    )
+    diversity = {"dropped": dropped, "replacements": list(replacements)}
+    return replace(labels, leaf_ids=tuple(kept + replacements),
+                   provenance={**labels.provenance, "sibling_diversity": diversity})
 
 
 def postprocess_chain(

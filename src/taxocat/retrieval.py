@@ -28,6 +28,7 @@ SIM_DECIMALS = 12
 EMBED_BATCH = 128
 # Words whose hash-bag coordinate one HashBagEmbedder remembers.
 SLOT_MEMO_SIZE = 1 << 16
+_NUMBER_TYPES = frozenset({int, float})  # exact types: rejects bools and numeric strings
 
 
 class RetrievalError(Exception):
@@ -149,13 +150,12 @@ class HttpEmbedder:
             rows += self._post(texts[start:start + EMBED_BATCH])
         if not rows:
             return np.empty((0, 0))
+        if not all(isinstance(row, list) and set(map(type, row)) <= _NUMBER_TYPES for row in rows):
+            raise RetrievalError("malformed embedding response: not lists of numbers")
         try:
-            matrix = np.array(rows, dtype=np.float64)
-        except (TypeError, ValueError) as exc:  # ragged rows or non-numbers
+            return np.array(rows, dtype=np.float64)
+        except ValueError as exc:  # ragged rows
             raise RetrievalError(f"malformed embedding response: {exc}") from exc
-        if matrix.ndim != 2:
-            raise RetrievalError("malformed embedding response: embeddings are not flat lists")
-        return matrix
 
     def _post(self, texts: Sequence[str]) -> list:
         """The endpoint's embeddings of `texts`, as the reply's JSON, in order."""
@@ -189,9 +189,6 @@ class HttpEmbedder:
                 f"embedding response for {len(texts)} texts has indices {indices[:10]}"
             )
         return rows
-
-
-_NUMBER_TYPES = frozenset({int, float})  # exact types: rejects bools and numeric strings
 
 
 class EmbeddingStore:

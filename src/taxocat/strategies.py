@@ -21,7 +21,7 @@ from typing import Any, Mapping, Sequence
 from . import gateway as gw
 from .documents import Document
 from .retrieval import PrunedTaxonomy
-from .taxonomy import Taxonomy, TaxonomyNode
+from .taxonomy import Taxonomy
 
 logger = logging.getLogger(__name__)
 
@@ -65,22 +65,7 @@ class LabelSet:
             raise StrategyError(f"duplicate labels in LabelSet for {self.doc_id!r}")
 
 
-@dataclass(frozen=True)
-class LeafAssessment:
-    node_id: str
-    label_fit: bool
-    main_focus: str
-
-
-@dataclass(frozen=True)
-class ParentAssessment:
-    node_id: str
-    label_fit: bool
-    relevancy_score: float
-    main_focus: str
-
-
-def _known_ids(ids: Sequence[str], known: set[str], context: str) -> list[str]:
+def known_ids(ids: Sequence[str], known: set[str], context: str) -> list[str]:
     """Drop provider-returned ids that are not in the candidate set, keeping order."""
     kept = []
     for node_id in ids:
@@ -111,8 +96,8 @@ def classify_trav_select(
     flags: list[str] = []
     while frontier:
         nodes = [gw.node_payload(taxonomy.node(nid)) for nid in frontier]
-        parsed = gateway.call_with_retry(gw.build_trav_select_spec(doc, nodes))
-        chosen = _known_ids(parsed.ids, set(frontier), f"trav_select[{doc.doc_id}]")
+        parsed = gateway.call_with_retry(gw.doc_spec(gw.TemplateId.TRAV_SELECT, doc, nodes))
+        chosen = known_ids(parsed.ids, set(frontier), f"trav_select[{doc.doc_id}]")
         rounds.append({"frontier": list(frontier), "selected": list(chosen)})
         if len(rounds) == 1 and not chosen:
             flags.append(FLAG_EMPTY_RESULT)
@@ -168,8 +153,8 @@ def classify_select_one_pass(
 ) -> LabelSet:
     """Single prompt over the whole pruned taxonomy; keep returned leaf ids."""
     nodes = _pruned_tree_payloads(taxonomy, pt)
-    parsed = gateway.call_with_retry(gw.build_select_one_pass_spec(doc, nodes))
-    kept = _known_ids(parsed.ids, set(pt.leaf_ids), f"select_one_pass[{doc.doc_id}]")
+    parsed = gateway.call_with_retry(gw.doc_spec(gw.TemplateId.SELECT_ONE_PASS, doc, nodes))
+    kept = known_ids(parsed.ids, set(pt.leaf_ids), f"select_one_pass[{doc.doc_id}]")
     flags = (FLAG_EMPTY_RESULT,) if not kept else ()
     return LabelSet(
         doc_id=doc.doc_id,
@@ -206,7 +191,8 @@ def aggregate_score(
 
 
 def _rerank_spec(doc: Document, taxonomy: Taxonomy, node_ids: Sequence[str]) -> gw.PromptSpec:
-    return gw.build_rerank_spec(doc, [gw.node_payload(taxonomy.node(nid)) for nid in node_ids])
+    nodes = [gw.node_payload(taxonomy.node(nid)) for nid in node_ids]
+    return gw.doc_spec(gw.TemplateId.RERANK, doc, nodes)
 
 
 def _read_scores(doc: Document, node_ids: Sequence[str], parsed: gw.Scores) -> dict[str, float]:
@@ -318,36 +304,17 @@ def classify_rerank(
 # -- SelectP (pointwise) ---------------------------------------------------------------
 
 
-def assess_leaves(
+def _ask_each(
     doc: Document,
-    nodes: Sequence[TaxonomyNode],
+    taxonomy: Taxonomy,
+    node_ids: Sequence[str],
+    template_id: gw.TemplateId,
     gateway: gw.LlmGateway,
-) -> list[LeafAssessment]:
-    """One leaf verdict per node, asked concurrently, in node order."""
-    parsed = gateway.call_all([gw.build_selectp_leaf_spec(doc, gw.node_payload(n)) for n in nodes])
-    return [
-        LeafAssessment(node_id=node.id, label_fit=p.label_fit, main_focus=p.main_focus)
-        for node, p in zip(nodes, parsed)
-    ]
-
-
-def assess_parents(
-    doc: Document,
-    nodes: Sequence[TaxonomyNode],
-    gateway: gw.LlmGateway,
-) -> list[ParentAssessment]:
-    """One parent verdict per node, asked concurrently, in node order."""
-    parsed = gateway.call_all(
-        [gw.build_selectp_parent_spec(doc, gw.node_payload(n)) for n in nodes])
-    return [
-        ParentAssessment(
-            node_id=node.id,
-            label_fit=p.label_fit,
-            relevancy_score=p.relevancy_score,
-            main_focus=p.main_focus,
-        )
-        for node, p in zip(nodes, parsed)
-    ]
+) -> dict[str, gw.ParsedResponse]:
+    """One pointwise verdict per node, asked concurrently, keyed by node id."""
+    specs = [gw.doc_spec(template_id, doc, [gw.node_payload(taxonomy.node(nid))])
+             for nid in node_ids]
+    return dict(zip(node_ids, gateway.call_all(specs)))
 
 
 @dataclass(frozen=True)
@@ -356,8 +323,8 @@ class PointwiseTrace:
 
     leaf_order: tuple[str, ...]
     parent_of: Mapping[str, str | None]
-    leaf_verdicts: Mapping[str, LeafAssessment]
-    parent_verdicts: Mapping[str, ParentAssessment]
+    leaf_verdicts: Mapping[str, gw.LeafVerdict]
+    parent_verdicts: Mapping[str, gw.ParentVerdict]
 
     def survivors(self) -> list[str]:
         """Leaves that fit and whose direct parent (if any, if assessed) also fits."""
@@ -437,19 +404,18 @@ def classify_select_pointwise(
     verdicts of each wave (all leaves, then the parents of fitting leaves)
     do not depend on each other, so each wave is asked concurrently.
     """
-    leaves = [taxonomy.node(leaf_id) for leaf_id in pt.leaf_ids]
-    parent_of = {node.id: node.parent_id for node in leaves}
-    leaf_verdicts = {v.node_id: v for v in assess_leaves(doc, leaves, gateway)}
+    parent_of = {leaf_id: taxonomy.node(leaf_id).parent_id for leaf_id in pt.leaf_ids}
+    leaf_verdicts = _ask_each(doc, taxonomy, pt.leaf_ids, gw.TemplateId.SELECTP_LEAF, gateway)
 
-    parent_verdicts: dict[str, ParentAssessment] = {}
+    parent_verdicts: dict[str, gw.ParentVerdict] = {}
     if contextualize:
-        fitting_parents = dict.fromkeys(
+        fitting_parents = list(dict.fromkeys(
             parent_of[leaf_id]
             for leaf_id in pt.leaf_ids
             if leaf_verdicts[leaf_id].label_fit and parent_of[leaf_id] is not None
-        )
-        parents = [taxonomy.node(parent_id) for parent_id in fitting_parents]
-        parent_verdicts = {v.node_id: v for v in assess_parents(doc, parents, gateway)}
+        ))
+        parent_verdicts = _ask_each(
+            doc, taxonomy, fitting_parents, gw.TemplateId.SELECTP_PARENT, gateway)
 
     trace = PointwiseTrace(
         leaf_order=tuple(pt.leaf_ids),

@@ -370,7 +370,7 @@ class TestClassify:
         assert sorted(spec.template_id.value for spec in specs) == sorted(templates)
         for spec in specs:
             prompt = gw.render_user_text(spec)
-            shown = spec.user_payload.get("nodes") or [spec.user_payload["node"]]
+            shown = spec.user_payload["nodes"]
             if ablation:
                 assert "desc" not in prompt
                 assert all(not node.get("description") for node in shown)
@@ -389,6 +389,7 @@ class TestClassify:
         ('{"apply_sibling": "no"}', "'apply_sibling' must be bool"),
         ('{"sibling_cap": 0}', "sibling_cap must be >= 1"),
         ('{"topk": 20}', "unknown --config keys: topk"),
+        ('{"top_k": NaN}', "NaN is not a finite number"),
     ])
     def test_malformed_config_file_is_an_error(self, workdir, capsys, text, message):
         tmp, _, _ = workdir

@@ -35,13 +35,8 @@ from taxocat.gateway import (
     ScoreRangeError,
     TemplateId,
     TransportError,
-    build_decrease_labels_spec,
     build_desc_gen_spec,
-    build_rerank_spec,
-    build_select_one_pass_spec,
-    build_selectp_leaf_spec,
-    build_selectp_parent_spec,
-    build_trav_select_spec,
+    doc_spec,
     extract_response,
     load_provider_config,
     load_template,
@@ -68,13 +63,14 @@ class TestTemplatesAndSpecs:
     def test_rerank_spec_fills_counts(self):
         doc = make_doc("d", "auctions")
         nodes = [{"id": f"n{i}", "name": "x", "description": None} for i in range(7)]
-        spec = build_rerank_spec(doc, nodes)
+        spec = doc_spec(TemplateId.RERANK, doc, nodes)
         assert "{}" not in spec.system_text
         assert spec.system_text.count("7") >= 3
 
     def test_render_user_text_contains_fields(self):
         doc = make_doc("d1", "Auction Design", keywords=["mechanisms"], abstract="We study bids.")
-        spec = build_trav_select_spec(doc, [{"id": "n1", "name": "Markets", "description": "d"}])
+        spec = doc_spec(TemplateId.TRAV_SELECT, doc,
+                        [{"id": "n1", "name": "Markets", "description": "d"}])
         text = render_user_text(spec)
         assert "Auction Design" in text and "mechanisms" in text and "n1 | Markets" in text
 
@@ -82,7 +78,7 @@ class TestTemplatesAndSpecs:
         load_template.cache_clear()
         doc = make_doc("d", "auctions")
         for n in range(3):
-            build_rerank_spec(doc, [{"id": f"n{i}", "name": "x"} for i in range(n + 1)])
+            doc_spec(TemplateId.RERANK, doc, [{"id": f"n{i}", "name": "x"} for i in range(n + 1)])
             PromptSpec(template_id=TemplateId.SELECTP_LEAF, user_payload={})
         info = load_template.cache_info()
         assert (info.misses, info.hits) == (2, 4)
@@ -97,7 +93,8 @@ class TestTemplatesAndSpecs:
                 assert render_user_text(spec)
                 return '{"best_labels": []}'
 
-        spec = build_trav_select_spec(make_doc("d", "auctions"), [{"id": "n1", "name": "Markets"}])
+        spec = doc_spec(TemplateId.TRAV_SELECT, make_doc("d", "auctions"),
+                        [{"id": "n1", "name": "Markets"}])
         gateway = LlmGateway(Rendering())
         gateway.call_with_retry(spec)
         assert rendered == [spec]
@@ -134,6 +131,9 @@ class TestTemplatesAndSpecs:
         ('{"max_retries": 1.5}', "'max_retries' must be int"),
         ('{"max_retries": true}', "'max_retries' must be int"),
         ('{"credentials": 7}', "'credentials' must be str | None"),
+        ('{"timeout": NaN}', "NaN is not a finite number"),
+        ('{"temperature": -Infinity}', "-Infinity is not a finite number"),
+        ('{"timeout": 1e999}', "1e999 is not a finite number"),
     ])
     def test_provider_config_rejects_malformed_files(self, tmp_path, text, message):
         path = tmp_path / "provider.json"
@@ -157,12 +157,14 @@ class TestNodeLines:
         doc = make_doc("d", "auctions")
         described = node_payload(TaxonomyNode(id="n1", name="Markets", description="trade "))
         bare = node_payload(TaxonomyNode(id="n2", name="Bids", parent_id="n1"))
-        listed = render_user_text(build_trav_select_spec(doc, [described, bare]))
+        listed = render_user_text(doc_spec(TemplateId.TRAV_SELECT, doc, [described, bare]))
         assert listed.endswith("Labels:\n- n1 | Markets | trade \n- n2 | Bids")
-        tree = render_user_text(build_select_one_pass_spec(
+        tree = render_user_text(doc_spec(
+            TemplateId.SELECT_ONE_PASS,
             doc, [dict(described, depth=0, is_leaf=False), dict(bare, depth=1, is_leaf=True)]))
         assert tree.endswith("Taxonomy:\nn1 | Markets | trade \n  n2 | Bids")
-        decrease = render_user_text(build_decrease_labels_spec(
+        decrease = render_user_text(doc_spec(
+            TemplateId.DECREASE_LABELS,
             doc, [dict(described, parent_name=None), dict(bare, parent_name="Markets")]))
         assert decrease.endswith("- n1 | Markets | trade \n- n2 | Bids (parent: Markets)")
 
@@ -172,13 +174,13 @@ _NODES = [{"id": "n1", "name": "auction design", "description": "bids"},
 _DOC = make_doc("d", "auction design", keywords=["bids"])
 _SPECS = {
     TemplateId.DESC_GEN: build_desc_gen_spec("Auctions", None, None, "Bids", "About bids."),
-    TemplateId.TRAV_SELECT: build_trav_select_spec(_DOC, _NODES),
-    TemplateId.SELECT_ONE_PASS: build_select_one_pass_spec(
-        _DOC, [dict(n, depth=0, is_leaf=True) for n in _NODES]),
-    TemplateId.RERANK: build_rerank_spec(_DOC, _NODES),
-    TemplateId.SELECTP_LEAF: build_selectp_leaf_spec(_DOC, _NODES[0]),
-    TemplateId.SELECTP_PARENT: build_selectp_parent_spec(_DOC, _NODES[0]),
-    TemplateId.DECREASE_LABELS: build_decrease_labels_spec(_DOC, _NODES),
+    TemplateId.TRAV_SELECT: doc_spec(TemplateId.TRAV_SELECT, _DOC, _NODES),
+    TemplateId.SELECT_ONE_PASS: doc_spec(
+        TemplateId.SELECT_ONE_PASS, _DOC, [dict(n, depth=0, is_leaf=True) for n in _NODES]),
+    TemplateId.RERANK: doc_spec(TemplateId.RERANK, _DOC, _NODES),
+    TemplateId.SELECTP_LEAF: doc_spec(TemplateId.SELECTP_LEAF, _DOC, _NODES[:1]),
+    TemplateId.SELECTP_PARENT: doc_spec(TemplateId.SELECTP_PARENT, _DOC, _NODES[:1]),
+    TemplateId.DECREASE_LABELS: doc_spec(TemplateId.DECREASE_LABELS, _DOC, _NODES),
 }
 _REPLIES = {
     TemplateId.DESC_GEN: (Description, 'a JSON object {"description": text}'),
@@ -289,35 +291,49 @@ class TestExtractResponse:
         parsed = extract_response('{"scores": [["a", 0.333]]}', TemplateId.RERANK)
         assert dict(parsed.pairs) == {"a": 0.33}
 
+    @pytest.mark.parametrize(("raw", "template_id"), [
+        ('{"scores": [["a", NaN]]}', TemplateId.RERANK),
+        ('{"scores": [["a", Infinity]]}', TemplateId.RERANK),
+        ('{"scores": [["a", 1%s]]}' % ("0" * 400), TemplateId.RERANK),
+        ('{"main_focus": "x", "label_fit": true, "relevancy_score": NaN}',
+         TemplateId.SELECTP_PARENT),
+    ])
+    def test_non_finite_score_is_retried(self, raw, template_id):
+        with pytest.raises(SchemaError, match="finite"):
+            extract_response(raw, template_id)
+        valid = mock_complete(_SPECS[template_id])
+        provider = ScriptedProvider(raw, valid)
+        parsed = LlmGateway(provider, ProviderConfig(max_retries=1)).call_with_retry(
+            _SPECS[template_id])
+        assert parsed == extract_response(valid, template_id)
+        assert provider.calls[1][1] == schema_reminder(template_id)
+
     def test_numeric_ids_coerced_to_strings(self):
         parsed = extract_response('{"best_labels": [12, "x"]}', TemplateId.TRAV_SELECT)
         assert parsed.ids == ("12", "x")
-
-
-def _doc_payload(title, keywords=(), abstract=""):
-    return {"doc_id": "d", "title": title, "keywords": list(keywords), "abstract": abstract}
 
 
 class TestMockProvider:
     def test_deterministic_and_non_empty(self):
         doc = make_doc("d", "auction design", keywords=["markets"])
         nodes = [{"id": "n1", "name": "auction design", "description": None}]
-        spec = build_trav_select_spec(doc, nodes)
+        spec = doc_spec(TemplateId.TRAV_SELECT, doc, nodes)
         first = mock_complete(spec)
         second = mock_complete(spec)
         assert first and first == second
 
     def test_full_overlap_fits_with_score_one(self):
         doc = make_doc("d", "auction design")
-        spec = build_selectp_parent_spec(doc, {"id": "p", "name": "auction design",
-                                               "description": None})
+        spec = doc_spec(TemplateId.SELECTP_PARENT, doc,
+                        [{"id": "p", "name": "auction design", "description": None}])
         parsed = extract_response(mock_complete(spec), TemplateId.SELECTP_PARENT)
         assert parsed.label_fit is True
         assert parsed.relevancy_score == 1.0
 
     def test_disjoint_tokens_floor_clamp(self):
         doc = make_doc("d", "ecology")
-        spec = build_selectp_parent_spec(doc, {"id": "p", "name": "auction", "description": None})
+        spec = doc_spec(TemplateId.SELECTP_PARENT, doc,
+                        [{"id": "p", "name": "auction", "description": None}])
         parsed = extract_response(mock_complete(spec), TemplateId.SELECTP_PARENT)
         assert parsed.label_fit is False
         assert parsed.relevancy_score == 0.01
@@ -332,7 +348,7 @@ class TestMockProvider:
             description = " ".join(rng.sample(vocab, rng.randint(0, 3))) or None
             doc = make_doc("d", title)
             node = {"id": "n", "name": name, "description": description}
-            spec = build_rerank_spec(doc, [node])
+            spec = doc_spec(TemplateId.RERANK, doc, [node])
             parsed = extract_response(mock_complete(spec), TemplateId.RERANK)
             node_text = f"{name}: {description}" if description else name
             expected = min(1.0, max(0.01, round(o_jaccard(o_tokens(title), o_tokens(node_text)), 2)))
@@ -349,9 +365,7 @@ class TestMockProvider:
             {"id": "far2", "name": "psi", "description": None},
             {"id": "far3", "name": "chi", "description": None},
         ]
-        spec = PromptSpec(template_id=TemplateId.DECREASE_LABELS,
-                          user_payload={"document": _doc_payload("alpha beta gamma delta"),
-                                        "nodes": nodes})
+        spec = doc_spec(TemplateId.DECREASE_LABELS, doc, nodes)
         parsed = extract_response(mock_complete(spec), TemplateId.DECREASE_LABELS)
         assert len(parsed.ids) == 5
         assert set(parsed.ids[:4]) == {"n0", "n1", "n2", "n3"}
@@ -365,18 +379,17 @@ class TestMockProvider:
     @settings(max_examples=300, deadline=None)
     def test_extract_of_mock_never_errors(self, template_id, words, n_nodes, data):
         title = data.draw(st.text("xyz q1", min_size=1, max_size=10).filter(lambda s: s.strip()))
-        payload: dict = {"document": _doc_payload(title, keywords=words)}
+        nodes = [
+            {"id": f"n{i}", "name": (words[i % len(words)] if words else "w") or "w",
+             "description": None, "is_leaf": i % 2 == 0}
+            for i in range(n_nodes)
+        ]
+        if template_id in (TemplateId.SELECTP_LEAF, TemplateId.SELECTP_PARENT):
+            nodes = [{"id": "n0", "name": title, "description": None}]
         if template_id is TemplateId.DESC_GEN:
-            payload = {"label_name": title, "exemplar": {"name": "n", "description": "d"}}
-        elif template_id in (TemplateId.SELECTP_LEAF, TemplateId.SELECTP_PARENT):
-            payload["node"] = {"id": "n0", "name": title, "description": None}
+            spec = build_desc_gen_spec(title, None, None, "n", "d")
         else:
-            payload["nodes"] = [
-                {"id": f"n{i}", "name": (words[i % len(words)] if words else "w") or "w",
-                 "description": None, "is_leaf": i % 2 == 0}
-                for i in range(n_nodes)
-            ]
-        spec = PromptSpec(template_id=template_id, user_payload=payload)
+            spec = doc_spec(template_id, make_doc("d", title, keywords=words), nodes)
         parsed = extract_response(mock_complete(spec), spec.template_id)
         assert parsed is not None
 
@@ -386,7 +399,8 @@ class TestMockConcurrency:
         from concurrent.futures import ThreadPoolExecutor
 
         specs = [
-            build_trav_select_spec(
+            doc_spec(
+                TemplateId.TRAV_SELECT,
                 make_doc(f"d{i}", "auction design"),
                 [{"id": "n1", "name": "auction design"}, {"id": "n2", "name": f"other {i}"}],
             )
@@ -401,7 +415,7 @@ class TestMockConcurrency:
 
 class TestCallWithRetry:
     def _spec(self):
-        return build_trav_select_spec(make_doc("d", "t"), [{"id": "a", "name": "t"}])
+        return doc_spec(TemplateId.TRAV_SELECT, make_doc("d", "t"), [{"id": "a", "name": "t"}])
 
     def test_recovers_after_one_bad_response(self):
         provider = ScriptedProvider("garbage", '{"best_labels": ["a"]}')
@@ -442,15 +456,16 @@ class TestCallWithRetry:
         assert records[0]["template_id"] == "trav_select"
 
     def test_mock_gateway_end_to_end(self, mock_gw):
-        spec = build_trav_select_spec(
+        spec = doc_spec(
+            TemplateId.TRAV_SELECT,
             make_doc("d", "auction design"),
             [{"id": "hit", "name": "auction design"}, {"id": "miss", "name": "volcano"}],
         )
         assert mock_gw.call_with_retry(spec).ids == ("hit",)
 
     def test_call_and_character_counters(self, mock_gw):
-        spec = build_trav_select_spec(make_doc("d", "auction design"),
-                                      [{"id": "a", "name": "auction design"}])
+        spec = doc_spec(TemplateId.TRAV_SELECT, make_doc("d", "auction design"),
+                        [{"id": "a", "name": "auction design"}])
         mock_gw.call_with_retry(spec)
         mock_gw.call_with_retry(spec)
         assert mock_gw.calls_made == 2
@@ -517,7 +532,7 @@ def _http_gateway(session, audit_log=None, **kw):
 
 
 def _empty_spec():
-    return build_trav_select_spec(make_doc("d", "t"), [])
+    return doc_spec(TemplateId.TRAV_SELECT, make_doc("d", "t"), [])
 
 
 class TestHttpProvider:
@@ -529,7 +544,7 @@ class TestHttpProvider:
         session = _ScriptedSession(_OK)
         provider = HttpProvider(ProviderConfig(endpoint="https://api.example/chat"),
                                 session=session)
-        spec = build_trav_select_spec(make_doc("d", "t"), [{"id": "a", "name": "t"}])
+        spec = doc_spec(TemplateId.TRAV_SELECT, make_doc("d", "t"), [{"id": "a", "name": "t"}])
         raw = provider.complete(spec, reminder="Reminder: schema")
         assert raw == '{"best_labels": []}'
         assert session.bodies[0]["messages"][0]["role"] == "system"
@@ -678,8 +693,8 @@ class TestRetryPolicy:
         assert sleeps == [0.5, 1.0, 2.0, 4.0, 8.0, 8.0, 8.0]
 
 
-def _doc_spec(i):
-    return build_trav_select_spec(make_doc(f"d{i}", "t"), [])
+def _wave_spec(i):
+    return doc_spec(TemplateId.TRAV_SELECT, make_doc(f"d{i}", "t"), [])
 
 
 def _doc_index(spec):
@@ -707,14 +722,14 @@ class TestCallAll:
     def test_results_in_spec_order_when_later_specs_answer_first(self):
         n = 8
         gateway = LlmGateway(_FnProvider(lambda i: time.sleep(0.005 * (n - i))))
-        results = gateway.call_all([_doc_spec(i) for i in range(n)])
+        results = gateway.call_all([_wave_spec(i) for i in range(n)])
         assert results == [BestLabels(ids=(f"d{i}",)) for i in range(n)]
 
     def test_fewer_than_two_specs_run_inline(self):
         threads = []
         gateway = LlmGateway(_FnProvider(lambda i: threads.append(threading.current_thread())))
         assert gateway.call_all([]) == []
-        assert gateway.call_all([_doc_spec(0)]) == [BestLabels(ids=("d0",))]
+        assert gateway.call_all([_wave_spec(0)]) == [BestLabels(ids=("d0",))]
         assert threads == [threading.current_thread()]
 
     def test_first_failure_in_spec_order_is_raised(self):
@@ -727,7 +742,7 @@ class TestCallAll:
 
         gateway = LlmGateway(_FnProvider(before), ProviderConfig(max_retries=0))
         with pytest.raises(TransportError, match="fail 2"):
-            gateway.call_all([_doc_spec(i) for i in range(8)])
+            gateway.call_all([_wave_spec(i) for i in range(8)])
 
     def test_no_call_outlives_its_wave(self):
         lock = threading.Lock()
@@ -747,19 +762,19 @@ class TestCallAll:
 
         gateway = LlmGateway(_FnProvider(before), ProviderConfig(max_retries=0))
         with pytest.raises(TransportError, match="fail 0"):
-            gateway.call_all([_doc_spec(i) for i in range(3)])
+            gateway.call_all([_wave_spec(i) for i in range(3)])
         assert open_calls == 0
 
     def test_submit_runs_on_the_call_pool(self):
         threads = []
         gateway = LlmGateway(_FnProvider(lambda i: threads.append(threading.current_thread())))
-        assert gateway.submit(_doc_spec(3)).result(timeout=10) == BestLabels(ids=("d3",))
+        assert gateway.submit(_wave_spec(3)).result(timeout=10) == BestLabels(ids=("d3",))
         assert threads[0].name.startswith("taxocat-call")
 
     def test_calls_really_overlap(self):
         barrier = threading.Barrier(2, timeout=10)
         gateway = LlmGateway(_FnProvider(lambda i: barrier.wait()))
-        assert len(gateway.call_all([_doc_spec(0), _doc_spec(1)])) == 2
+        assert len(gateway.call_all([_wave_spec(0), _wave_spec(1)])) == 2
 
     def test_in_flight_calls_bounded_across_concurrent_callers(self):
         lock = threading.Lock()
@@ -778,7 +793,7 @@ class TestCallAll:
         results = []
         callers = [
             threading.Thread(target=lambda: results.append(
-                gateway.call_all([_doc_spec(i) for i in range(3 * MAX_IN_FLIGHT)])))
+                gateway.call_all([_wave_spec(i) for i in range(3 * MAX_IN_FLIGHT)])))
             for _ in range(3)
         ]
         for caller in callers:
@@ -795,12 +810,12 @@ class TestCallAll:
 
         gateway = LlmGateway(_FnProvider(before))
         with pytest.raises(AuthError):
-            gateway.call_all([_doc_spec(i) for i in range(4 * MAX_IN_FLIGHT)])
+            gateway.call_all([_wave_spec(i) for i in range(4 * MAX_IN_FLIGHT)])
         assert 1 <= gateway.provider.calls <= MAX_IN_FLIGHT
 
     def test_counters_add_up_under_fast_thread_switching(self):
-        specs = [build_trav_select_spec(make_doc(f"d{i}", "auction design"),
-                                        [{"id": "a", "name": "auction design"}])
+        specs = [doc_spec(TemplateId.TRAV_SELECT, make_doc(f"d{i}", "auction design"),
+                          [{"id": "a", "name": "auction design"}])
                  for i in range(200)]
         sequential = mock_gateway()
         for spec in specs:

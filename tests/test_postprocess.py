@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from taxocat.gateway import LlmGateway, ProviderConfig, TransportError
+from taxocat.gateway import BestLabels, LlmGateway, ProviderConfig, TransportError
 from taxocat.postprocess import (
     FLAG_DECREASE_FALLBACK,
     FLAG_NEEDS_REVIEW,
@@ -88,6 +88,27 @@ class TestDecreaseLabels:
         # Fifth slot is the first candidate not already kept, in input order.
         assert candidates[0] in out.leaf_ids
         assert FLAG_DECREASE_FALLBACK in out.flags
+
+    @pytest.mark.parametrize(("reply", "kept", "fallback"), [
+        ([9, 7, 2, 7, 5, 0, 8, 3], [0, 2, 3, 5, 7], True),  # six known ids
+        ([9, 6, 1, 6, 4, 2, 8], [1, 2, 4, 6, 8], False),  # five known ids
+        ([9, 6, 6, 3], [3, 6, 0, 1, 2], True),  # two known ids, padded
+    ], ids=["more", "exact", "fewer"])
+    def test_reply_filtered_then_taken_in_input_order(self, caplog, reply, kept, fallback):
+        # Each reply holds an unknown id (9) and a duplicate, which a parsed
+        # reply cannot, so a stub gateway hands it over as it is.
+        class Replying:
+            def call_with_retry(self, spec):
+                return BestLabels(ids=tuple(candidates[i] for i in reply))
+
+        tax = _fanout_taxonomy()
+        candidates = list(tax.leaf_ids())[:9] + ["unknown"]
+        out = decrease_labels(make_doc("d", "x"), _labels(candidates[:9]), tax, Replying())
+        assert list(out.leaf_ids) == [candidates[i] for i in kept]
+        assert out.provenance["decrease"] == {"returned": [candidates[i] for i in reply],
+                                              "kept": list(out.leaf_ids)}
+        assert (FLAG_DECREASE_FALLBACK in out.flags) is fallback
+        assert "decrease[d]: dropping unknown label id 'unknown'" in caplog.text
 
     def test_gateway_failure_falls_back_to_input_order(self):
         class FailingProvider:

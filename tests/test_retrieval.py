@@ -307,7 +307,8 @@ class TestEmbedderAndStore:
 
     @pytest.mark.parametrize("embedding", [
         [1.0, float("nan"), 2.0, 3.0], [1.0, 2.0], [1.0, "x", 2.0, 3.0], [0.0] * 4,
-    ], ids=["nan", "ragged", "non-numeric", "all-zero"])
+        [1.0, "1.5", 2.0, 3.0], [1.0, True, 2.0, 3.0], [1.0, [2.0], 2.0, 3.0],
+    ], ids=["nan", "ragged", "non-numeric", "all-zero", "numeric-string", "bool", "nested"])
     def test_http_embedding_is_checked(self, tiny_taxonomy, embedding):
         def reply(data):
             return data[:-1] + [{**data[-1], "embedding": embedding}]

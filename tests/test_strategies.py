@@ -27,15 +27,11 @@ from taxocat.strategies import (
     FLAG_ANCESTOR_SCORES_UNAVAILABLE,
     FLAG_EMPTY_RESULT,
     LabelSet,
-    LeafAssessment,
     Method,
-    ParentAssessment,
     PointwiseTrace,
     ScoringIncompleteError,
     adjust_label_count,
     aggregate_score,
-    assess_leaves,
-    assess_parents,
     classify_rerank,
     classify_select_one_pass,
     classify_select_pointwise,
@@ -473,33 +469,40 @@ class TestRerank:
             classify_rerank(make_doc("d", "x"), tax, pt, gateway)
 
 
-class TestPointwiseAssessments:
-    def test_assess_leaf_mock_rules(self, ternary, mock_gw):
-        leaf = ternary.node(ternary.leaf_ids()[0])
-        matching_doc = make_doc("d", leaf.name)
-        assert assess_leaves(matching_doc, [leaf], mock_gw)[0].label_fit is True
-        assert assess_leaves(make_doc("d", "zzz qqq"), [leaf], mock_gw)[0].label_fit is False
+def _ask(gateway, template_id, doc, nodes):
+    """One pointwise verdict per node, as classify_select_pointwise asks them."""
+    return gateway.call_all([gw.doc_spec(template_id, doc, [gw.node_payload(n)]) for n in nodes])
 
-    def test_assess_parent_matches_jaccard_oracle(self, ternary, mock_gw):
+
+class TestPointwiseAssessments:
+    def test_leaf_verdict_mock_rules(self, ternary, mock_gw):
+        leaf = ternary.node(ternary.leaf_ids()[0])
+        [fits] = _ask(mock_gw, TemplateId.SELECTP_LEAF, make_doc("d", leaf.name), [leaf])
+        [misses] = _ask(mock_gw, TemplateId.SELECTP_LEAF, make_doc("d", "zzz qqq"), [leaf])
+        assert fits.label_fit is True and misses.label_fit is False
+
+    def test_parent_verdict_matches_jaccard_oracle(self, ternary, mock_gw):
         rng = random.Random(5)
         parents = sorted((n for n in ternary if not ternary.is_leaf(n.id)), key=lambda n: n.id)
         for i in range(30):
             doc = vocab_doc(rng, f"d{i}")
             node = parents[i % len(parents)]
-            got = assess_parents(doc, [node], mock_gw)[0]
+            [got] = _ask(mock_gw, TemplateId.SELECTP_PARENT, doc, [node])
             overlap = o_overlap(doc, node)
             assert got.label_fit == (overlap >= THRESHOLD)
             assert got.relevancy_score == o_relevancy(overlap)
             assert 0.0 <= got.relevancy_score <= 1.0
 
-    def test_batch_of_forty_equals_elementwise_oracle(self, mock_gw):
+    def test_wave_of_forty_equals_elementwise_oracle(self, mock_gw):
         tax = random_forest(random.Random(8), 120)
-        leaves = [tax.node(lid) for lid in tax.leaf_ids()[:40]]
+        pt = full_pt(tax, k=40)
         doc = make_doc("d", "markets risk", keywords=["credit", "pricing"])
-        verdicts = assess_leaves(doc, leaves, mock_gw)
-        assert [v.node_id for v in verdicts] == [node.id for node in leaves]
-        for node, verdict in zip(leaves, verdicts):
-            assert verdict.label_fit == (o_overlap(doc, node) >= THRESHOLD)
+        labels = classify_select_pointwise(doc, tax, pt, mock_gw, contextualize=False)
+        verdicts = labels.provenance["leaf_verdicts"]
+        assert len(pt.leaf_ids) == 40 and sorted(verdicts) == sorted(pt.leaf_ids)
+        for leaf_id in pt.leaf_ids:
+            fits = o_overlap(doc, tax.node(leaf_id)) >= THRESHOLD
+            assert verdicts[leaf_id]["label_fit"] == fits
 
 
 class TestAdjustLabelCount:
@@ -508,12 +511,12 @@ class TestAdjustLabelCount:
             leaf_order=tuple(leaf_order),
             parent_of=parent_of,
             leaf_verdicts={
-                lid: LeafAssessment(node_id=lid, label_fit=fits[lid], main_focus="f")
+                lid: gw.LeafVerdict(main_focus="f", label_fit=fits[lid])
                 for lid in leaf_order
             },
             parent_verdicts={
-                pid: ParentAssessment(node_id=pid, label_fit=parent_fit[pid],
-                                      relevancy_score=parent_rel[pid], main_focus="f")
+                pid: gw.ParentVerdict(main_focus="f", label_fit=parent_fit[pid],
+                                      relevancy_score=parent_rel[pid])
                 for pid in parent_fit
             },
         )
@@ -633,7 +636,7 @@ class TestSelectPointwise:
 
         class ByNodeProvider:
             def complete(self, spec, reminder=None):
-                return responses[spec.user_payload["node"]["id"]]
+                return responses[spec.user_payload["nodes"][0]["id"]]
 
         gateway = LlmGateway(ByNodeProvider(), ProviderConfig())
         labels = classify_select_pointwise(
@@ -655,7 +658,7 @@ class TestSelectPointwise:
         doc = make_doc("d", "auction")
         classify_select_pointwise(doc, ternary, full_pt(ternary), gateway)
         parent_calls = [
-            c.user_payload["node"]["id"]
+            c.user_payload["nodes"][0]["id"]
             for c in provider.calls
             if c.template_id is TemplateId.SELECTP_PARENT
         ]
