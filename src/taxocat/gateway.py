@@ -12,6 +12,7 @@ values.
 """
 from __future__ import annotations
 
+import ctypes
 import json
 import logging
 import math
@@ -22,7 +23,7 @@ from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from enum import Enum
-from functools import cache
+from functools import cache, lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping, Protocol, Sequence, Union
@@ -190,6 +191,7 @@ class ProviderConfig:
     temperature: float = 0.0
     max_retries: int = 3
     timeout: float = 60.0
+    max_in_flight: int = 32  # calls sent through LlmGateway.submit in flight at once, at most
     credentials: str | None = None  # environment variable naming the secret
     embedding_endpoint: str | None = None  # the CLI's document and leaf embedder
     embedding_model: str = "default"
@@ -199,6 +201,8 @@ class ProviderConfig:
             raise ConfigError("max_retries must be >= 0")
         if self.timeout <= 0:
             raise ConfigError("timeout must be > 0")
+        if self.max_in_flight < 1:
+            raise ConfigError("max_in_flight must be >= 1")
 
 
 _JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,),
@@ -491,12 +495,16 @@ def schema_reminder(template_id: TemplateId) -> str:
 DEFAULT_OVERLAP_THRESHOLD = 0.2
 
 
+@lru_cache(maxsize=16)  # more documents than are asked about at once at a usual parallelism
+def _doc_tokens(title: str, keywords: tuple[str, ...], abstract: str) -> frozenset[str]:
+    """A document's token set; keyed by its content, so an edited document is tokenised again."""
+    return token_set("\n".join([title, *keywords, abstract]))
+
+
 def _payload_doc_tokens(payload: Mapping[str, Any]) -> frozenset[str]:
     document = payload["document"]
-    parts = [document.get("title", "")]
-    parts.extend(document.get("keywords") or [])
-    parts.append(document.get("abstract") or "")
-    return token_set("\n".join(parts))
+    return _doc_tokens(document.get("title", ""), tuple(document.get("keywords") or ()),
+                       document.get("abstract") or "")
 
 
 def _payload_node_tokens(node: Mapping[str, Any]) -> frozenset[str]:
@@ -590,7 +598,7 @@ class HttpProvider:
 
             # One kept-alive connection per call the shared pool can have in flight.
             session = requests.Session()
-            adapter = HTTPAdapter(pool_maxsize=MAX_IN_FLIGHT)
+            adapter = HTTPAdapter(pool_maxsize=config.max_in_flight)
             session.mount("https://", adapter)
             session.mount("http://", adapter)
         self.session = session
@@ -685,25 +693,48 @@ class Provider(Protocol):
     def complete(self, spec: PromptSpec, reminder: str | None = None) -> str: ...
 
 
-# At most this many calls issued by LlmGateway.submit are in flight per
-# process, whatever the number of document workers or gateways. A wider pool
-# shortens pointwise's call chain further but costs peak memory (ROADMAP
-# item 4 has the measured trade-off).
-MAX_IN_FLIGHT = 16
+# LlmGateway.submit runs calls on one process-wide pool per width, the
+# provider config's max_in_flight, so at most that many of them are in flight
+# whatever the number of document workers or gateways. A hosted LLM's call
+# waits on the network, not on local CPUs, so the provider's rate limit is
+# what should set the width.
+_call_pools: dict[int, ThreadPoolExecutor] = {}
+_call_pools_lock = threading.Lock()
 
-_call_pool: ThreadPoolExecutor | None = None
-_call_pool_lock = threading.Lock()
+M_ARENA_MAX = -8  # glibc's mallopt parameter number for the malloc arena limit
+MALLOC_ARENAS = 2
 
 
-def _shared_call_pool() -> ThreadPoolExecutor:
-    """The process-wide pool behind LlmGateway.submit, created on first use."""
-    global _call_pool
-    with _call_pool_lock:
-        if _call_pool is None:
-            _call_pool = ThreadPoolExecutor(
-                max_workers=MAX_IN_FLIGHT, thread_name_prefix="taxocat-call"
-            )
-        return _call_pool
+def _cap_malloc_arenas() -> None:
+    """Let glibc's malloc keep at most MALLOC_ARENAS arenas.
+
+    glibc gives threads that allocate at the same time arenas of their own,
+    up to eight per core, and each arena keeps memory its thread freed. So a
+    wide call pool raises peak memory, while its threads, which allocate
+    holding the GIL, gain nothing from more arenas. Off glibc, or when the
+    call cannot be made, nothing changes.
+    """
+    try:
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(M_ARENA_MAX, MALLOC_ARENAS)
+    except (AttributeError, OSError, ValueError) as exc:  # a tuning call must not stop a run
+        logger.debug("malloc arena cap not applied: %s", exc)
+
+
+def _call_pool(width: int) -> ThreadPoolExecutor:
+    """The process-wide pool of `width` threads behind LlmGateway.submit, made on first use."""
+    with _call_pools_lock:
+        pool = _call_pools.get(width)
+        if pool is None:
+            if not _call_pools:
+                _cap_malloc_arenas()
+            pool = _call_pools[width] = ThreadPoolExecutor(
+                max_workers=width, thread_name_prefix="taxocat-call")
+        return pool
 
 
 class LlmGateway:
@@ -780,7 +811,7 @@ class LlmGateway:
         raise last_error
 
     def submit(self, spec: PromptSpec, fatal: list[ProviderError] | None = None) -> Future:
-        """call_with_retry(spec) on the process-wide pool of MAX_IN_FLIGHT threads.
+        """call_with_retry(spec) on the process-wide pool of config.max_in_flight threads.
 
         `fatal` is a latch shared by several submitted calls: once one of them
         raises a non-retryable ProviderError, the others raise it too when
@@ -798,7 +829,7 @@ class LlmGateway:
                     fatal.append(exc)
                 raise
 
-        return _shared_call_pool().submit(call)
+        return _call_pool(self.config.max_in_flight).submit(call)
 
     def call_all(self, specs: Sequence[PromptSpec]) -> list[ParsedResponse]:
         """call_with_retry for every spec, concurrently, with results in spec order.

@@ -51,9 +51,10 @@ def decrease_labels(
 
     The provider sees the candidates with their parent context and returns
     the best ids; anything outside the input set is dropped, and if the
-    intersection is not exactly max_labels the remaining slots follow the
-    input order (which encodes the strategy's own preference). A provider
-    failure falls back to that ordering outright, flagged.
+    intersection is not exactly max_labels the labels follow the input
+    order (which encodes the strategy's own preference) after the kept ids.
+    A provider failure falls back to that ordering outright. Every result
+    not made of exactly max_labels kept ids is flagged decrease-fallback.
     """
     if labels.method is Method.RERANK:
         raise ValueError("decrease step does not apply to rerank output")
@@ -67,7 +68,6 @@ def decrease_labels(
         parent = taxonomy.node(node.parent_id) if node.parent_id is not None else None
         payloads.append(gw.node_payload(node, parent_name=parent and parent.name))
 
-    flags: list[str] = []
     returned: list[str] = []
     kept: list[str] = []
     try:
@@ -76,16 +76,15 @@ def decrease_labels(
         kept = known_ids(returned, set(candidates), f"decrease[{doc.doc_id}]")
     except (gw.RetryExhaustedError, gw.ProviderError):
         logger.warning("decrease[%s]: provider failed, falling back to input order", doc.doc_id)
-        flags.append(FLAG_DECREASE_FALLBACK)
-    if returned and len(kept) != max_labels:
-        flags.append(FLAG_DECREASE_FALLBACK)
 
     # Kept ids first, then the rest, each in input order (a stable sort).
     final = sorted(candidates, key=lambda nid: nid not in kept)[:max_labels]
     decrease = {"returned": returned, "kept": final}
     out = replace(labels, leaf_ids=tuple(final),
                   provenance={**labels.provenance, "decrease": decrease})
-    return with_flags(out, *flags)
+    if len(kept) != max_labels:  # some or all labels came from input order
+        out = with_flags(out, FLAG_DECREASE_FALLBACK)
+    return out
 
 
 def random_decrease(labels: LabelSet, max_labels: int, rng: random.Random) -> LabelSet:

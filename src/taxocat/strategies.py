@@ -12,7 +12,7 @@ outcomes instead of silently emitting empty output.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import wait
+from concurrent.futures import Future, as_completed, wait
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from statistics import fmean, harmonic_mean
@@ -304,19 +304,6 @@ def classify_rerank(
 # -- SelectP (pointwise) ---------------------------------------------------------------
 
 
-def _ask_each(
-    doc: Document,
-    taxonomy: Taxonomy,
-    node_ids: Sequence[str],
-    template_id: gw.TemplateId,
-    gateway: gw.LlmGateway,
-) -> dict[str, gw.ParsedResponse]:
-    """One pointwise verdict per node, asked concurrently, keyed by node id."""
-    specs = [gw.doc_spec(template_id, doc, [gw.node_payload(taxonomy.node(nid))])
-             for nid in node_ids]
-    return dict(zip(node_ids, gateway.call_all(specs)))
-
-
 @dataclass(frozen=True)
 class PointwiseTrace:
     """Everything the pointwise pass learned, in pruned-taxonomy leaf order."""
@@ -400,22 +387,49 @@ def classify_select_pointwise(
 
     A leaf survives only when its own verdict and its parent's verdict are
     both positive (contextualization); each parent is assessed once per
-    document. With contextualize off, leaf verdicts alone decide. The
-    verdicts of each wave (all leaves, then the parents of fitting leaves)
-    do not depend on each other, so each wave is asked concurrently.
+    document. With contextualize off, leaf verdicts alone decide.
+
+    Every leaf verdict is asked at once through gateway.submit, and a
+    parent's as soon as the first fitting leaf under it is known, so no
+    parent waits for the slowest leaf. Replies are read in leaf order, then
+    in the order of each parent's first fitting leaf, so the first failure
+    raised is the one asking leaves and then parents in that order would
+    raise. After a non-retryable error, calls not yet started send nothing,
+    and no call outlives the document.
     """
     parent_of = {leaf_id: taxonomy.node(leaf_id).parent_id for leaf_id in pt.leaf_ids}
-    leaf_verdicts = _ask_each(doc, taxonomy, pt.leaf_ids, gw.TemplateId.SELECTP_LEAF, gateway)
+    fatal: list[gw.ProviderError] = []
 
+    def ask(template_id: gw.TemplateId, node_id: str) -> Future:
+        node = gw.node_payload(taxonomy.node(node_id))
+        return gateway.submit(gw.doc_spec(template_id, doc, [node]), fatal)
+
+    leaf_calls: dict[str, Future] = {}
+    parent_calls: dict[str, Future] = {}
     parent_verdicts: dict[str, gw.ParentVerdict] = {}
-    if contextualize:
-        fitting_parents = list(dict.fromkeys(
-            parent_of[leaf_id]
-            for leaf_id in pt.leaf_ids
-            if leaf_verdicts[leaf_id].label_fit and parent_of[leaf_id] is not None
-        ))
-        parent_verdicts = _ask_each(
-            doc, taxonomy, fitting_parents, gw.TemplateId.SELECTP_PARENT, gateway)
+    try:
+        for leaf_id in pt.leaf_ids:
+            leaf_calls[leaf_id] = ask(gw.TemplateId.SELECTP_LEAF, leaf_id)
+        if contextualize:
+            leaf_of = {call: leaf_id for leaf_id, call in leaf_calls.items()}
+            for call in as_completed(leaf_of):
+                if call.exception() is not None:
+                    break  # the document fails; reading in leaf order raises
+                parent_id = parent_of[leaf_of[call]]
+                if (call.result().label_fit and parent_id is not None
+                        and parent_id not in parent_calls):
+                    parent_calls[parent_id] = ask(gw.TemplateId.SELECTP_PARENT, parent_id)
+        leaf_verdicts = {leaf_id: call.result() for leaf_id, call in leaf_calls.items()}
+        if contextualize:
+            fitting_parents = dict.fromkeys(
+                parent_of[leaf_id]
+                for leaf_id in pt.leaf_ids
+                if leaf_verdicts[leaf_id].label_fit and parent_of[leaf_id] is not None
+            )
+            parent_verdicts = {pid: parent_calls[pid].result() for pid in fitting_parents}
+    finally:
+        wait([call for call in (*leaf_calls.values(), *parent_calls.values())
+              if not call.cancel()])
 
     trace = PointwiseTrace(
         leaf_order=tuple(pt.leaf_ids),

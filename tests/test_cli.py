@@ -493,7 +493,7 @@ class TestProviderWiring:
         code = self._classify(tmp, {"endpoint": "https://api.example/chat", "model_name": "m"},
                               strategy="pointwise")
         assert code == 1
-        assert 1 <= len(bodies) <= gw.MAX_IN_FLIGHT
+        assert 1 <= len(bodies) <= gw.ProviderConfig().max_in_flight
         assert "error: HTTP 401" in capsys.readouterr().err
 
     def test_embedder_comes_from_the_provider_config(self, tmp_path):

@@ -23,7 +23,6 @@ from taxocat.gateway import (
     HttpProvider,
     LeafVerdict,
     LlmGateway,
-    MAX_IN_FLIGHT,
     NoJsonError,
     ParentVerdict,
     PromptSpec,
@@ -105,6 +104,14 @@ class TestTemplatesAndSpecs:
             ProviderConfig(timeout=0)
         with pytest.raises(ConfigError):
             ProviderConfig(max_retries=-1)
+        with pytest.raises(ConfigError, match="max_in_flight must be >= 1"):
+            ProviderConfig(max_in_flight=0)
+
+    def test_provider_config_reads_max_in_flight(self, tmp_path):
+        path = tmp_path / "provider.json"
+        path.write_text('{"max_in_flight": 5}')
+        assert load_provider_config(path).max_in_flight == 5
+        assert ProviderConfig().max_in_flight == 32
 
     def test_provider_config_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "provider.json"
@@ -131,6 +138,11 @@ class TestTemplatesAndSpecs:
         ('{"max_retries": 1.5}', "'max_retries' must be int"),
         ('{"max_retries": true}', "'max_retries' must be int"),
         ('{"credentials": 7}', "'credentials' must be str | None"),
+        ('{"max_in_flight": 0}', "max_in_flight must be >= 1"),
+        ('{"max_in_flight": -1}', "max_in_flight must be >= 1"),
+        ('{"max_in_flight": 8.0}', "'max_in_flight' must be int"),
+        ('{"max_in_flight": "8"}', "'max_in_flight' must be int"),
+        ('{"max_in_flight": true}', "'max_in_flight' must be int"),
         ('{"timeout": NaN}', "NaN is not a finite number"),
         ('{"temperature": -Infinity}', "-Infinity is not a finite number"),
         ('{"timeout": 1e999}', "1e999 is not a finite number"),
@@ -394,6 +406,20 @@ class TestMockProvider:
         assert parsed is not None
 
 
+    def test_document_tokenised_once_and_again_when_edited(self):
+        leaf = {"id": "l", "name": "auction design", "description": None}
+        doc = make_doc("d", "x", abstract="auction design")
+        misses = gw._doc_tokens.cache_info().misses
+        replies = {mock_complete(doc_spec(TemplateId.SELECTP_LEAF, doc, [leaf]))
+                   for _ in range(40)}
+        assert gw._doc_tokens.cache_info().misses == misses + 1
+        assert json.loads(replies.pop())["label_fit"] is True
+        edited = make_doc("d", "x", abstract="volcano hazards")  # same id, new content
+        reply = mock_complete(doc_spec(TemplateId.SELECTP_LEAF, edited, [leaf]))
+        assert json.loads(reply)["label_fit"] is False
+        assert gw._doc_tokens.cache_info().misses == misses + 2
+
+
 class TestMockConcurrency:
     def test_identical_specs_identical_results_under_threads(self):
         from concurrent.futures import ThreadPoolExecutor
@@ -569,10 +595,11 @@ class TestHttpProvider:
             _http_gateway(session, max_retries=0).call_with_retry(_empty_spec())
 
     def test_own_session_pools_one_connection_per_call_in_flight(self):
-        provider = HttpProvider(ProviderConfig(endpoint="https://api.example/chat"))
+        provider = HttpProvider(ProviderConfig(endpoint="https://api.example/chat",
+                                               max_in_flight=7))
         for url in ("https://api.example/chat", "http://api.example/chat"):
             adapter = provider.session.get_adapter(url)
-            assert adapter.poolmanager.connection_pool_kw["maxsize"] == MAX_IN_FLIGHT
+            assert adapter.poolmanager.connection_pool_kw["maxsize"] == 7
 
     def test_given_session_is_left_alone(self):
         session = _ScriptedSession(_OK)
@@ -790,10 +817,11 @@ class TestCallAll:
                 open_calls -= 1
 
         gateway = LlmGateway(_FnProvider(before))
+        width = gateway.config.max_in_flight
         results = []
         callers = [
             threading.Thread(target=lambda: results.append(
-                gateway.call_all([_wave_spec(i) for i in range(3 * MAX_IN_FLIGHT)])))
+                gateway.call_all([_wave_spec(i) for i in range(3 * width)])))
             for _ in range(3)
         ]
         for caller in callers:
@@ -802,16 +830,17 @@ class TestCallAll:
             caller.join(timeout=30)
             assert not caller.is_alive()
         assert len(results) == 3
-        assert 1 < peak <= MAX_IN_FLIGHT
+        assert 1 < peak <= width
 
     def test_fail_fast_error_stops_calls_not_yet_started(self):
         def before(i):
             raise AuthError("HTTP 401")
 
         gateway = LlmGateway(_FnProvider(before))
+        width = gateway.config.max_in_flight
         with pytest.raises(AuthError):
-            gateway.call_all([_wave_spec(i) for i in range(4 * MAX_IN_FLIGHT)])
-        assert 1 <= gateway.provider.calls <= MAX_IN_FLIGHT
+            gateway.call_all([_wave_spec(i) for i in range(4 * width)])
+        assert 1 <= gateway.provider.calls <= width
 
     def test_counters_add_up_under_fast_thread_switching(self):
         specs = [doc_spec(TemplateId.TRAV_SELECT, make_doc(f"d{i}", "auction design"),
@@ -829,3 +858,89 @@ class TestCallAll:
             sys.setswitchinterval(interval)
         assert (concurrent.calls_made, concurrent.characters_out, concurrent.characters_in) == (
             sequential.calls_made, sequential.characters_out, sequential.characters_in)
+
+
+def _fake_libc(calls: list, fail: type[Exception] | None = None):
+    """A stand-in for ctypes.CDLL whose mallopt records its arguments. With
+    `fail` OSError the library does not load; with AttributeError it has no mallopt."""
+
+    class Mallopt:
+        def __call__(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    class Libc:
+        def __init__(self, name):
+            if fail is OSError:
+                raise OSError("cannot load the library")
+            if fail is not AttributeError:
+                self.mallopt = Mallopt()
+
+    return Libc
+
+
+class TestCallPools:
+    @pytest.fixture
+    def no_pools(self, monkeypatch):
+        """As in a process that has made no call pool yet."""
+        monkeypatch.setattr(gw, "_call_pools", {})
+
+    def test_one_pool_per_width(self):
+        assert gw._call_pool(3) is gw._call_pool(3)
+        assert gw._call_pool(3)._max_workers == 3
+        assert gw._call_pool(4) is not gw._call_pool(3)
+
+    def test_gateways_of_one_width_share_its_bound(self):
+        lock = threading.Lock()
+        open_calls = peak = 0
+
+        def before(i):
+            nonlocal open_calls, peak
+            with lock:
+                open_calls += 1
+                peak = max(peak, open_calls)
+            time.sleep(0.002)
+            with lock:
+                open_calls -= 1
+
+        gateways = [LlmGateway(_FnProvider(before), ProviderConfig(max_in_flight=3))
+                    for _ in range(2)]
+        callers = [threading.Thread(target=g.call_all, args=([_wave_spec(i) for i in range(12)],))
+                   for g in gateways]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=30)
+            assert not caller.is_alive()
+        assert [g.calls_made for g in gateways] == [12, 12]
+        assert 1 < peak <= 3
+
+    def test_arena_cap_applied_once_when_the_first_pool_is_made(self, no_pools, monkeypatch):
+        calls: list = []
+        monkeypatch.setattr(gw.ctypes, "CDLL", _fake_libc(calls))
+        monkeypatch.setattr(gw.os, "confstr", lambda name: "glibc 2.36")
+        assert calls == []
+        gw._call_pool(3)
+        gw._call_pool(5)
+        gw._call_pool(3)
+        assert calls == [(gw.M_ARENA_MAX, gw.MALLOC_ARENAS)] == [(-8, 2)]
+
+    @pytest.mark.parametrize("libc", ["musl", None, ValueError])
+    def test_arena_cap_skipped_off_glibc(self, no_pools, monkeypatch, libc):
+        def confstr(name):
+            if libc is ValueError:
+                raise ValueError("unrecognized configuration name")
+            return libc
+
+        calls: list = []
+        monkeypatch.setattr(gw.ctypes, "CDLL", _fake_libc(calls))
+        monkeypatch.setattr(gw.os, "confstr", confstr)
+        assert gw._call_pool(3)._max_workers == 3
+        assert calls == []
+
+    @pytest.mark.parametrize("fail", [OSError, AttributeError])
+    def test_arena_cap_never_raises(self, no_pools, monkeypatch, fail):
+        monkeypatch.setattr(gw.ctypes, "CDLL", _fake_libc([], fail))
+        monkeypatch.setattr(gw.os, "confstr", lambda name: "glibc 2.36")
+        gateway = LlmGateway(_FnProvider(), ProviderConfig(max_in_flight=3))
+        assert gateway.submit(_wave_spec(1)).result(timeout=10) == BestLabels(ids=("d1",))

@@ -110,6 +110,15 @@ class TestDecreaseLabels:
         assert (FLAG_DECREASE_FALLBACK in out.flags) is fallback
         assert "decrease[d]: dropping unknown label id 'unknown'" in caplog.text
 
+    def test_empty_reply_is_flagged(self):
+        tax = _fanout_taxonomy()
+        candidates = list(tax.leaf_ids())[:8]
+        gateway = LlmGateway(ScriptedProvider('{"best_labels": []}'), ProviderConfig())
+        out = decrease_labels(make_doc("d", "x"), _labels(candidates), tax, gateway)
+        assert list(out.leaf_ids) == candidates[:5]
+        assert out.provenance["decrease"] == {"returned": [], "kept": candidates[:5]}
+        assert out.flags == (FLAG_DECREASE_FALLBACK,)
+
     def test_gateway_failure_falls_back_to_input_order(self):
         class FailingProvider:
             def complete(self, spec, reminder=None):

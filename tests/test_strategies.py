@@ -386,8 +386,9 @@ class TestRerank:
             started.release()
             release.wait(timeout=10)
 
-        pool = gw._shared_call_pool()
-        blockers = [pool.submit(block) for _ in range(gw.MAX_IN_FLIGHT)]
+        width = ProviderConfig().max_in_flight
+        pool = gw._call_pool(width)
+        blockers = [pool.submit(block) for _ in range(width)]
         provider = TableProvider({n.id: 0.5 for n in tax}, fail_ids={"g0p0l0"})
         gateway = LlmGateway(provider, ProviderConfig(max_retries=0))
         try:
@@ -603,20 +604,21 @@ class TestAdjustLabelCount:
             assert set(base.survivors()) <= set(flipped.survivors())
 
 
-class TestSelectPointwise:
-    def _three_leaf_taxonomy(self):
-        return Taxonomy(
-            [
-                TaxonomyNode(id="p1", name="auction markets"),
-                TaxonomyNode(id="p2", name="volcano geology"),
-                TaxonomyNode(id="L1", name="auction design", parent_id="p1"),
-                TaxonomyNode(id="L2", name="auction pricing", parent_id="p1"),
-                TaxonomyNode(id="L3", name="volcano hazards", parent_id="p2"),
-            ]
-        )
+def _three_leaf_taxonomy():
+    return Taxonomy(
+        [
+            TaxonomyNode(id="p1", name="auction markets"),
+            TaxonomyNode(id="p2", name="volcano geology"),
+            TaxonomyNode(id="L1", name="auction design", parent_id="p1"),
+            TaxonomyNode(id="L2", name="auction pricing", parent_id="p1"),
+            TaxonomyNode(id="L3", name="volcano hazards", parent_id="p2"),
+        ]
+    )
 
+
+class TestSelectPointwise:
     def test_two_fitting_leaves_with_fitting_parents(self, mock_gw):
-        tax = self._three_leaf_taxonomy()
+        tax = _three_leaf_taxonomy()
         doc = make_doc("d", "auction design pricing markets")
         labels = classify_select_pointwise(doc, tax, full_pt(tax), mock_gw, label_range=(1, 5))
         assert set(labels.leaf_ids) == {"L1", "L2"}
@@ -624,7 +626,7 @@ class TestSelectPointwise:
         assert labels.provenance["backfilled"] == []
 
     def test_parent_rejection_excludes_leaf(self):
-        tax = self._three_leaf_taxonomy()
+        tax = _three_leaf_taxonomy()
         # Leaf verdicts say fit for L1 and L3; parent p2 is rejected.
         responses = {
             "L1": '{"main_focus": "f", "label_fit": true}',
@@ -645,7 +647,7 @@ class TestSelectPointwise:
         assert labels.leaf_ids == ("L1",)
 
     def test_contextualize_off_skips_parent_stage(self, mock_gw):
-        tax = self._three_leaf_taxonomy()
+        tax = _three_leaf_taxonomy()
         provider = RecordingMockProvider(threshold=THRESHOLD)
         gateway = LlmGateway(provider, ProviderConfig())
         doc = make_doc("d", "auction design pricing markets")
@@ -671,6 +673,129 @@ class TestSelectPointwise:
             pt = full_pt(ternary, doc_id=doc.doc_id)
             labels = classify_select_pointwise(doc, ternary, pt, mock_gw)
             assert list(labels.leaf_ids) == oracle_pointwise(doc, ternary, pt, THRESHOLD)
+
+
+class _JitteryMock(RecordingMockProvider):
+    """The mock's replies, each after a random delay of up to 3 ms."""
+
+    def __init__(self, seed: int, threshold: float = THRESHOLD):
+        super().__init__(threshold)
+        self._rng = random.Random(seed)
+        self._lock = threading.Lock()
+
+    def complete(self, spec, reminder=None):
+        with self._lock:
+            delay = self._rng.uniform(0.0, 0.003)
+        time.sleep(delay)
+        return super().complete(spec, reminder)
+
+
+def _call_multiset(calls):
+    return sorted((c.template_id.value, c.user_text) for c in calls)
+
+
+class TestEagerParents:
+    """classify_select_pointwise asks a parent once its first fitting leaf is known."""
+
+    @staticmethod
+    def _wave_order(doc, tax, pt):
+        """The reference: every leaf verdict as one wave, then the parents of
+        fitting leaves, in the order of their first fitting leaf, as a second."""
+        gateway = recording_mock_gateway(THRESHOLD)
+        leaves = gateway.call_all([
+            gw.doc_spec(TemplateId.SELECTP_LEAF, doc, [gw.node_payload(tax.node(lid))])
+            for lid in pt.leaf_ids])
+        parents = dict.fromkeys(
+            tax.node(lid).parent_id for lid, verdict in zip(pt.leaf_ids, leaves)
+            if verdict.label_fit and tax.node(lid).parent_id is not None)
+        gateway.call_all([
+            gw.doc_spec(TemplateId.SELECTP_PARENT, doc, [gw.node_payload(tax.node(pid))])
+            for pid in parents])
+        return gateway
+
+    @pytest.mark.parametrize("width", [1, 2, 16, 32])
+    def test_same_output_calls_and_counters_as_the_wave_order(self, ternary, width):
+        rng = random.Random(11)
+        for i in range(4):
+            doc = vocab_doc(rng, f"d{i}")
+            pt = full_pt(ternary, doc_id=doc.doc_id)
+            gateway = LlmGateway(_JitteryMock(seed=width * 10 + i),
+                                 ProviderConfig(max_in_flight=width))
+            labels = classify_select_pointwise(doc, ternary, pt, gateway)
+            reference = self._wave_order(doc, ternary, pt)
+            assert labels == classify_select_pointwise(doc, ternary, pt, mock_gateway())
+            assert list(labels.leaf_ids) == oracle_pointwise(doc, ternary, pt, THRESHOLD)
+            assert _call_multiset(gateway.provider.calls) == _call_multiset(
+                reference.provider.calls)
+            assert (gateway.calls_made, gateway.characters_out, gateway.characters_in) == (
+                reference.calls_made, reference.characters_out, reference.characters_in)
+
+    def test_parent_is_asked_before_the_last_leaf_answers(self):
+        tax = _three_leaf_taxonomy()
+        parent_asked = threading.Event()
+        waited: list[bool] = []
+
+        class HoldLastLeaf(RecordingMockProvider):
+            def complete(self, spec, reminder=None):
+                node_id = spec.user_payload["nodes"][0]["id"]
+                if spec.template_id is TemplateId.SELECTP_PARENT:
+                    parent_asked.set()
+                elif node_id == "L3":  # the last leaf answers only once a parent is asked
+                    waited.append(parent_asked.wait(timeout=5))
+                return super().complete(spec, reminder)
+
+        doc = make_doc("d", "auction design markets")  # L1 and p1 fit, L3 does not
+        gateway = LlmGateway(HoldLastLeaf(THRESHOLD), ProviderConfig(max_in_flight=8))
+        labels = classify_select_pointwise(doc, tax, full_pt(tax), gateway)
+        assert waited == [True]
+        assert labels == classify_select_pointwise(doc, tax, full_pt(tax), mock_gateway())
+
+    @pytest.mark.parametrize("slow", [1, 3])
+    def test_failing_leaves_raise_the_first_failure_in_leaf_order(self, ternary, slow):
+        pt = full_pt(ternary)
+        failing = {pt.leaf_ids[1], pt.leaf_ids[3]}
+
+        class Failing(RecordingMockProvider):
+            def complete(self, spec, reminder=None):
+                node_id = spec.user_payload["nodes"][0]["id"]
+                if node_id in failing:
+                    if node_id == pt.leaf_ids[slow]:
+                        time.sleep(0.05)  # fails after the other one
+                    raise TransportError(f"fail {node_id}")
+                return super().complete(spec, reminder)
+
+        gateway = LlmGateway(Failing(threshold=0.0), ProviderConfig(max_retries=0))
+        with pytest.raises(TransportError, match=f"^fail {pt.leaf_ids[1]}$"):
+            classify_select_pointwise(make_doc("d", "auction"), ternary, pt, gateway)
+
+    def test_non_retryable_error_stops_unstarted_parent_calls(self, ternary):
+        pt = full_pt(ternary)
+        open_calls = 0
+        lock = threading.Lock()
+
+        class FirstParentRejected(RecordingMockProvider):
+            def complete(self, spec, reminder=None):
+                nonlocal open_calls
+                with lock:
+                    open_calls += 1
+                try:
+                    if spec.template_id is TemplateId.SELECTP_PARENT:
+                        self.calls.append(spec)
+                        raise AuthError("HTTP 401")
+                    return super().complete(spec, reminder)
+                finally:
+                    with lock:
+                        open_calls -= 1
+
+        # Everything fits, so every parent is asked; on one thread they queue.
+        provider = FirstParentRejected(threshold=0.0)
+        gateway = LlmGateway(provider, ProviderConfig(max_in_flight=1))
+        with pytest.raises(AuthError):
+            classify_select_pointwise(make_doc("d", "auction"), ternary, pt, gateway)
+        templates = [c.template_id for c in provider.calls]
+        assert templates.count(TemplateId.SELECTP_PARENT) == 1
+        assert templates.count(TemplateId.SELECTP_LEAF) == len(pt.leaf_ids)
+        assert open_calls == 0
 
 
 class TestLeafOnlyOutputs:
