@@ -75,6 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_describe.add_argument("--taxonomy", required=True)
     p_describe.add_argument("--output", required=True)
     _add_provider_args(p_describe)
+    p_describe.add_argument("--audit-log", default=None)
 
     p_classify = sub.add_parser("classify", help="assign leaf labels to a document batch")
     p_classify.add_argument("--taxonomy", required=True)
@@ -93,6 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--embedding-cache", default=None)
     p_classify.add_argument("--config", default=None, help="JSON file with run defaults")
     _add_provider_args(p_classify)
+    p_classify.add_argument("--audit-log", default=None)
 
     p_eval = sub.add_parser("evaluate", help="score SME judgments per method")
     p_eval.add_argument("--judgments", required=True)
@@ -115,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_provider_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--provider", default=None, help="provider config JSON file")
     parser.add_argument("--mock", action="store_true", help="use the offline deterministic mock")
-    parser.add_argument("--audit-log", default=None)
 
 
 # -- provider / embedder wiring -------------------------------------------------
@@ -439,17 +440,28 @@ def _load_baseline_reports(path: str) -> list[evaluation.MethodReport]:
     reports = []
     for row in data:
         try:
+            n = row["n"]
+            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+                raise ValueError(f"n must be an integer >= 1, not {n!r}")
             reports.append(
                 evaluation.MethodReport(
                     method=row["method"],
-                    n=int(row["n"]),
-                    accuracy_pct=float(row["accuracy_pct"]),
-                    score_dist_pct={s: float(row["score_dist_pct"][str(s)]) for s in (5, 4, 3, 2, 1)},
+                    n=n,
+                    accuracy_pct=_percentage(row["accuracy_pct"]),
+                    score_dist_pct={s: _percentage(row["score_dist_pct"][str(s)])
+                                    for s in (5, 4, 3, 2, 1)},
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(f"bad baseline report entry: {exc}") from None
     return reports
+
+
+def _percentage(value: Any) -> float:
+    """A baseline percentage: a JSON number in [0, 100], so not NaN or infinite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 100:
+        raise ValueError(f"a percentage must be a number in [0, 100], not {value!r}")
+    return float(value)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -529,7 +541,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return cmd_rank(args)
         parser.error(f"unknown command {args.command!r}")
     except (CliError, tax.TaxonomyError, DocumentError, evaluation.JudgmentError,
-            retrieval.RetrievalError, gw.ConfigError, gw.ProviderError) as exc:
+            retrieval.RetrievalError, gw.GatewayError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -191,7 +191,7 @@ class ProviderConfig:
     temperature: float = 0.0
     max_retries: int = 3
     timeout: float = 60.0
-    max_in_flight: int = 32  # calls sent through LlmGateway.submit in flight at once, at most
+    max_in_flight: int = 32  # calls sent through call groups in flight at once, at most
     credentials: str | None = None  # environment variable naming the secret
     embedding_endpoint: str | None = None  # the CLI's document and leaf embedder
     embedding_model: str = "default"
@@ -693,9 +693,9 @@ class Provider(Protocol):
     def complete(self, spec: PromptSpec, reminder: str | None = None) -> str: ...
 
 
-# LlmGateway.submit runs calls on one process-wide pool per width, the
-# provider config's max_in_flight, so at most that many of them are in flight
-# whatever the number of document workers or gateways. A hosted LLM's call
+# A CallGroup runs its calls on one process-wide pool per width, the provider
+# config's max_in_flight, so at most that many of them are in flight whatever
+# the number of document workers, gateways or groups. A hosted LLM's call
 # waits on the network, not on local CPUs, so the provider's rate limit is
 # what should set the width.
 _call_pools: dict[int, ThreadPoolExecutor] = {}
@@ -726,7 +726,7 @@ def _cap_malloc_arenas() -> None:
 
 
 def _call_pool(width: int) -> ThreadPoolExecutor:
-    """The process-wide pool of `width` threads behind LlmGateway.submit, made on first use."""
+    """The process-wide pool of `width` threads behind every CallGroup, made on first use."""
     with _call_pools_lock:
         pool = _call_pools.get(width)
         if pool is None:
@@ -810,51 +810,55 @@ class LlmGateway:
         assert last_error is not None
         raise last_error
 
-    def submit(self, spec: PromptSpec, fatal: list[ProviderError] | None = None) -> Future:
-        """call_with_retry(spec) on the process-wide pool of config.max_in_flight threads.
-
-        `fatal` is a latch shared by several submitted calls: once one of them
-        raises a non-retryable ProviderError, the others raise it too when
-        they start, without sending a request. Must not be called from a
-        call running on that pool.
-        """
-
-        def call() -> ParsedResponse:
-            if fatal:
-                raise fatal[0]
-            try:
-                return self.call_with_retry(spec)
-            except ProviderError as exc:
-                if fatal is not None and not exc.retryable:
-                    fatal.append(exc)
-                raise
-
-        return _call_pool(self.config.max_in_flight).submit(call)
-
-    def call_all(self, specs: Sequence[PromptSpec]) -> list[ParsedResponse]:
-        """call_with_retry for every spec, concurrently, with results in spec order.
-
-        The calls go through submit; fewer than two specs run inline.
-        Failures surface as in a sequential loop: the first failure in spec
-        order is raised. After a non-retryable ProviderError, calls that
-        have not started yet raise it without sending a request. No call
-        outlives its wave: before a failure is raised, every queued call is
-        cancelled and every started one is waited for.
-        """
-        if len(specs) < 2:
-            return [self.call_with_retry(spec) for spec in specs]
-        fatal: list[ProviderError] = []
-        futures = [self.submit(spec, fatal) for spec in specs]
-        try:
-            return [future.result() for future in futures]
-        finally:
-            wait([future for future in futures if not future.cancel()])
+    def group(self) -> CallGroup:
+        """A new CallGroup, the one way to send this gateway's calls concurrently."""
+        return CallGroup(self)
 
     def _audit(self, spec: PromptSpec, doc_id: str | None, attempt: int, outcome: str) -> None:
         if self.audit_log is not None:
             self.audit_log.append(
                 template_id=spec.template_id.value, doc_id=doc_id, attempt=attempt, outcome=outcome
             )
+
+
+class CallGroup:
+    """Calls sent concurrently on the process-wide pool of config.max_in_flight
+    threads, used as a context manager: `with gateway.group() as calls:`.
+
+    Once one of the group's calls raises a non-retryable ProviderError, its
+    calls that start later raise it too, without sending a request. Leaving
+    the block cancels every call not yet started and waits for every started
+    one, so no call outlives its group; an exception leaving the block is
+    raised as it is. Must not be used from a call running on that pool.
+    """
+
+    def __init__(self, gateway: LlmGateway):
+        self._gateway = gateway
+        self._futures: list[Future] = []
+        self._latched: ProviderError | None = None
+
+    def submit(self, spec: PromptSpec) -> Future:
+        """gateway.call_with_retry(spec) on the pool; its Future holds the reply."""
+        future = _call_pool(self._gateway.config.max_in_flight).submit(self._call, spec)
+        self._futures.append(future)
+        return future
+
+    def _call(self, spec: PromptSpec) -> ParsedResponse:
+        if self._latched is not None:
+            raise self._latched
+        try:
+            # Looked up per call, so a wrapper set on the class sees pooled calls too.
+            return self._gateway.call_with_retry(spec)
+        except ProviderError as exc:
+            if not exc.retryable:
+                self._latched = exc
+            raise
+
+    def __enter__(self) -> CallGroup:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        wait([future for future in self._futures if not future.cancel()])
 
 
 def mock_gateway(

@@ -12,7 +12,7 @@ outcomes instead of silently emitting empty output.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import Future, as_completed, wait
+from concurrent.futures import Future, as_completed
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from statistics import fmean, harmonic_mean
@@ -252,27 +252,22 @@ def classify_rerank(
             for ancestor_id in taxonomy.path_to_root(leaf_id)[2:]:
                 if ancestor_id not in first and ancestor_id not in deeper:
                     deeper.append(ancestor_id)
-    deeper_call = gateway.submit(_rerank_spec(doc, taxonomy, deeper)) if deeper else None
-    try:
+    flags: list[str] = []
+    deeper_scores: dict[str, float] = {}
+    with gateway.group() as calls:
+        deeper_call = calls.submit(_rerank_spec(doc, taxonomy, deeper)) if deeper else None
         scores = _read_scores(
             doc, first_ids, gateway.call_with_retry(_rerank_spec(doc, taxonomy, first_ids))
         )
-    except BaseException:
-        # No call outlives its document: drop the deeper call or wait for it.
-        if deeper_call is not None and not deeper_call.cancel():
-            wait([deeper_call])
-        raise
-
-    flags: list[str] = []
-    deeper_scores: dict[str, float] = {}
-    if deeper_call is not None:
-        try:
-            deeper_scores = _read_scores(doc, deeper, deeper_call.result())
-        except (gw.RetryExhaustedError, gw.ProviderError, ScoringIncompleteError) as exc:
-            if isinstance(exc, gw.ProviderError) and not exc.retryable:
-                raise
-            logger.warning("rerank[%s]: ancestor scoring unavailable", doc.doc_id)
-            flags.append(FLAG_ANCESTOR_SCORES_UNAVAILABLE)
+        # Read inside the block: leaving it cancels a deeper call still queued.
+        if deeper_call is not None:
+            try:
+                deeper_scores = _read_scores(doc, deeper, deeper_call.result())
+            except (gw.RetryExhaustedError, gw.ProviderError, ScoringIncompleteError) as exc:
+                if isinstance(exc, gw.ProviderError) and not exc.retryable:
+                    raise
+                logger.warning("rerank[%s]: ancestor scoring unavailable", doc.doc_id)
+                flags.append(FLAG_ANCESTOR_SCORES_UNAVAILABLE)
 
     final: dict[str, float] = {}
     for leaf_id in leaves:
@@ -343,36 +338,19 @@ def adjust_label_count(
     if len(chosen) >= min_labels:
         return tuple(chosen), [], False
 
-    order_index = {leaf_id: i for i, leaf_id in enumerate(trace.leaf_order)}
-    parent_rejected = [
-        leaf_id
+    taken = set(chosen)
+    rejected_relevancy = {
+        leaf_id: trace.parent_verdicts[trace.parent_of[leaf_id]].relevancy_score
         for leaf_id in trace.leaf_order
-        if leaf_id not in chosen
+        if leaf_id not in taken
         and trace.leaf_verdicts[leaf_id].label_fit
-        and trace.parent_of[leaf_id] is not None
         and trace.parent_of[leaf_id] in trace.parent_verdicts
-    ]
-    parent_rejected.sort(
-        key=lambda lid: (
-            -trace.parent_verdicts[trace.parent_of[lid]].relevancy_score,
-            order_index[lid],
-        )
-    )
-    backfilled: list[str] = []
-    for leaf_id in parent_rejected:
-        if len(chosen) + len(backfilled) >= min_labels:
-            break
-        backfilled.append(leaf_id)
-    if len(chosen) + len(backfilled) < min_labels:
-        taken = set(chosen) | set(backfilled)
-        for leaf_id in trace.leaf_order:
-            if len(chosen) + len(backfilled) >= min_labels:
-                break
-            if leaf_id not in taken:
-                backfilled.append(leaf_id)
+    }
+    rest = [leaf_id for leaf_id in trace.leaf_order if leaf_id not in taken]
+    rest.sort(key=lambda lid: (lid not in rejected_relevancy, -rejected_relevancy.get(lid, 0.0)))
+    backfilled = rest[:min_labels - len(chosen)]
     result = tuple(chosen) + tuple(backfilled)
-    shortfall = len(result) < min_labels
-    return result, backfilled, shortfall
+    return result, backfilled, len(result) < min_labels
 
 
 def classify_select_pointwise(
@@ -389,27 +367,24 @@ def classify_select_pointwise(
     both positive (contextualization); each parent is assessed once per
     document. With contextualize off, leaf verdicts alone decide.
 
-    Every leaf verdict is asked at once through gateway.submit, and a
+    Every leaf verdict is asked at once through one call group, and a
     parent's as soon as the first fitting leaf under it is known, so no
     parent waits for the slowest leaf. Replies are read in leaf order, then
     in the order of each parent's first fitting leaf, so the first failure
     raised is the one asking leaves and then parents in that order would
-    raise. After a non-retryable error, calls not yet started send nothing,
-    and no call outlives the document.
+    raise. The group's rules hold: after a non-retryable error, calls not
+    yet started send nothing, and no call outlives the document.
     """
     parent_of = {leaf_id: taxonomy.node(leaf_id).parent_id for leaf_id in pt.leaf_ids}
-    fatal: list[gw.ProviderError] = []
 
-    def ask(template_id: gw.TemplateId, node_id: str) -> Future:
-        node = gw.node_payload(taxonomy.node(node_id))
-        return gateway.submit(gw.doc_spec(template_id, doc, [node]), fatal)
+    def spec(template_id: gw.TemplateId, node_id: str) -> gw.PromptSpec:
+        return gw.doc_spec(template_id, doc, [gw.node_payload(taxonomy.node(node_id))])
 
-    leaf_calls: dict[str, Future] = {}
     parent_calls: dict[str, Future] = {}
     parent_verdicts: dict[str, gw.ParentVerdict] = {}
-    try:
-        for leaf_id in pt.leaf_ids:
-            leaf_calls[leaf_id] = ask(gw.TemplateId.SELECTP_LEAF, leaf_id)
+    with gateway.group() as calls:
+        leaf_calls = {leaf_id: calls.submit(spec(gw.TemplateId.SELECTP_LEAF, leaf_id))
+                      for leaf_id in pt.leaf_ids}
         if contextualize:
             leaf_of = {call: leaf_id for leaf_id, call in leaf_calls.items()}
             for call in as_completed(leaf_of):
@@ -418,7 +393,8 @@ def classify_select_pointwise(
                 parent_id = parent_of[leaf_of[call]]
                 if (call.result().label_fit and parent_id is not None
                         and parent_id not in parent_calls):
-                    parent_calls[parent_id] = ask(gw.TemplateId.SELECTP_PARENT, parent_id)
+                    parent_calls[parent_id] = calls.submit(
+                        spec(gw.TemplateId.SELECTP_PARENT, parent_id))
         leaf_verdicts = {leaf_id: call.result() for leaf_id, call in leaf_calls.items()}
         if contextualize:
             fitting_parents = dict.fromkeys(
@@ -427,9 +403,6 @@ def classify_select_pointwise(
                 if leaf_verdicts[leaf_id].label_fit and parent_of[leaf_id] is not None
             )
             parent_verdicts = {pid: parent_calls[pid].result() for pid in fitting_parents}
-    finally:
-        wait([call for call in (*leaf_calls.values(), *parent_calls.values())
-              if not call.cancel()])
 
     trace = PointwiseTrace(
         leaf_order=tuple(pt.leaf_ids),

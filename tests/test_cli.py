@@ -120,6 +120,18 @@ class TestTaxonomyCommands:
         assert all(r.get("description") for r in records)
         assert any(not n.description for n in tax)  # inputs really had gaps
 
+    def test_describe_with_unparseable_replies_is_a_one_line_error(self, workdir, capsys,
+                                                                    monkeypatch):
+        tmp, _, _ = workdir
+        monkeypatch.setattr(gw, "mock_complete", lambda spec, *args: "no json here")
+        code = cli.main(
+            ["taxonomy", "describe", "--taxonomy", str(tmp / "taxonomy.ndjson"),
+             "--output", str(tmp / "x.ndjson"), "--mock"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: 4 attempts failed for desc_gen: no JSON object found in provider output\n")
+
     def test_describe_requires_provider_or_mock(self, workdir, capsys):
         tmp, _, _ = workdir
         code = cli.main(
@@ -621,6 +633,30 @@ class TestEvaluateAndRank:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read --baseline {baseline}: ")
 
+    @pytest.mark.parametrize(("key", "value"), [
+        ("n", True), ("n", 0), ("n", 2.5), ("n", "192"),
+        ("accuracy_pct", "nan"), ("accuracy_pct", float("nan")), ("accuracy_pct", True),
+        ("accuracy_pct", 100.5), ("accuracy_pct", -1),
+        pytest.param("accuracy_pct", 10**400, id="accuracy_pct-1e400"),
+        ("5", "inf"), ("5", float("inf")), ("5", False),
+    ])
+    def test_evaluate_bad_baseline_row_is_an_error(self, tmp_path, capsys, key, value):
+        path = tmp_path / "j.ndjson"
+        write_ndjson(path, [{"doc_id": "d", "method": "m", "correct": True, "score": 5}])
+        row = {"method": "earlier", "n": 10, "accuracy_pct": 50.0,
+               "score_dist_pct": {"5": 0.0, "4": 0.0, "3": 100.0, "2": 0.0, "1": 0.0}}
+        if key in row:
+            row[key] = value
+        else:
+            row["score_dist_pct"][key] = value
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps([row]))  # NaN and Infinity as JSON writes them
+        code = cli.main(["evaluate", "--judgments", str(path), "--baseline", str(baseline)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: bad baseline report entry: ")
+        assert captured.out == ""
+
     def test_evaluate_empty_file_fails(self, tmp_path, capsys):
         path = tmp_path / "empty.ndjson"
         path.write_text("")
@@ -780,6 +816,16 @@ class TestEvaluateAndRank:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_rank_has_no_audit_log(self, workdir, capsys, tmp_path):
+        tmp, _, _ = workdir
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["rank", "--documents", str(tmp / "docs.ndjson"),
+                      "--taxonomy", str(tmp / "taxonomy.ndjson"),
+                      "--gold", str(tmp_path / "gold.ndjson"), "--mock",
+                      "--audit-log", str(tmp_path / "x")])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --audit-log" in capsys.readouterr().err
 
     def test_rank_single_depth(self, workdir, capsys, tmp_path):
         tmp, tax, docs = workdir

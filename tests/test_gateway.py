@@ -47,7 +47,7 @@ from taxocat.gateway import (
 )
 from taxocat.taxonomy import TaxonomyNode
 
-from .util import ScriptedProvider, make_doc, o_jaccard, o_tokens
+from .util import ScriptedProvider, ask_in_order, make_doc, o_jaccard, o_tokens
 
 
 class TestTemplatesAndSpecs:
@@ -745,19 +745,12 @@ class _FnProvider:
         return json.dumps({"best_labels": [f"d{i}"]})
 
 
-class TestCallAll:
+class TestCallGroup:
     def test_results_in_spec_order_when_later_specs_answer_first(self):
         n = 8
         gateway = LlmGateway(_FnProvider(lambda i: time.sleep(0.005 * (n - i))))
-        results = gateway.call_all([_wave_spec(i) for i in range(n)])
+        results = ask_in_order(gateway, [_wave_spec(i) for i in range(n)])
         assert results == [BestLabels(ids=(f"d{i}",)) for i in range(n)]
-
-    def test_fewer_than_two_specs_run_inline(self):
-        threads = []
-        gateway = LlmGateway(_FnProvider(lambda i: threads.append(threading.current_thread())))
-        assert gateway.call_all([]) == []
-        assert gateway.call_all([_wave_spec(0)]) == [BestLabels(ids=("d0",))]
-        assert threads == [threading.current_thread()]
 
     def test_first_failure_in_spec_order_is_raised(self):
         def before(i):
@@ -769,9 +762,9 @@ class TestCallAll:
 
         gateway = LlmGateway(_FnProvider(before), ProviderConfig(max_retries=0))
         with pytest.raises(TransportError, match="fail 2"):
-            gateway.call_all([_wave_spec(i) for i in range(8)])
+            ask_in_order(gateway, [_wave_spec(i) for i in range(8)])
 
-    def test_no_call_outlives_its_wave(self):
+    def test_no_call_outlives_its_group(self):
         lock = threading.Lock()
         open_calls = 0
 
@@ -789,19 +782,80 @@ class TestCallAll:
 
         gateway = LlmGateway(_FnProvider(before), ProviderConfig(max_retries=0))
         with pytest.raises(TransportError, match="fail 0"):
-            gateway.call_all([_wave_spec(i) for i in range(3)])
+            ask_in_order(gateway, [_wave_spec(i) for i in range(3)])
         assert open_calls == 0
+
+    def test_body_exception_cancels_queued_calls_and_waits_for_started_ones(self):
+        width = 2
+        lock = threading.Lock()
+        started = threading.Semaphore(0)
+        open_calls = 0
+
+        def before(i):
+            nonlocal open_calls
+            with lock:
+                open_calls += 1
+            started.release()
+            time.sleep(0.3)  # still running when the block is left
+            with lock:
+                open_calls -= 1
+
+        gateway = LlmGateway(_FnProvider(before), ProviderConfig(max_in_flight=width))
+        with pytest.raises(RuntimeError, match="body failed"):
+            with gateway.group() as calls:
+                # The first `width` calls fill the pool; the others stay queued.
+                futures = [calls.submit(_wave_spec(i)) for i in range(width + 3)]
+                assert all(started.acquire(timeout=10) for _ in range(width))
+                raise RuntimeError("body failed")
+        assert open_calls == 0
+        assert [future.cancelled() for future in futures] == [False] * width + [True] * 3
+        gw._call_pool(width).submit(lambda: None).result(timeout=10)  # the queue is worked off
+        assert gateway.provider.calls == width
+
+    def test_two_groups_on_one_gateway_do_not_share_a_latch(self):
+        sent = []
+
+        def before(i):
+            sent.append(i)
+            if i == 0:
+                raise AuthError("HTTP 401")
+
+        gateway = LlmGateway(_FnProvider(before))
+        with gateway.group() as first, gateway.group() as second:
+            with pytest.raises(AuthError):
+                first.submit(_wave_spec(0)).result(timeout=10)
+            with pytest.raises(AuthError):  # latched: sends no request
+                first.submit(_wave_spec(1)).result(timeout=10)
+            assert second.submit(_wave_spec(1)).result(timeout=10) == BestLabels(ids=("d1",))
+        assert sent == [0, 1]
 
     def test_submit_runs_on_the_call_pool(self):
         threads = []
         gateway = LlmGateway(_FnProvider(lambda i: threads.append(threading.current_thread())))
-        assert gateway.submit(_wave_spec(3)).result(timeout=10) == BestLabels(ids=("d3",))
+        with gateway.group() as calls:
+            assert calls.submit(_wave_spec(3)).result(timeout=10) == BestLabels(ids=("d3",))
         assert threads[0].name.startswith("taxocat-call")
+
+    def test_pooled_calls_go_through_the_class_attribute(self, monkeypatch):
+        """A wrapper set on LlmGateway after the group is made (as the
+        benchmark's tracer sets one) sees every pooled call."""
+        seen = []
+        call_with_retry = LlmGateway.call_with_retry
+
+        def wrapped(self, spec):
+            seen.append(_doc_index(spec))
+            return call_with_retry(self, spec)
+
+        gateway = LlmGateway(_FnProvider())
+        with gateway.group() as calls:
+            monkeypatch.setattr(LlmGateway, "call_with_retry", wrapped)
+            calls.submit(_wave_spec(4)).result(timeout=10)
+        assert seen == [4]
 
     def test_calls_really_overlap(self):
         barrier = threading.Barrier(2, timeout=10)
         gateway = LlmGateway(_FnProvider(lambda i: barrier.wait()))
-        assert len(gateway.call_all([_wave_spec(0), _wave_spec(1)])) == 2
+        assert len(ask_in_order(gateway, [_wave_spec(0), _wave_spec(1)])) == 2
 
     def test_in_flight_calls_bounded_across_concurrent_callers(self):
         lock = threading.Lock()
@@ -821,7 +875,7 @@ class TestCallAll:
         results = []
         callers = [
             threading.Thread(target=lambda: results.append(
-                gateway.call_all([_wave_spec(i) for i in range(3 * width)])))
+                ask_in_order(gateway, [_wave_spec(i) for i in range(3 * width)])))
             for _ in range(3)
         ]
         for caller in callers:
@@ -839,7 +893,7 @@ class TestCallAll:
         gateway = LlmGateway(_FnProvider(before))
         width = gateway.config.max_in_flight
         with pytest.raises(AuthError):
-            gateway.call_all([_wave_spec(i) for i in range(4 * width)])
+            ask_in_order(gateway, [_wave_spec(i) for i in range(4 * width)])
         assert 1 <= gateway.provider.calls <= width
 
     def test_counters_add_up_under_fast_thread_switching(self):
@@ -853,7 +907,7 @@ class TestCallAll:
         sys.setswitchinterval(1e-6)
         try:
             concurrent = mock_gateway()
-            concurrent.call_all(specs)
+            ask_in_order(concurrent, specs)
         finally:
             sys.setswitchinterval(interval)
         assert (concurrent.calls_made, concurrent.characters_out, concurrent.characters_in) == (
@@ -905,7 +959,8 @@ class TestCallPools:
 
         gateways = [LlmGateway(_FnProvider(before), ProviderConfig(max_in_flight=3))
                     for _ in range(2)]
-        callers = [threading.Thread(target=g.call_all, args=([_wave_spec(i) for i in range(12)],))
+        callers = [threading.Thread(target=ask_in_order,
+                                    args=(g, [_wave_spec(i) for i in range(12)]))
                    for g in gateways]
         for caller in callers:
             caller.start()
@@ -943,4 +998,4 @@ class TestCallPools:
         monkeypatch.setattr(gw.ctypes, "CDLL", _fake_libc([], fail))
         monkeypatch.setattr(gw.os, "confstr", lambda name: "glibc 2.36")
         gateway = LlmGateway(_FnProvider(), ProviderConfig(max_in_flight=3))
-        assert gateway.submit(_wave_spec(1)).result(timeout=10) == BestLabels(ids=("d1",))
+        assert ask_in_order(gateway, [_wave_spec(1)]) == [BestLabels(ids=("d1",))]

@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 import threading
 import time
+from contextlib import contextmanager
 from concurrent.futures import wait
 from statistics import fmean
 
@@ -43,6 +44,7 @@ from .util import (
     RecordingMockProvider,
     ScriptedProvider,
     TableProvider,
+    ask_in_order,
     make_doc,
     oracle_one_pass,
     oracle_pointwise,
@@ -272,6 +274,26 @@ def _rerank_oracle(taxonomy, pt, table, fn, top_n, parent_substitute=False):
     return ranked, final
 
 
+@contextmanager
+def _call_pool_occupied(release: threading.Event):
+    """Every thread of the default-width call pool blocked until `release`
+    is set, which leaving the block does; yields the pool."""
+    started = threading.Semaphore(0)
+
+    def block():
+        started.release()
+        release.wait(timeout=10)
+
+    pool = gw._call_pool(ProviderConfig().max_in_flight)
+    blockers = [pool.submit(block) for _ in range(ProviderConfig().max_in_flight)]
+    try:
+        assert all(started.acquire(timeout=10) for _ in blockers)
+        yield pool
+    finally:
+        release.set()
+        wait(blockers)
+
+
 class TestRerank:
     def test_leaf_only_argmax(self):
         tax = _chain_taxonomy()
@@ -378,30 +400,32 @@ class TestRerank:
 
     def test_queued_deeper_call_is_cancelled_when_the_first_call_fails(self):
         tax = _chain_taxonomy()
-        # Occupy every thread of the call pool, so the deeper call stays queued.
-        release = threading.Event()
-        started = threading.Semaphore(0)
-
-        def block():
-            started.release()
-            release.wait(timeout=10)
-
-        width = ProviderConfig().max_in_flight
-        pool = gw._call_pool(width)
-        blockers = [pool.submit(block) for _ in range(width)]
         provider = TableProvider({n.id: 0.5 for n in tax}, fail_ids={"g0p0l0"})
         gateway = LlmGateway(provider, ProviderConfig(max_retries=0))
-        try:
-            assert all(started.acquire(timeout=10) for _ in blockers)
+        # Every thread of the call pool is busy, so the deeper call stays queued.
+        with _call_pool_occupied(threading.Event()) as pool:
             with pytest.raises(TransportError):
                 classify_rerank(make_doc("d", "x"), tax, full_pt(tax), gateway,
                                 fn=AggregationFunction.AVG_ALL_ANCESTORS)
-        finally:
-            release.set()
-            wait(blockers)
         pool.submit(lambda: None).result()  # the queue has been worked off
         assert len(provider.calls) == 1  # the deeper call was never sent
         assert "g0" not in {n["id"] for n in provider.calls[0].user_payload["nodes"]}
+
+    def test_deeper_call_still_queued_when_the_first_reply_is_read_is_waited_for(self):
+        tax = _chain_taxonomy()
+        provider = TableProvider({n.id: 0.5 for n in tax})
+        # Every thread of the call pool is busy until well after the first
+        # call has answered, so the deeper call is still queued then.
+        release = threading.Event()
+        timer = threading.Timer(0.3, release.set)
+        with _call_pool_occupied(release):
+            timer.start()
+            labels = classify_rerank(make_doc("d", "x"), tax, full_pt(tax),
+                                     LlmGateway(provider, ProviderConfig()),
+                                     fn=AggregationFunction.AVG_ALL_ANCESTORS)
+        timer.join()
+        assert len(provider.calls) == 2
+        assert labels.flags == () and labels.provenance["ancestor_scores"] == {"g0": 0.5, "g1": 0.5}
 
     def test_ancestor_batch_failure_reuses_parent_scores(self):
         tax = _chain_taxonomy()
@@ -472,7 +496,8 @@ class TestRerank:
 
 def _ask(gateway, template_id, doc, nodes):
     """One pointwise verdict per node, as classify_select_pointwise asks them."""
-    return gateway.call_all([gw.doc_spec(template_id, doc, [gw.node_payload(n)]) for n in nodes])
+    return ask_in_order(gateway, [gw.doc_spec(template_id, doc, [gw.node_payload(n)])
+                                  for n in nodes])
 
 
 class TestPointwiseAssessments:
@@ -506,7 +531,66 @@ class TestPointwiseAssessments:
             assert verdicts[leaf_id]["label_fit"] == fits
 
 
+def _reference_adjust_label_count(trace, label_range):
+    """adjust_label_count's backfill as two loops, the way it was first written."""
+    min_labels, _ = label_range
+    chosen = trace.survivors()
+    if len(chosen) >= min_labels:
+        return tuple(chosen), [], False
+    order_index = {leaf_id: i for i, leaf_id in enumerate(trace.leaf_order)}
+    parent_rejected = [
+        leaf_id
+        for leaf_id in trace.leaf_order
+        if leaf_id not in chosen
+        and trace.leaf_verdicts[leaf_id].label_fit
+        and trace.parent_of[leaf_id] is not None
+        and trace.parent_of[leaf_id] in trace.parent_verdicts
+    ]
+    parent_rejected.sort(key=lambda lid: (
+        -trace.parent_verdicts[trace.parent_of[lid]].relevancy_score, order_index[lid]))
+    backfilled: list[str] = []
+    for leaf_id in parent_rejected:
+        if len(chosen) + len(backfilled) >= min_labels:
+            break
+        backfilled.append(leaf_id)
+    if len(chosen) + len(backfilled) < min_labels:
+        taken = set(chosen) | set(backfilled)
+        for leaf_id in trace.leaf_order:
+            if len(chosen) + len(backfilled) >= min_labels:
+                break
+            if leaf_id not in taken:
+                backfilled.append(leaf_id)
+    result = tuple(chosen) + tuple(backfilled)
+    return result, backfilled, len(result) < min_labels
+
+
+@st.composite
+def _pointwise_traces(draw):
+    """A trace over up to 12 leaves under up to 4 parents (or none), with some
+    parents unassessed and relevancy drawn from few values, so ties occur."""
+    n_leaves = draw(st.integers(0, 12))
+    leaf_order = tuple(f"l{i}" for i in range(n_leaves))
+    parent_ids = [f"p{i}" for i in range(4)]
+    parent_of = {lid: draw(st.sampled_from([None, *parent_ids])) for lid in leaf_order}
+    leaf_verdicts = {lid: gw.LeafVerdict(main_focus="f", label_fit=draw(st.booleans()))
+                     for lid in leaf_order}
+    assessed = draw(st.lists(st.sampled_from(parent_ids), unique=True))
+    parent_verdicts = {
+        pid: gw.ParentVerdict(main_focus="f", label_fit=draw(st.booleans()),
+                              relevancy_score=draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])))
+        for pid in assessed
+    }
+    return PointwiseTrace(leaf_order, parent_of, leaf_verdicts, parent_verdicts)
+
+
 class TestAdjustLabelCount:
+    @given(_pointwise_traces(), st.integers(1, 14), st.integers(0, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_one_stable_sort_matches_the_two_loop_backfill(self, trace, min_labels, extra):
+        label_range = (min_labels, min_labels + extra)
+        assert adjust_label_count(trace, label_range) == _reference_adjust_label_count(
+            trace, label_range)
+
     def _trace(self, leaf_order, fits, parent_of, parent_fit, parent_rel):
         return PointwiseTrace(
             leaf_order=tuple(leaf_order),
@@ -702,13 +786,13 @@ class TestEagerParents:
         """The reference: every leaf verdict as one wave, then the parents of
         fitting leaves, in the order of their first fitting leaf, as a second."""
         gateway = recording_mock_gateway(THRESHOLD)
-        leaves = gateway.call_all([
+        leaves = ask_in_order(gateway, [
             gw.doc_spec(TemplateId.SELECTP_LEAF, doc, [gw.node_payload(tax.node(lid))])
             for lid in pt.leaf_ids])
         parents = dict.fromkeys(
             tax.node(lid).parent_id for lid, verdict in zip(pt.leaf_ids, leaves)
             if verdict.label_fit and tax.node(lid).parent_id is not None)
-        gateway.call_all([
+        ask_in_order(gateway, [
             gw.doc_spec(TemplateId.SELECTP_PARENT, doc, [gw.node_payload(tax.node(pid))])
             for pid in parents])
         return gateway

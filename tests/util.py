@@ -140,6 +140,14 @@ def recording_mock_gateway(threshold: float = DEFAULT_OVERLAP_THRESHOLD, audit_l
     return gateway
 
 
+def ask_in_order(gateway, specs) -> list:
+    """call_with_retry for every spec at once, through one call group; the
+    replies in spec order, so the first failure in spec order is raised."""
+    with gateway.group() as calls:
+        futures = [calls.submit(spec) for spec in specs]
+        return [future.result() for future in futures]
+
+
 def record_cli_gateways(monkeypatch) -> list:
     """Make the CLI's --mock gateways record their prompts; returns them as they are built."""
     from taxocat import cli
