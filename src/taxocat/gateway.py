@@ -554,17 +554,16 @@ def mock_complete(spec: PromptSpec, threshold: float = DEFAULT_OVERLAP_THRESHOLD
         return json.dumps(verdict)
 
     nodes = payload["nodes"]
+    if tid is TemplateId.SELECT_ONE_PASS:
+        # A one-pass reply names leaves only, so the tree's ancestors are not scored.
+        nodes = [node for node in nodes if node.get("is_leaf")]
     overlaps = [(node["id"], jaccard(doc_tokens, _payload_node_tokens(node))) for node in nodes]
     if tid is TemplateId.RERANK:
         return json.dumps({"scores": [[nid, _mock_score(o)] for nid, o in overlaps]})
     if tid is TemplateId.DECREASE_LABELS:
         ranked = sorted(overlaps, key=lambda item: (-item[1], item[0]))
         return json.dumps({"best_labels": [nid for nid, _ in ranked[:5]]})
-    if tid is TemplateId.SELECT_ONE_PASS:
-        overlap_of = dict(overlaps)
-        chosen = [n["id"] for n in nodes if n.get("is_leaf") and overlap_of[n["id"]] >= threshold]
-        return json.dumps({"best_labels": chosen})
-    if tid is TemplateId.TRAV_SELECT:
+    if tid in (TemplateId.SELECT_ONE_PASS, TemplateId.TRAV_SELECT):
         return json.dumps({"best_labels": [nid for nid, o in overlaps if o >= threshold]})
     raise ConfigError(f"unknown template {tid!r}")
 

@@ -15,7 +15,7 @@ import logging
 from concurrent.futures import Future, as_completed
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from statistics import fmean, harmonic_mean
+from statistics import fmean
 from typing import Any, Mapping, Sequence
 
 from . import gateway as gw
@@ -168,6 +168,18 @@ def classify_select_one_pass(
 # -- Rerank -----------------------------------------------------------------------
 
 
+def _harmonic_mean(values: Sequence[float]) -> float:
+    """`statistics.harmonic_mean` of positive floats, bit for bit: each `1.0 / v`
+    has a power-of-two denominator, so the sum over the largest is exact, and
+    one `int / int` division rounds it as `Fraction` does. One value is returned as is."""
+    if len(values) == 1:
+        return values[0]
+    ratios = [(1.0 / v).as_integer_ratio() for v in values]
+    denominator = max(d for _, d in ratios)
+    total = sum(n * (denominator // d) for n, d in ratios)
+    return len(values) * denominator / total
+
+
 def aggregate_score(
     leaf_score: float,
     ancestor_scores: Sequence[float],
@@ -186,7 +198,7 @@ def aggregate_score(
         values = [leaf_score, *ancestor_scores]
         if any(v <= 0 for v in values):
             raise ValueError("harmonic mean requires strictly positive scores")
-        return harmonic_mean(values)
+        return _harmonic_mean(values)
     raise ValueError(f"unknown aggregation function {fn!r}")
 
 

@@ -204,9 +204,12 @@ def load_taxonomy(source: str | Path | IO[str]) -> Taxonomy:
         parent_id = record.get("parent_id")
         if parent_id is not None and (not isinstance(parent_id, str) or not parent_id):
             raise TaxonomyParseError(f"{where}: 'parent_id' must be a non-empty string")
+        acronym_expanded = record.get("acronym_expanded", False)
+        if not isinstance(acronym_expanded, bool):
+            raise TaxonomyParseError(f"{where}: 'acronym_expanded' must be true or false")
         nodes.append(TaxonomyNode(
             id=node_id, name=name, description=description, parent_id=parent_id,
-            acronym_expanded=bool(record.get("acronym_expanded", False)),
+            acronym_expanded=acronym_expanded,
         ))
     return Taxonomy(nodes)
 

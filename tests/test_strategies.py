@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import statistics
 import threading
 import time
 from contextlib import contextmanager
@@ -9,7 +10,7 @@ from concurrent.futures import wait
 from statistics import fmean
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from taxocat import gateway as gw
@@ -88,6 +89,15 @@ class TestAggregateScore:
         assert expected == pytest.approx(0.5538, abs=1e-4)
         got = aggregate_score(0.80, [0.60, 0.40], AggregationFunction.HARMONIC_ALL_ANCESTORS)
         assert got == pytest.approx(expected, abs=1e-12)
+
+    @given(st.one_of(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8),
+                     st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=8)))
+    @example([0.91])  # 1 / (1 / 0.91) != 0.91: a lone score comes back as it is
+    @settings(max_examples=500)
+    def test_harmonic_equals_statistics_bit_for_bit(self, values):
+        leaf, *ancestors = values
+        got = aggregate_score(leaf, ancestors, AggregationFunction.HARMONIC_ALL_ANCESTORS)
+        assert got == statistics.harmonic_mean(values)
 
     def test_harmonic_rejects_non_positive(self):
         with pytest.raises(ValueError):

@@ -88,6 +88,21 @@ class TestLoading:
         with pytest.raises(TaxonomyParseError, match="missing field"):
             _load('{"id": "A"}\n')
 
+    @pytest.mark.parametrize("value", ['"false"', '"true"', "0", "1", "0.0", "null", "[]"])
+    def test_non_boolean_acronym_expanded_rejected(self, value):
+        with pytest.raises(TaxonomyParseError,
+                           match="line 1: 'acronym_expanded' must be true or false"):
+            _load('{"id": "A", "name": "A", "acronym_expanded": %s}\n' % value)
+
+    def test_boolean_acronym_expanded_loads(self):
+        tax = _load('{"id": "A", "name": "A", "acronym_expanded": false}\n'
+                    '{"id": "B", "name": "B", "acronym_expanded": true}\n')
+        assert not tax.node("A").acronym_expanded
+        assert tax.node("B").acronym_expanded
+        out = expand_acronyms(tax, AcronymMap({"A": "Alpha", "B": "Beta"}))
+        assert out.node("A").name == "Alpha"
+        assert out.node("B").name == "B"
+
     def test_round_trip_identical(self):
         tax = _load(
             '{"id": "A", "name": "Alpha", "description": "top level"}\n'
