@@ -246,21 +246,18 @@ def cmd_taxonomy(args: argparse.Namespace) -> int:
                             flag="--audit-log")
         loaded = tax.load_taxonomy(args.taxonomy)
         gateway = _make_gateway(args, _provider_config(args))
-        described = [n for n in loaded if n.description]
-        missing = sorted(n.id for n in loaded if not n.description)
-        if not missing:
+        if all(n.description for n in loaded):
             tax.save_taxonomy(loaded, args.output)
             print("all nodes already described; copied unchanged")
             return 0
-        if not described:
+        exemplars = tax.description_exemplars(loaded)
+        if not exemplars:
             print("cannot describe: no node has an existing description to use as exemplar",
                   file=sys.stderr)
             return 1
         updates = []
-        for node_id in missing:
-            depth = loaded.depth(node_id)
-            exemplar = min(described, key=lambda n: (abs(loaded.depth(n.id) - depth), n.id))
-            text = tax.generate_description(loaded, node_id, gateway, exemplar.id)
+        for node_id, exemplar_id in exemplars.items():
+            text = tax.generate_description(loaded, node_id, gateway, exemplar_id)
             updates.append(replace(loaded.node(node_id), description=text))
         tax.save_taxonomy(loaded.with_nodes(updates), args.output)
         print(f"described {len(updates)} nodes -> {args.output}")

@@ -31,7 +31,7 @@ from typing import Any, Mapping, Protocol, Sequence, Union
 from . import ndjson
 from .documents import Document
 from .taxonomy import TaxonomyNode
-from .textproc import jaccard, token_set, tokenize, truncate_words
+from .textproc import jaccard, token_set, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -258,7 +258,8 @@ def _document_block(document: Mapping[str, Any]) -> str:
 
 def _label_line(node: Mapping[str, Any], prefix: str) -> str:
     """The one way a prompt draws a node: `id | name`, then `| description`
-    and `(parent: name)` when the payload has them, each as given."""
+    and `(parent: name)` when the payload has them, each as given: node_payload
+    has already put each name and description on one line."""
     line = f"{prefix}{node['id']} | {node['name']}"
     if node.get("description"):
         line += f" | {node['description']}"
@@ -311,15 +312,28 @@ def _render_user_text(spec: PromptSpec) -> str:
 # -- spec builders -------------------------------------------------------------------
 
 DESCRIPTION_MAX_WORDS = 60  # keeps multi-node prompts inside context limits
+# Distinct names and descriptions whose one-line form is remembered: a
+# 5,000-node taxonomy has about 8,500.
+ONE_LINE_MEMO_SIZE = 1 << 14
+
+
+@lru_cache(maxsize=ONE_LINE_MEMO_SIZE)
+def _one_line(text: str, max_words: int | None = None) -> str:
+    """`text` on one line: inner whitespace runs become one space, the ends are
+    trimmed, and it is cut to `max_words` words."""
+    shown = " ".join(text.split()[:max_words])
+    return text if shown == text else shown  # the memo then holds one copy of the text
 
 
 def node_payload(node: TaxonomyNode, **extra: Any) -> dict[str, Any]:
     """A taxonomy node as every prompt shows it, plus `extra` keys.
 
-    The description is cut to DESCRIPTION_MAX_WORDS words.
+    The name and description each fit on one line: every whitespace run,
+    line breaks included, becomes one space. The description is cut to
+    DESCRIPTION_MAX_WORDS words.
     """
-    description = node.description and truncate_words(node.description, DESCRIPTION_MAX_WORDS)
-    return {"id": node.id, "name": node.name, "description": description, **extra}
+    description = node.description and _one_line(node.description, DESCRIPTION_MAX_WORDS)
+    return {"id": node.id, "name": _one_line(node.name), "description": description, **extra}
 
 
 def doc_spec(template_id: TemplateId, doc: Document,

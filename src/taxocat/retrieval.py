@@ -100,17 +100,17 @@ class HashBagEmbedder:
         slots = self._slots
         matrix = np.zeros((len(texts), self.dim))
         for row, text in zip(matrix, texts):
-            tokens = tokenize(text)
-            if not tokens:
-                row[0] = 1.0
-            for token in tokens:
+            hits = []
+            for token in tokenize(text):
                 slot = slots.get(token)
                 if slot is None:
                     if len(slots) >= SLOT_MEMO_SIZE:
                         slots.clear()
                     digest = hashlib.sha1(token.encode("utf-8")).digest()
                     slot = slots[token] = int.from_bytes(digest[:4], "big") % self.dim
-                row[slot] += 1.0
+                hits.append(slot)
+            # Integer counts, so the float64 row is exact whatever order they add in.
+            row[:] = np.bincount(hits or [0], minlength=self.dim)
         return matrix
 
 
@@ -426,7 +426,11 @@ def build_pruned_taxonomy(taxonomy: Taxonomy, ranking: LeafRanking, k: int) -> P
     top = ranking.leaf_ids()[:k]
     node_ids: set[str] = set()
     for leaf_id in top:
-        node_ids.update(taxonomy.path_to_root(leaf_id))
+        # Every collected node's ancestors are collected, so a walk stops at the first one.
+        node_id: str | None = leaf_id
+        while node_id is not None and node_id not in node_ids:
+            node_ids.add(node_id)
+            node_id = taxonomy.node(node_id).parent_id
     return PrunedTaxonomy(
         doc_id=ranking.doc_id, node_ids=frozenset(node_ids), leaf_ids=tuple(top), k=k
     )

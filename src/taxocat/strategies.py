@@ -125,23 +125,22 @@ def classify_trav_select(
 
 def _pruned_tree_payloads(taxonomy: Taxonomy, pt: PrunedTaxonomy) -> list[dict[str, Any]]:
     """The pruned taxonomy's node payloads in depth-first order, each with its
-    depth in the pruned tree and is_leaf (leaf within the full taxonomy)."""
+    depth in the pruned tree and is_leaf (leaf within the full taxonomy).
+
+    The tops are the kept nodes whose parent is not kept, in id order; each
+    node's kept children follow it in taxonomy order.
+    """
+    kept = pt.node_ids
+    tops = sorted(nid for nid in kept if taxonomy.node(nid).parent_id not in kept)
+    stack = [(nid, 0) for nid in reversed(tops)]
     payloads: list[dict[str, Any]] = []
-
-    def visit(node_id: str, depth: int) -> None:
-        payloads.append(gw.node_payload(
-            taxonomy.node(node_id), depth=depth, is_leaf=taxonomy.is_leaf(node_id)))
-        for child in taxonomy.children(node_id):
-            if child in pt.node_ids:
-                visit(child, depth + 1)
-
-    pt_roots = sorted(
-        nid
-        for nid in pt.node_ids
-        if taxonomy.node(nid).parent_id is None or taxonomy.node(nid).parent_id not in pt.node_ids
-    )
-    for root in pt_roots:
-        visit(root, 0)
+    while stack:
+        node_id, depth = stack.pop()
+        children = taxonomy.children(node_id)
+        payloads.append(gw.node_payload(taxonomy.node(node_id), depth=depth, is_leaf=not children))
+        for child in reversed(children):
+            if child in kept:
+                stack.append((child, depth + 1))
     return payloads
 
 

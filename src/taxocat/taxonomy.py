@@ -61,7 +61,7 @@ class Taxonomy:
                 raise TaxonomyIntegrityError(f"node {node.id!r} has an empty name")
             self._nodes[node.id] = node
 
-        self._children: dict[str, list[str]] = {nid: [] for nid in self._nodes}
+        children: dict[str, list[str]] = {nid: [] for nid in self._nodes}
         self._roots: list[str] = []
         for node in self._nodes.values():
             if node.parent_id is None:
@@ -71,10 +71,9 @@ class Taxonomy:
                     raise TaxonomyIntegrityError(
                         f"node {node.id!r} references missing parent {node.parent_id!r}"
                     )
-                self._children[node.parent_id].append(node.id)
+                children[node.parent_id].append(node.id)
         self._roots.sort()
-        for kids in self._children.values():
-            kids.sort()
+        self._children = {nid: tuple(sorted(kids)) for nid, kids in children.items()}
         self._leaf_ids = tuple(nid for nid in sorted(self._nodes) if not self._children[nid])
 
         self._depth = self._compute_depths()
@@ -124,11 +123,14 @@ class Taxonomy:
         return tuple(self._roots)
 
     def children(self, node_id: str) -> tuple[str, ...]:
-        self.node(node_id)
-        return tuple(self._children[node_id])
+        """Child ids in ascending order: the taxonomy's own tuple, not a copy."""
+        try:
+            return self._children[node_id]
+        except KeyError:
+            raise KeyError(f"unknown node id: {node_id!r}") from None
 
     def is_leaf(self, node_id: str) -> bool:
-        return not self._children[self.node(node_id).id]
+        return not self.children(node_id)
 
     def leaf_ids(self) -> tuple[str, ...]:
         """Leaf ids in ascending order."""
@@ -310,6 +312,25 @@ def suggest_acronyms(taxonomy: Taxonomy) -> dict[str, str]:
 
 class DescriptionError(TaxonomyError):
     """Description generation failed or produced empty text."""
+
+
+def description_exemplars(taxonomy: Taxonomy) -> dict[str, str]:
+    """Each undescribed node's exemplar, in node id order: the described node
+    nearest to it in depth, the lowest id among the nearest. Empty when no
+    node has a description."""
+    lowest: dict[int, str] = {}  # depth -> lowest described id there
+    missing = []
+    for node in taxonomy:
+        if not node.description:
+            missing.append(node.id)
+            continue
+        depth = taxonomy.depth(node.id)
+        lowest[depth] = min(lowest.get(depth, node.id), node.id)
+    if not lowest:
+        return {}
+    pick = {depth: min(lowest.items(), key=lambda item: (abs(item[0] - depth), item[1]))[1]
+            for depth in {taxonomy.depth(nid) for nid in missing}}
+    return {nid: pick[taxonomy.depth(nid)] for nid in sorted(missing)}
 
 
 def generate_description(taxonomy: Taxonomy, node_id: str, gateway, exemplar_id: str) -> str:

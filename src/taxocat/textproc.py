@@ -22,11 +22,3 @@ def jaccard(a: frozenset[str] | set[str], b: frozenset[str] | set[str]) -> float
         return 0.0
     common = len(a & b)
     return common / (len(a) + len(b) - common)
-
-
-def truncate_words(text: str, max_words: int) -> str:
-    """Cut text to at most max_words whitespace-delimited words."""
-    words = text.split()
-    if len(words) <= max_words:
-        return text
-    return " ".join(words[:max_words])

@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
+import hashlib
 import json
 import logging
 import random
@@ -20,11 +21,16 @@ from .util import (
     make_doc,
     o_overlap,
     o_relevancy,
+    random_forest,
     record_cli_gateways,
     ternary_taxonomy,
     vocab_doc,
     write_ndjson,
 )
+
+# sha256 of the --embedding-cache file that `classify --mock` writes for
+# random_forest(random.Random(11), 400).
+EMBEDDING_CACHE_SHA256 = "dded9e58078b027439fe0628a453a1cd41d902c04176e324632defb0363c18d0"
 
 
 @pytest.fixture
@@ -240,6 +246,15 @@ class TestClassify:
         assert self._run(tmp, ["--strategy", "one-pass"], out_name="c0.ndjson")[0] == 0
         assert ((tmp / "c0.ndjson").read_bytes() == (tmp / "c1.ndjson").read_bytes()
                 == (tmp / "c2.ndjson").read_bytes())
+
+    def test_embedding_cache_bytes_pinned(self, workdir):
+        # The cache file's sha256 is fixed, so a faster hash-bag embedder or
+        # cache writer must keep every row's bytes.
+        tmp, _, _ = workdir
+        save_taxonomy(random_forest(random.Random(11), 400), tmp / "taxonomy.ndjson")
+        cache = tmp / "emb.ndjson"
+        assert self._run(tmp, ["--strategy", "one-pass", "--embedding-cache", str(cache)])[0] == 0
+        assert hashlib.sha256(cache.read_bytes()).hexdigest() == EMBEDDING_CACHE_SHA256
 
     def test_edited_leaf_is_embedded_again_once(self, workdir, monkeypatch):
         tmp, tax, _ = workdir

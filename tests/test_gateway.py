@@ -165,20 +165,40 @@ class TestNodeLines:
 
     def test_list_and_tree_draw_a_node_alike(self):
         # One line rule: "id | name", then "| description" when there is one,
-        # as given, so a description's trailing space stays.
+        # as node_payload shaped it, so a description's trailing space goes.
         doc = make_doc("d", "auctions")
         described = node_payload(TaxonomyNode(id="n1", name="Markets", description="trade "))
         bare = node_payload(TaxonomyNode(id="n2", name="Bids", parent_id="n1"))
         listed = render_user_text(doc_spec(TemplateId.TRAV_SELECT, doc, [described, bare]))
-        assert listed.endswith("Labels:\n- n1 | Markets | trade \n- n2 | Bids")
+        assert listed.endswith("Labels:\n- n1 | Markets | trade\n- n2 | Bids")
         tree = render_user_text(doc_spec(
             TemplateId.SELECT_ONE_PASS,
             doc, [dict(described, depth=0, is_leaf=False), dict(bare, depth=1, is_leaf=True)]))
-        assert tree.endswith("Taxonomy:\nn1 | Markets | trade \n  n2 | Bids")
+        assert tree.endswith("Taxonomy:\nn1 | Markets | trade\n  n2 | Bids")
         decrease = render_user_text(doc_spec(
             TemplateId.DECREASE_LABELS,
             doc, [dict(described, parent_name=None), dict(bare, parent_name="Markets")]))
-        assert decrease.endswith("- n1 | Markets | trade \n- n2 | Bids (parent: Markets)")
+        assert decrease.endswith("- n1 | Markets | trade\n- n2 | Bids (parent: Markets)")
+
+    def test_line_breaks_and_whitespace_runs_collapse_to_one_space(self):
+        node = node_payload(TaxonomyNode(id="n1", name="Market\r\n design",
+                                         description="Auctions and\nmatching  markets."))
+        assert (node["name"], node["description"]) == ("Market design",
+                                                       "Auctions and matching markets.")
+        listed = render_user_text(doc_spec(TemplateId.RERANK, make_doc("d", "auctions"), [node]))
+        assert listed.endswith("Labels:\n- n1 | Market design | Auctions and matching markets.")
+
+    @given(st.text().filter(str.strip), st.none() | st.text())
+    @settings(max_examples=300)
+    def test_every_node_is_one_prompt_line(self, name, description):
+        node = node_payload(TaxonomyNode(id="n1", name=name, description=description), depth=1,
+                            is_leaf=True, parent_name=None)
+        doc = make_doc("d", "auctions")
+        for template_id, heading in [(TemplateId.TRAV_SELECT, "Labels:"),
+                                     (TemplateId.DECREASE_LABELS, "Labels:"),
+                                     (TemplateId.SELECT_ONE_PASS, "Taxonomy:")]:
+            text = render_user_text(doc_spec(template_id, doc, [node]))
+            assert len(text.split(f"\n{heading}\n")[1].splitlines()) == 1
 
 
 _NODES = [{"id": "n1", "name": "auction design", "description": "bids"},

@@ -23,7 +23,7 @@ from taxocat.gateway import (
     TransportError,
     mock_gateway,
 )
-from taxocat.retrieval import LeafRanking, build_pruned_taxonomy
+from taxocat.retrieval import LeafRanking, PrunedTaxonomy, build_pruned_taxonomy
 from taxocat.strategies import (
     AggregationFunction,
     FLAG_ANCESTOR_SCORES_UNAVAILABLE,
@@ -35,6 +35,7 @@ from taxocat.strategies import (
     adjust_label_count,
     aggregate_score,
     classify_rerank,
+    _pruned_tree_payloads,
     classify_select_one_pass,
     classify_select_pointwise,
     classify_trav_select,
@@ -47,6 +48,7 @@ from .util import (
     TableProvider,
     ask_in_order,
     make_doc,
+    o_pruned_tree,
     oracle_one_pass,
     oracle_pointwise,
     oracle_trav_select,
@@ -233,6 +235,35 @@ class TestSelectOnePass:
         assert tree == ["r | root node | " + " ".join(f"w{i}" for i in range(60)),
                         "  c | child node"]
         assert [node["is_leaf"] for node in spec.user_payload["nodes"]] == [False, True]
+
+
+class TestPrunedTreeWalk:
+    """The one-pass tree's walk against the recursive walk in util.o_pruned_tree."""
+
+    @staticmethod
+    def walked(tax, pt):
+        return [(p["id"], p["depth"], p["is_leaf"]) for p in _pruned_tree_payloads(tax, pt)]
+
+    @pytest.mark.parametrize("k", [1, 3, 17, 40, 10_000])
+    def test_build_pruned_taxonomy_trees_match_recursive_walk(self, k):
+        rng = random.Random(k)
+        for _ in range(15):
+            tax = random_forest(rng, rng.randint(1, 400), max_depth=rng.randint(2, 9))
+            leaves = rng.sample(tax.leaf_ids(), len(tax.leaf_ids()))
+            ranking = LeafRanking(doc_id="d", entries=tuple(
+                (lid, 1.0 - i / (len(leaves) + 1)) for i, lid in enumerate(leaves)))
+            pt = build_pruned_taxonomy(tax, ranking, k)
+            assert pt.node_ids == {nid for lid in pt.leaf_ids for nid in tax.path_to_root(lid)}
+            assert self.walked(tax, pt) == o_pruned_tree(tax, pt.node_ids)
+
+    def test_hand_built_non_closed_trees_match_recursive_walk(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            tax = random_forest(rng, rng.randint(1, 200), max_depth=rng.randint(2, 9))
+            kept = frozenset(rng.sample([n.id for n in tax], rng.randint(1, len(tax))))
+            leaves = tuple(lid for lid in tax.leaf_ids() if lid in kept)
+            pt = PrunedTaxonomy(doc_id="d", node_ids=kept, leaf_ids=leaves, k=len(leaves))
+            assert self.walked(tax, pt) == o_pruned_tree(tax, kept)
 
 
 def _chain_taxonomy():

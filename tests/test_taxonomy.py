@@ -14,6 +14,7 @@ from taxocat.taxonomy import (
     TaxonomyIntegrityError,
     TaxonomyNode,
     TaxonomyParseError,
+    description_exemplars,
     expand_acronyms,
     generate_description,
     hierarchy_stats,
@@ -320,3 +321,32 @@ class TestGenerateDescription:
             generate_description(tax, "p", mock_gw, exemplar_id="e")
         with pytest.raises(ValueError, match="no description"):
             generate_description(tax, "c", mock_gw, exemplar_id="c")
+
+
+class TestDescriptionExemplars:
+    @staticmethod
+    def nearest_described(tax, node_id):
+        """The rule `taxonomy describe` used to apply per node: a scan of every described node."""
+        depth = tax.depth(node_id)
+        described = [n for n in tax if n.description]
+        return min(described, key=lambda n: (abs(tax.depth(n.id) - depth), n.id)).id
+
+    def test_matches_nearest_depth_scan_on_random_forests(self):
+        rng = random.Random(17)
+        for _ in range(40):
+            tax = random_forest(rng, rng.randint(1, 300), max_depth=rng.randint(2, 9))
+            missing = sorted(n.id for n in tax if not n.description)
+            exemplars = description_exemplars(tax)
+            if not any(n.description for n in tax):
+                assert exemplars == {}
+                continue
+            assert list(exemplars) == missing
+            assert exemplars == {nid: self.nearest_described(tax, nid) for nid in missing}
+
+    def test_equal_distance_above_and_below_picks_the_lower_id(self):
+        tax = Taxonomy([
+            TaxonomyNode(id="z", name="Top", description="top"),
+            TaxonomyNode(id="m", name="Middle", parent_id="z"),
+            TaxonomyNode(id="a", name="Bottom", parent_id="m", description="bottom"),
+        ])
+        assert description_exemplars(tax) == {"m": "a"}

@@ -9,7 +9,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from taxocat.gateway import DEFAULT_OVERLAP_THRESHOLD, TemplateId, doc_spec, mock_complete
@@ -91,6 +91,15 @@ class TestHashBagRows:
         matrix = HashBagEmbedder(dim=32).embed_many(texts)
         for row, text in zip(matrix, texts):
             assert row.tobytes() == regex_row(text, 32).tobytes()
+
+    @given(st.lists(st.lists(st.sampled_from(["bid", "BID", "\u00e9t\u00e9", "x1", "", "\n"]),
+                             max_size=500).map(" ".join), min_size=1, max_size=4))
+    @example(["", "bid " * 1000, "\u00e9t\u00e9 \u00e9t\u00e9 \u212a \u212a"])
+    @settings(max_examples=100)
+    def test_repeated_tokens_bit_identical_to_regex_rows(self, texts):
+        matrix = HashBagEmbedder(dim=16).embed_many(texts)
+        for row, text in zip(matrix, texts):
+            assert row.tobytes() == regex_row(text, 16).tobytes()
 
 
 def all_node_one_pass(spec, threshold: float) -> str:

@@ -312,6 +312,26 @@ def oracle_pointwise(doc: Document, taxonomy: Taxonomy, pt, threshold: float,
     return result
 
 
+def o_pruned_tree(taxonomy: Taxonomy, node_ids) -> list[tuple[str, int, bool]]:
+    """(id, depth, is_leaf) of each kept node, by the recursive depth-first walk
+    the one-pass tree was first drawn with: tops (kept nodes whose parent is not
+    kept) in id order, and under each node its kept children in taxonomy order."""
+    out: list[tuple[str, int, bool]] = []
+
+    def visit(node_id: str, depth: int) -> None:
+        out.append((node_id, depth, taxonomy.is_leaf(node_id)))
+        for child in taxonomy.children(node_id):
+            if child in node_ids:
+                visit(child, depth + 1)
+
+    tops = sorted(nid for nid in node_ids
+                  if taxonomy.node(nid).parent_id is None
+                  or taxonomy.node(nid).parent_id not in node_ids)
+    for top in tops:
+        visit(top, 0)
+    return out
+
+
 def write_ndjson(path, records) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
