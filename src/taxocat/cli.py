@@ -14,17 +14,15 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
-from . import evaluation, gateway as gw, ndjson, pipeline, postprocess, retrieval, strategies
+from . import evaluation, gateway as gw, pipeline, postprocess, retrieval, strategies
 from . import taxonomy as tax
-from .documents import Document, DocumentError, load_documents
+from .documents import DocumentError, load_documents
+from .pipeline import RunConfig
 
-TOP_K_RANGE = (10, 100)
 DEFAULT_DEPTHS = tuple(range(10, 101, 10))
 
 STRATEGY_CHOICES = {
@@ -204,26 +202,17 @@ def cmd_taxonomy(args: argparse.Namespace) -> int:
     if args.subcommand == "stats":
         loaded = tax.load_taxonomy(args.taxonomy)
         stats = tax.hierarchy_stats(loaded)
+        shown = {
+            "leaves": stats.leaf_count, "parents": stats.parent_count,
+            "max_children": stats.max_children, "avg_children": round(stats.avg_children, 2),
+            "max_leaf_depth": stats.max_leaf_depth,
+            "avg_leaf_depth": round(stats.avg_leaf_depth, 2),
+        }
         if args.as_json:
-            print(
-                json.dumps(
-                    {
-                        "leaves": stats.leaf_count,
-                        "parents": stats.parent_count,
-                        "max_children": stats.max_children,
-                        "avg_children": round(stats.avg_children, 2),
-                        "max_leaf_depth": stats.max_leaf_depth,
-                        "avg_leaf_depth": round(stats.avg_leaf_depth, 2),
-                    }
-                )
-            )
+            print(json.dumps(shown))
         else:
-            print(f"leaves: {stats.leaf_count}")
-            print(f"parents: {stats.parent_count}")
-            print(f"max_children: {stats.max_children}")
-            print(f"avg_children: {stats.avg_children:.2f}")
-            print(f"max_leaf_depth: {stats.max_leaf_depth}")
-            print(f"avg_leaf_depth: {stats.avg_leaf_depth:.2f}")
+            for key, value in shown.items():
+                print(f"{key}: {value:.2f}" if key.startswith("avg_") else f"{key}: {value}")
         return 0
 
     if args.subcommand == "expand":
@@ -304,104 +293,45 @@ def _setting(cli_value, config: dict[str, Any], key: str, default):
     return cli_value if cli_value is not None else config.get(key, default)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings for one classification batch."""
-
-    taxonomy_path: Path
-    documents_path: Path
-    output_path: Path
-    method: strategies.Method
-    top_k: int
-    aggregation: strategies.AggregationFunction
-    label_range: tuple[int, int]
-    postprocess: postprocess.PostProcessConfig
-    include_descriptions: bool
-    contextualize: bool
-    parallelism: int
-    seed: int
-
-    def __post_init__(self):
-        if not TOP_K_RANGE[0] <= self.top_k <= TOP_K_RANGE[1]:
-            raise CliError(f"--top-k must be within {TOP_K_RANGE[0]}..{TOP_K_RANGE[1]}")
-        if not 1 <= self.label_range[0] <= self.label_range[1]:
-            raise CliError("--min-labels must satisfy 1 <= min <= max")
-        if self.parallelism < 1:
-            raise CliError("--parallelism must be >= 1")
-
-
 def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
     """Merge CLI flags over config-file values over defaults."""
     run_cfg = _load_run_defaults(args.config)
-    ablation = args.ablation
     # A method the file leaves out is decreased (PostProcessConfig reads it with a True default).
     apply_decrease = {strategies.Method(name): value
                       for name, value in run_cfg.get("apply_decrease", {}).items()}
     max_labels = _setting(args.max_labels, run_cfg, "max_labels", 5)
     try:
-        pp_config = postprocess.PostProcessConfig(
-            max_labels=max_labels,
-            sibling_cap=_setting(args.sibling_cap, run_cfg, "sibling_cap", 3),
-            apply_decrease=apply_decrease,
-            apply_sibling=not args.no_sibling_cap and run_cfg.get("apply_sibling", True),
-            random_decrease=(ablation == "no-decrease"),
+        return RunConfig(
+            taxonomy_path=Path(args.taxonomy),
+            documents_path=Path(args.documents),
+            output_path=Path(args.output),
+            method=STRATEGY_CHOICES[args.strategy],
+            top_k=_setting(args.top_k, run_cfg, "top_k", 40),
+            aggregation=AGG_CHOICES[_setting(args.agg, run_cfg, "aggregation", "leaf-only")],
+            label_range=(_setting(args.min_labels, run_cfg, "min_labels", 1), max_labels),
+            postprocess=postprocess.PostProcessConfig(
+                max_labels=max_labels,
+                sibling_cap=_setting(args.sibling_cap, run_cfg, "sibling_cap", 3),
+                apply_decrease=apply_decrease,
+                apply_sibling=not args.no_sibling_cap and run_cfg.get("apply_sibling", True),
+                random_decrease=(args.ablation == "no-decrease"),
+            ),
+            include_descriptions=args.ablation != "no-description",
+            contextualize=args.ablation != "no-context",
+            parallelism=_setting(args.parallelism, run_cfg, "parallelism", 1),
+            seed=args.seed,
         )
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    return RunConfig(
-        taxonomy_path=Path(args.taxonomy),
-        documents_path=Path(args.documents),
-        output_path=Path(args.output),
-        method=STRATEGY_CHOICES[args.strategy],
-        top_k=_setting(args.top_k, run_cfg, "top_k", 40),
-        aggregation=AGG_CHOICES[_setting(args.agg, run_cfg, "aggregation", "leaf-only")],
-        label_range=(_setting(args.min_labels, run_cfg, "min_labels", 1), max_labels),
-        postprocess=pp_config,
-        include_descriptions=ablation != "no-description",
-        contextualize=ablation != "no-context",
-        parallelism=_setting(args.parallelism, run_cfg, "parallelism", 1),
-        seed=args.seed,
-    )
 
 
-def run_classification(
-    config: RunConfig,
-    gateway: gw.LlmGateway,
-    store: retrieval.EmbeddingStore | None,
-    embedder: retrieval.Embedder | None,
-    taxonomy: tax.Taxonomy | None = None,
-) -> int:
-    loaded = taxonomy if taxonomy is not None else tax.load_taxonomy(config.taxonomy_path)
-    if not config.include_descriptions:
-        # The one place the no-description ablation applies: no prompt sees a
-        # description, while the store, embedded from the full taxonomy, does.
-        loaded = loaded.with_nodes(replace(node, description=None) for node in loaded)
+def run_classification(config: RunConfig, gateway: gw.LlmGateway,
+                       store: retrieval.EmbeddingStore | None,
+                       embedder: retrieval.Embedder | None, taxonomy: tax.Taxonomy) -> int:
+    """Classify the config's documents, print a summary line, and return the exit code."""
     docs = load_documents(config.documents_path)
-    failures = 0
-
-    def classify_one(doc: Document) -> dict[str, Any]:
-        return pipeline.classify_document(doc, loaded, store, embedder, gateway, config)
-
-    def classified() -> Iterator[dict[str, Any]]:
-        nonlocal failures
-        pool = ThreadPoolExecutor(max_workers=config.parallelism)
-        try:
-            # pool.map preserves input order; one worker needs no threads
-            run = pool.map if config.parallelism > 1 else map
-            for record in run(classify_one, docs):
-                failures += "hard-failure" in record["flags"]
-                yield record
-        finally:
-            pool.shutdown(cancel_futures=True)
-
-    # The output is opened before the first document starts, and each record is
-    # written as soon as it is next in input order, so an error that stops the
-    # batch leaves every finished document on disk.
-    with closing(classified()) as records:
-        ndjson.write_records(config.output_path, records, CliError, "output")
-
-    print(f"classified {len(docs)} documents ({failures} hard failures) "
-          f"-> {config.output_path}")
+    failures = pipeline.classify_batch(docs, taxonomy, store, embedder, gateway, config)
+    print(f"classified {len(docs)} documents ({failures} hard failures) -> {config.output_path}")
     return 1 if failures else 0
 
 
@@ -413,8 +343,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     provider = _provider_config(args)
     gateway = _make_gateway(args, provider)
     loaded = tax.load_taxonomy(config.taxonomy_path)
-    store = None
-    embedder = None
+    store = embedder = None
     if config.method is not strategies.Method.TRAV_SELECT:
         embedder = _make_embedder(provider)
         store = _embedding_store(args, loaded, embedder)

@@ -368,10 +368,8 @@ class LeafRanking:
 class PrunedTaxonomy:
     """Ancestor-closed subtree induced by a document's top-k retrieved leaves."""
 
-    doc_id: str
     node_ids: frozenset[str]
     leaf_ids: tuple[str, ...]  # retained ranking order
-    k: int
 
 
 def rank_leaves(
@@ -431,9 +429,7 @@ def build_pruned_taxonomy(taxonomy: Taxonomy, ranking: LeafRanking, k: int) -> P
         while node_id is not None and node_id not in node_ids:
             node_ids.add(node_id)
             node_id = taxonomy.node(node_id).parent_id
-    return PrunedTaxonomy(
-        doc_id=ranking.doc_id, node_ids=frozenset(node_ids), leaf_ids=tuple(top), k=k
-    )
+    return PrunedTaxonomy(node_ids=frozenset(node_ids), leaf_ids=tuple(top))
 
 
 # -- retrieval quality -------------------------------------------------------

@@ -206,6 +206,9 @@ def load_taxonomy(source: str | Path | IO[str]) -> Taxonomy:
         parent_id = record.get("parent_id")
         if parent_id is not None and (not isinstance(parent_id, str) or not parent_id):
             raise TaxonomyParseError(f"{where}: 'parent_id' must be a non-empty string")
+        for key, value in (("id", node_id), ("parent_id", parent_id)):
+            if value is not None and value.split() != [value]:
+                raise TaxonomyParseError(f"{where}: {key!r} must not contain whitespace")
         acronym_expanded = record.get("acronym_expanded", False)
         if not isinstance(acronym_expanded, bool):
             raise TaxonomyParseError(f"{where}: 'acronym_expanded' must be true or false")

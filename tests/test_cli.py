@@ -83,6 +83,39 @@ class TestTaxonomyCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["leaves"] == 27 and payload["avg_leaf_depth"] == 3.0
 
+    def test_stats_text_and_json_bytes(self, tmp_path, capsys):
+        # Averages print with two decimals as text and rounded to two in JSON.
+        tree = [("r", None), ("a", "r"), ("b", "r"), ("c", "r"), ("a1", "a"), ("a2", "a"),
+                ("x", "a1"), ("y", "a1")]
+        path = tmp_path / "tax.ndjson"
+        write_ndjson(path, [{"id": node_id, "name": f"node {node_id}", "parent_id": parent}
+                            for node_id, parent in tree])
+        assert cli.main(["taxonomy", "stats", "--taxonomy", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "leaves: 5\nparents: 3\nmax_children: 3\navg_children: 2.33\n"
+            "max_leaf_depth: 4\navg_leaf_depth: 3.00\n")
+        assert cli.main(["taxonomy", "stats", "--taxonomy", str(path), "--json"]) == 0
+        assert capsys.readouterr().out == (
+            '{"leaves": 5, "parents": 3, "max_children": 3, "avg_children": 2.33, '
+            '"max_leaf_depth": 4, "avg_leaf_depth": 3.0}\n')
+
+    @pytest.mark.parametrize("field", ["id", "parent_id"])
+    def test_whitespace_in_a_node_id_is_rejected(self, workdir, capsys, field):
+        tmp, _, _ = workdir
+        path = tmp / "spaced.ndjson"
+        node = ({"id": "a\nb", "name": "Auctions"} if field == "id"
+                else {"id": "a", "name": "Auctions", "parent_id": "r\t"})
+        write_ndjson(path, [{"id": "r", "name": "Root"}, node])
+        message = f"taxonomy line 2: {field!r} must not contain whitespace\n"
+        assert cli.main(["taxonomy", "validate", "--taxonomy", str(path)]) == 1
+        assert capsys.readouterr().err == f"INVALID: {message}"
+        out = tmp / "out.ndjson"
+        assert cli.main(["classify", "--taxonomy", str(path), "--documents",
+                         str(tmp / "docs.ndjson"), "--output", str(out),
+                         "--strategy", "one-pass", "--mock"]) == 1
+        assert capsys.readouterr().err == f"error: {message}"
+        assert not out.exists()
+
     def test_expand_writes_new_file(self, tmp_path, capsys):
         tax_path = tmp_path / "tax.ndjson"
         tax_path.write_text(
@@ -426,6 +459,27 @@ class TestClassify:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(("settings", "message"), [
+        ({"min_labels": 6, "max_labels": 5}, "--min-labels must satisfy 1 <= min <= max"),
+        ({"min_labels": 0}, "--min-labels must satisfy 1 <= min <= max"),
+        ({"parallelism": 0}, "--parallelism must be >= 1"),
+        ({"top_k": 9}, "--top-k must be within 10..100"),
+    ])
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_out_of_range_run_setting_is_an_error(self, workdir, capsys, settings, message,
+                                                  source):
+        tmp, _, _ = workdir
+        if source == "flags":
+            extra = [arg for key, value in settings.items()
+                     for arg in (f"--{key.replace('_', '-')}", str(value))]
+        else:
+            (tmp / "run.json").write_text(json.dumps(settings))
+            extra = ["--config", str(tmp / "run.json")]
+        code, out = self._run(tmp, ["--strategy", "pointwise"] + extra)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--documents", "--taxonomy", "--embedding-cache"])
     def test_output_may_not_be_an_input(self, workdir, capsys, flag):

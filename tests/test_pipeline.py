@@ -14,8 +14,9 @@ import random
 
 import pytest
 
-from taxocat import cli
-from taxocat.taxonomy import save_taxonomy
+from taxocat import cli, gateway as gw, pipeline, postprocess, retrieval, strategies
+from taxocat.documents import load_documents
+from taxocat.taxonomy import load_taxonomy, save_taxonomy
 
 from .util import random_forest, record_cli_gateways, vocab_doc, write_ndjson
 
@@ -102,3 +103,33 @@ def test_classify_output_digest(runs, strategy, ablation):
 @pytest.mark.parametrize(("strategy", "ablation"), sorted(PROMPT_DIGESTS, key=str))
 def test_classify_prompt_digest(runs, strategy, ablation):
     assert runs[strategy, ablation][1] == PROMPT_DIGESTS[strategy, ablation]
+
+
+def test_classify_batch_writes_the_command_lines_bytes(inputs, tmp_path):
+    # The library path alone, with no command line around it.
+    taxonomy = load_taxonomy(inputs / "taxonomy.ndjson")
+    embedder = retrieval.HashBagEmbedder()
+    config = pipeline.RunConfig(
+        taxonomy_path=inputs / "taxonomy.ndjson", documents_path=inputs / "docs.ndjson",
+        output_path=tmp_path / "out.ndjson", method=strategies.Method.SELECT_ONE_PASS,
+        top_k=40, aggregation=strategies.AggregationFunction.LEAF_ONLY, label_range=(1, 5),
+        postprocess=postprocess.PostProcessConfig(), include_descriptions=False,
+        contextualize=True, parallelism=2, seed=7,
+    )
+    failures = pipeline.classify_batch(
+        load_documents(config.documents_path), taxonomy,
+        retrieval.embed_taxonomy_leaves(taxonomy, embedder), embedder, gw.mock_gateway(), config)
+    assert failures == 0
+    digest = hashlib.sha256(config.output_path.read_bytes()).hexdigest()
+    assert digest == DIGESTS["one-pass", "no-description"]
+
+
+def test_run_config_rejects_a_top_k_out_of_range(tmp_path):
+    with pytest.raises(ValueError, match=r"--top-k must be within 10\.\.100"):
+        pipeline.RunConfig(
+            taxonomy_path=tmp_path, documents_path=tmp_path, output_path=tmp_path,
+            method=strategies.Method.RERANK, top_k=101,
+            aggregation=strategies.AggregationFunction.LEAF_ONLY, label_range=(1, 5),
+            postprocess=postprocess.PostProcessConfig(), include_descriptions=True,
+            contextualize=True, parallelism=1, seed=0,
+        )

@@ -262,7 +262,7 @@ class TestPrunedTreeWalk:
             tax = random_forest(rng, rng.randint(1, 200), max_depth=rng.randint(2, 9))
             kept = frozenset(rng.sample([n.id for n in tax], rng.randint(1, len(tax))))
             leaves = tuple(lid for lid in tax.leaf_ids() if lid in kept)
-            pt = PrunedTaxonomy(doc_id="d", node_ids=kept, leaf_ids=leaves, k=len(leaves))
+            pt = PrunedTaxonomy(node_ids=kept, leaf_ids=leaves)
             assert self.walked(tax, pt) == o_pruned_tree(tax, kept)
 
 
