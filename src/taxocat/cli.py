@@ -154,12 +154,7 @@ def _make_embedder(config: gw.ProviderConfig | None) -> retrieval.Embedder | Non
     if config is None:
         return retrieval.HashBagEmbedder()
     if config.embedding_endpoint:
-        return retrieval.HttpEmbedder(
-            endpoint=config.embedding_endpoint,
-            model_name=config.embedding_model,
-            credentials=config.credentials,
-            timeout=config.timeout,
-        )
+        return retrieval.HttpEmbedder(config)
     return None
 
 
@@ -246,7 +241,7 @@ def cmd_taxonomy(args: argparse.Namespace) -> int:
             return 1
         updates = []
         for node_id, exemplar_id in exemplars.items():
-            text = tax.generate_description(loaded, node_id, gateway, exemplar_id)
+            text = gw.generate_description(loaded, node_id, gateway, exemplar_id)
             updates.append(replace(loaded.node(node_id), description=text))
         tax.save_taxonomy(loaded.with_nodes(updates), args.output)
         print(f"described {len(updates)} nodes -> {args.output}")

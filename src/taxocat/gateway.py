@@ -1,6 +1,6 @@
 """Uniform chat-completion gateway: prompt assembly, strict JSON extraction,
-one retry loop for unparseable replies and provider errors, and a
-deterministic mock provider.
+a deterministic mock provider, and the one HTTP client and retry loop that
+chat and embedding requests share.
 
 Prompt templates live as text assets under taxocat/prompts, keyed by
 template id, so they can be versioned and audited independently of code.
@@ -26,14 +26,16 @@ from enum import Enum
 from functools import cache, lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping, Protocol, Sequence, Union
+from typing import Any, Callable, Mapping, Protocol, Sequence, TypeVar, Union
 
 from . import ndjson
 from .documents import Document
-from .taxonomy import TaxonomyNode
+from .taxonomy import DescriptionError, Taxonomy, TaxonomyNode
 from .textproc import jaccard, token_set, tokenize
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 
 # -- errors -------------------------------------------------------------------
@@ -99,7 +101,8 @@ class DuplicateIdError(ResponseParseError):
 
 
 class RetryExhaustedError(GatewayError):
-    """All parse retries failed; carries the last raw output for audit."""
+    """A reply that did not parse, carrying its raw output for audit. with_retries
+    retries it at once and raises it when it is the last attempt's failure."""
 
     def __init__(self, message: str, last_raw: str):
         super().__init__(message)
@@ -367,6 +370,36 @@ def build_desc_gen_spec(
     return PromptSpec(template_id=TemplateId.DESC_GEN, user_payload=payload)
 
 
+def generate_description(taxonomy: Taxonomy, node_id: str, gateway: LlmGateway,
+                         exemplar_id: str) -> str:
+    """Ask the gateway to draft a description for a node lacking one.
+
+    The prompt carries the label name, the parent name and description when
+    available, and one exemplar node (similar depth, existing description)
+    as a few-shot sample, each as node_payload shapes it. The taxonomy is not
+    mutated; the caller applies the text via Taxonomy.with_nodes.
+    """
+    node = taxonomy.node(node_id)
+    if node.description:
+        raise ValueError(f"node {node_id!r} already has a description")
+    exemplar = taxonomy.node(exemplar_id)
+    if not exemplar.description:
+        raise ValueError(f"exemplar {exemplar_id!r} has no description")
+    example = node_payload(exemplar)
+    parent = node_payload(taxonomy.node(node.parent_id)) if node.parent_id else {}
+    spec = build_desc_gen_spec(
+        label_name=node_payload(node)["name"],
+        parent_name=parent.get("name"),
+        parent_description=parent.get("description"),
+        exemplar_name=example["name"],
+        exemplar_description=example["description"],
+    )
+    text = gateway.call_with_retry(spec).text.strip()
+    if not text:
+        raise DescriptionError(f"empty description generated for node {node_id!r}")
+    return text
+
+
 def build_selectp_leaf_spec(doc: Document, node: Mapping[str, Any]) -> PromptSpec:
     """doc_spec for one pointwise leaf verdict; the benchmark's tests call it by this name."""
     return doc_spec(TemplateId.SELECTP_LEAF, doc, [node])
@@ -592,42 +625,105 @@ class MockProvider:
         return mock_complete(spec, self.threshold)
 
 
-# -- HTTP provider ---------------------------------------------------------------------
+# -- HTTP client and retry loop ---------------------------------------------------------
+
+
+def http_session(config: ProviderConfig):
+    """A requests session keeping one connection alive per call config.max_in_flight allows."""
+    import requests
+    from requests.adapters import HTTPAdapter
+
+    session = requests.Session()
+    adapter = HTTPAdapter(pool_maxsize=config.max_in_flight)
+    session.mount("https://", adapter)
+    session.mount("http://", adapter)
+    return session
+
+
+def post_json(session, config: ProviderConfig, url: str, body: Mapping[str, Any]) -> Any:
+    """The JSON reply to one POST of `body` to `url`, with config's credential and timeout.
+
+    Every failure is a typed ProviderError: AuthError for HTTP 401 and 403
+    or an unset credential variable, ProviderTimeout for a timeout,
+    TransportError for another request failure, HTTP 408, 429, 5xx or a
+    reply that is not JSON (with the Retry-After of a 429 or 503), and
+    ClientError for any other HTTP 4xx.
+    """
+    import requests
+
+    headers = {"Content-Type": "application/json"}
+    if config.credentials:
+        secret = os.environ.get(config.credentials)
+        if not secret:
+            raise AuthError(f"credential env var {config.credentials!r} is not set")
+        headers["Authorization"] = f"Bearer {secret}"
+    try:
+        response = session.post(url, json=body, headers=headers, timeout=config.timeout)
+    except requests.Timeout as exc:
+        raise ProviderTimeout(str(exc)) from exc
+    except requests.RequestException as exc:
+        raise TransportError(str(exc)) from exc
+    status = response.status_code
+    if status in (401, 403):
+        raise AuthError(f"HTTP {status}")
+    if status >= 400:
+        error = f"HTTP {status}: {response.text[:200]}"
+        if status in (429, 503):
+            raise TransportError(error, retry_after=_retry_after_s(response))
+        if status >= 500 or status == 408:
+            raise TransportError(error)
+        raise ClientError(error)
+    try:
+        return response.json()
+    except ValueError as exc:
+        raise TransportError(f"malformed provider response: {exc}") from exc
+
+
+def _retry_after_s(response) -> float | None:
+    """A numeric Retry-After header in seconds; None when missing, an HTTP date or invalid."""
+    try:
+        seconds = float(response.headers.get("Retry-After"))
+    except (TypeError, ValueError):
+        return None
+    return seconds if math.isfinite(seconds) and seconds >= 0 else None
+
+
+def with_retries(send: Callable[[int], T], max_retries: int) -> T:
+    """The one retry loop: send(attempt) for attempt 1, 2, ..., at most max_retries + 1 times.
+
+    A retryable ProviderError is retried after a backoff: 0.5 s, doubling,
+    or the provider's Retry-After if longer, capped at 8 s. A
+    RetryExhaustedError, a reply the caller could not use, is retried at
+    once. Any other error, and the last attempt's failure, is raised.
+    """
+    attempts = max_retries + 1
+    backoffs = 0
+    for attempt in range(1, attempts):
+        try:
+            return send(attempt)
+        except RetryExhaustedError:
+            continue
+        except ProviderError as exc:
+            if not exc.retryable:
+                raise
+            time.sleep(min(max(0.5 * 2**backoffs, exc.retry_after or 0.0), 8.0))
+            backoffs += 1
+    return send(attempts)
 
 
 class HttpProvider:
     """Chat-completions HTTP client (OpenAI-style request/response shape).
 
-    One POST per call; failures become typed ProviderErrors for the gateway to retry.
+    One post_json per call; failures are its typed ProviderErrors, for the gateway to retry.
     """
 
     def __init__(self, config: ProviderConfig, session=None):
         if config.endpoint.startswith("mock://"):
             raise ConfigError("HttpProvider needs a real endpoint")
         self.config = config
-        if session is None:
-            import requests
-            from requests.adapters import HTTPAdapter
-
-            # One kept-alive connection per call the shared pool can have in flight.
-            session = requests.Session()
-            adapter = HTTPAdapter(pool_maxsize=config.max_in_flight)
-            session.mount("https://", adapter)
-            session.mount("http://", adapter)
-        self.session = session
-
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        if self.config.credentials:
-            secret = os.environ.get(self.config.credentials)
-            if not secret:
-                raise AuthError(f"credential env var {self.config.credentials!r} is not set")
-            headers["Authorization"] = f"Bearer {secret}"
-        return headers
+        self.session = http_session(config) if session is None else session
 
     def complete(self, spec: PromptSpec, reminder: str | None = None) -> str:
-        import requests
-
         user_text = spec.user_text
         if reminder:
             user_text = f"{user_text}\n\n{reminder}"
@@ -639,40 +735,11 @@ class HttpProvider:
                 {"role": "user", "content": user_text},
             ],
         }
+        reply = post_json(self.session, self.config, self.config.endpoint, body)
         try:
-            response = self.session.post(
-                self.config.endpoint,
-                json=body,
-                headers=self._headers(),
-                timeout=self.config.timeout,
-            )
-        except requests.Timeout as exc:
-            raise ProviderTimeout(str(exc)) from exc
-        except requests.RequestException as exc:
-            raise TransportError(str(exc)) from exc
-        status = response.status_code
-        if status in (401, 403):
-            raise AuthError(f"HTTP {status}")
-        if status >= 400:
-            error = f"HTTP {status}: {response.text[:200]}"
-            if status in (429, 503):
-                raise TransportError(error, retry_after=_retry_after_s(response))
-            if status >= 500 or status == 408:
-                raise TransportError(error)
-            raise ClientError(error)
-        try:
-            return response.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            return reply["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed provider response: {exc}") from exc
-
-
-def _retry_after_s(response) -> float | None:
-    """A numeric Retry-After header in seconds; None when missing, an HTTP date or invalid."""
-    try:
-        seconds = float(response.headers.get("Retry-After"))
-    except (TypeError, ValueError):
-        return None
-    return seconds if math.isfinite(seconds) and seconds >= 0 else None
 
 
 # -- audit log -------------------------------------------------------------------------
@@ -778,50 +845,40 @@ class LlmGateway:
             self.characters_in += len(raw)
 
     def call_with_retry(self, spec: PromptSpec) -> ParsedResponse:
-        """The one retry loop: one provider.complete per attempt, max_retries retries.
+        """One provider.complete per attempt of with_retries, max_retries retries.
 
-        Unparseable replies are retried at once with a schema reminder;
-        retryable ProviderErrors after a backoff (0.5 s, doubling, or the
-        provider's Retry-After if longer, capped at 8 s); other ProviderErrors
-        are raised at once. An exhausted budget raises the last failure
-        (RetryExhaustedError for a parse failure).
+        An unparseable reply is retried at once with a schema reminder, and
+        shares the attempt budget with provider errors. An exhausted budget
+        raises the last failure (RetryExhaustedError for a parse failure).
         """
         attempts = self.config.max_retries + 1
         reminder = None
-        provider_failures = 0
-        last_error: GatewayError | None = None
         doc_id = None
         document = spec.user_payload.get("document")
         if isinstance(document, Mapping):
             doc_id = document.get("doc_id")
-        for attempt in range(1, attempts + 1):
+
+        def send(attempt: int) -> ParsedResponse:
+            nonlocal reminder
             try:
                 raw = self.provider.complete(spec, reminder=reminder)
             except ProviderError as exc:
                 self._audit(spec, doc_id, attempt, f"provider_error:{type(exc).__name__}")
-                if not exc.retryable:
-                    raise
-                last_error = exc
-                if attempt < attempts:
-                    backoff = max(0.5 * 2**provider_failures, exc.retry_after or 0.0)
-                    time.sleep(min(backoff, 8.0))
-                provider_failures += 1
-                continue
+                raise
             self._count(spec, raw)
             try:
                 parsed = extract_response(raw, spec.template_id)
             except ResponseParseError as exc:
                 self._audit(spec, doc_id, attempt, f"parse_error:{type(exc).__name__}")
-                last_error = RetryExhaustedError(
+                reminder = schema_reminder(spec.template_id)
+                raise RetryExhaustedError(
                     f"{attempts} attempts failed for {spec.template_id.value}: {exc}",
                     last_raw=raw,
-                )
-                reminder = schema_reminder(spec.template_id)
-                continue
+                ) from exc
             self._audit(spec, doc_id, attempt, "ok")
             return parsed
-        assert last_error is not None
-        raise last_error
+
+        return with_retries(send, self.config.max_retries)
 
     def group(self) -> CallGroup:
         """A new CallGroup, the one way to send this gateway's calls concurrently."""

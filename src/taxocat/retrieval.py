@@ -17,7 +17,7 @@ from typing import IO, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from . import ndjson
+from . import gateway as gw, ndjson
 from .documents import Document, document_text
 from .taxonomy import Taxonomy, TaxonomyNode
 
@@ -115,33 +115,22 @@ class HashBagEmbedder:
 
 
 class HttpEmbedder:
-    """Embeddings HTTP client (OpenAI-style request/response shape).
+    """Embeddings HTTP client (OpenAI-style request/response shape) for
+    config.embedding_endpoint. Each request goes through gateway.post_json
+    and gateway.with_retries, as chat calls do, on a session of its own
+    keeping config.max_in_flight connections.
 
     The hosted model is configuration, not a code dependency; the tag
-    recorded on vectors is the configured model name.
+    recorded on vectors is config.embedding_model.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        model_name: str,
-        credentials: str | None = None,
-        timeout: float = 60.0,
-        session=None,
-    ):
-        self.endpoint = endpoint
-        self.model_name = model_name
-        self.credentials = credentials  # environment variable naming the secret
-        self.timeout = timeout
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self.session = session
+    def __init__(self, config: gw.ProviderConfig, session=None):
+        self.config = config
+        self.session = gw.http_session(config) if session is None else session
 
     @property
     def model_tag(self) -> str:
-        return self.model_name
+        return self.config.embedding_model
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         """Raw embeddings of `texts` in order, EMBED_BATCH texts per request."""
@@ -159,30 +148,16 @@ class HttpEmbedder:
 
     def _post(self, texts: Sequence[str]) -> list:
         """The endpoint's embeddings of `texts`, as the reply's JSON, in order."""
-        import requests
-
-        headers = {"Content-Type": "application/json"}
-        if self.credentials:
-            secret = os.environ.get(self.credentials)
-            if not secret:
-                raise RetrievalError(f"credential env var {self.credentials!r} is not set")
-            headers["Authorization"] = f"Bearer {secret}"
+        body = {"model": self.config.embedding_model, "input": texts}
+        reply = gw.with_retries(
+            lambda attempt: gw.post_json(self.session, self.config,
+                                         self.config.embedding_endpoint, body),
+            self.config.max_retries)
         try:
-            response = self.session.post(
-                self.endpoint,
-                json={"model": self.model_name, "input": texts},
-                headers=headers,
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
-            raise RetrievalError(f"embedding request failed: {exc}") from exc
-        if response.status_code >= 400:
-            raise RetrievalError(f"embedding request failed: HTTP {response.status_code}")
-        try:
-            data = response.json()["data"]
+            data = reply["data"]
             indices = [item["index"] for item in data]
             rows = [item["embedding"] for item in data]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (KeyError, IndexError, TypeError) as exc:
             raise RetrievalError(f"malformed embedding response: {exc}") from exc
         if indices != list(range(len(texts))):
             raise RetrievalError(
@@ -246,9 +221,10 @@ class EmbeddingStore:
         try:
             ndjson.write_records(temp, records, RetrievalError, "embedding cache")
             os.replace(temp, target)
-        except OSError as exc:
-            raise RetrievalError(
-                f"cannot write embedding cache {target}: {exc.strerror or exc}") from exc
+        except (OSError, RetrievalError) as exc:
+            cause = exc.__cause__ or exc  # the codec's error names the temporary file
+            raise RetrievalError(f"cannot write embedding cache {target}: "
+                                 f"{getattr(cause, 'strerror', None) or cause}") from cause
         finally:
             temp.unlink(missing_ok=True)
 

@@ -334,34 +334,3 @@ def description_exemplars(taxonomy: Taxonomy) -> dict[str, str]:
     pick = {depth: min(lowest.items(), key=lambda item: (abs(item[0] - depth), item[1]))[1]
             for depth in {taxonomy.depth(nid) for nid in missing}}
     return {nid: pick[taxonomy.depth(nid)] for nid in sorted(missing)}
-
-
-def generate_description(taxonomy: Taxonomy, node_id: str, gateway, exemplar_id: str) -> str:
-    """Ask the gateway to draft a description for a node lacking one.
-
-    The prompt carries the label name, the parent name and description when
-    available, and one exemplar node (similar depth, existing description)
-    as a few-shot sample. The taxonomy is not mutated; the caller applies
-    the text via Taxonomy.with_nodes.
-    """
-    from . import gateway as gw_mod
-
-    node = taxonomy.node(node_id)
-    if node.description:
-        raise ValueError(f"node {node_id!r} already has a description")
-    exemplar = taxonomy.node(exemplar_id)
-    if not exemplar.description:
-        raise ValueError(f"exemplar {exemplar_id!r} has no description")
-    parent = taxonomy.node(node.parent_id) if node.parent_id else None
-    spec = gw_mod.build_desc_gen_spec(
-        label_name=node.name,
-        parent_name=parent.name if parent else None,
-        parent_description=parent.description if parent else None,
-        exemplar_name=exemplar.name,
-        exemplar_description=exemplar.description,
-    )
-    parsed = gateway.call_with_retry(spec)
-    text = parsed.text.strip()
-    if not text:
-        raise DescriptionError(f"empty description generated for node {node_id!r}")
-    return text

@@ -540,14 +540,67 @@ class TestProviderWiring:
         monkeypatch.setattr("requests.Session", Session)
         return bodies
 
-    def _classify(self, tmp, provider_fields, strategy="trav-select"):
+    def _classify(self, tmp, provider_fields, strategy="trav-select", *extra):
         provider = tmp / "provider.json"
         provider.write_text(json.dumps(provider_fields))
         return cli.main(
             ["classify", "--taxonomy", str(tmp / "taxonomy.ndjson"),
              "--documents", str(tmp / "docs.ndjson"), "--output", str(tmp / "out.ndjson"),
-             "--strategy", strategy, "--provider", str(provider), "--parallelism", "1"]
+             "--strategy", strategy, "--provider", str(provider), "--parallelism", "1", *extra]
         )
+
+    def _classify_over_a_complete_cache(self, workdir, monkeypatch, *statuses):
+        """Exit code and embedding request count of a one-pass classify whose
+        --embedding-cache holds every leaf, so only documents are embedded.
+        The embedding endpoint answers `statuses` in turn, then 200 with
+        hash-bag vectors; the chat endpoint selects no label."""
+        tmp, tax, _ = workdir
+        emb = "https://api.example/emb"
+        fields = {"endpoint": "https://api.example/chat", "model_name": "m",
+                  "embedding_endpoint": emb, "embedding_model": "e"}
+        script = []
+        inputs = []
+
+        class Session:
+            def mount(self, prefix, adapter):
+                pass
+
+            def post(self, url, json=None, headers=None, timeout=None):
+                if url != emb:
+                    reply = {"choices": [{"message": {"content": '{"best_labels": []}'}}]}
+                    return argparse.Namespace(status_code=200, text="", json=lambda: reply)
+                inputs.append(json["input"])
+                rows = [{"index": i, "embedding": row} for i, row in enumerate(
+                    retrieval.HashBagEmbedder().embed_many(json["input"]).tolist())]
+                return argparse.Namespace(status_code=script.pop(0) if script else 200,
+                                          text="", headers={}, json=lambda: {"data": rows})
+
+        monkeypatch.setattr("requests.Session", Session)
+        cache = tmp / "emb.ndjson"
+        embedder = retrieval.HttpEmbedder(gw.ProviderConfig(**fields))
+        retrieval.embed_taxonomy_leaves(tax, embedder).save(cache)
+        inputs.clear()
+        script += statuses
+        code = self._classify(tmp, fields, "one-pass", "--embedding-cache", str(cache))
+        return code, len(inputs)
+
+    def test_embedding_auth_error_stops_the_batch(self, workdir, monkeypatch, capsys):
+        code, requests_sent = self._classify_over_a_complete_cache(workdir, monkeypatch, 401)
+        assert code == 1
+        assert requests_sent == 1
+        assert "error: HTTP 401" in capsys.readouterr().err
+
+    def test_rate_limited_embedding_is_retried(self, workdir, monkeypatch):
+        tmp, _, docs = workdir
+        sleeps = []
+        monkeypatch.setattr("taxocat.gateway.time.sleep", sleeps.append)
+        code, requests_sent = self._classify_over_a_complete_cache(workdir, monkeypatch, 429)
+        assert code == 0
+        assert requests_sent == len(docs) + 1
+        assert sleeps == [0.5]
+        records = [json.loads(line) for line in (tmp / "out.ndjson").read_text().splitlines()]
+        assert len(records) == len(docs)
+        assert not any("hard-failure" in r["flags"] for r in records)
 
     def test_auth_error_stops_the_batch(self, workdir, bodies, capsys):
         tmp, _, docs = workdir
@@ -584,13 +637,16 @@ class TestProviderWiring:
         embedder = cli._make_embedder(
             cli._provider_config(argparse.Namespace(mock=False, provider=str(provider))))
         assert isinstance(embedder, retrieval.HttpEmbedder)
-        assert (embedder.endpoint, embedder.model_name, embedder.credentials) == (
-            "https://api.example/emb", "e", "EMB_KEY")
+        assert (embedder.config.embedding_endpoint, embedder.model_tag,
+                embedder.config.credentials) == ("https://api.example/emb", "e", "EMB_KEY")
 
     def test_embedder_gets_the_provider_timeout(self, tmp_path, monkeypatch):
         timeouts = []
 
         class Session:
+            def mount(self, prefix, adapter):
+                pass
+
             def post(self, url, json=None, headers=None, timeout=None):
                 timeouts.append(timeout)
                 return argparse.Namespace(status_code=200, json=lambda: {
@@ -860,6 +916,18 @@ class TestEvaluateAndRank:
         )
         assert code == 1
         assert "embedding cache line 1" in capsys.readouterr().err
+
+    def test_unwritable_embedding_cache_is_named(self, workdir, capsys):
+        tmp, _, _ = workdir
+        cache = tmp / "nodir" / "emb.ndjson"
+        code = cli.main(
+            ["classify", "--taxonomy", str(tmp / "taxonomy.ndjson"),
+             "--documents", str(tmp / "docs.ndjson"), "--output", str(tmp / "out.ndjson"),
+             "--strategy", "one-pass", "--mock", "--embedding-cache", str(cache)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write embedding cache {cache}: No such file or directory\n")
 
     @pytest.mark.parametrize(("command", "text", "message"), [
         ("rank", "[1]", "provider config must be a JSON object"),

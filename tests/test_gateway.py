@@ -1,4 +1,4 @@
-"""Prompt specs, JSON extraction, retries, mock determinism, HTTP provider."""
+"""Prompt specs, JSON extraction, retries, mock determinism, HTTP clients."""
 from __future__ import annotations
 
 import json
@@ -45,6 +45,7 @@ from taxocat.gateway import (
     render_user_text,
     schema_reminder,
 )
+from taxocat.retrieval import HttpEmbedder
 from taxocat.taxonomy import TaxonomyNode
 
 from .util import ScriptedProvider, ask_in_order, make_doc, o_jaccard, o_tokens
@@ -557,6 +558,16 @@ class _ScriptedSession:
         return outcome
 
 
+class _EmbeddingResponse(_FakeResponse):
+    def json(self):
+        return {"data": [{"index": 0, "embedding": [1.0, 0.0]}]}
+
+
+class _NotJsonResponse(_FakeResponse):
+    def json(self):
+        raise ValueError("Expecting value: line 1 column 1 (char 0)")
+
+
 _OK = _FakeResponse(content='{"best_labels": []}')
 _JUNK = _FakeResponse(content="junk")
 _HTTP_500 = _FakeResponse(status_code=500)
@@ -581,6 +592,44 @@ def _empty_spec():
     return doc_spec(TemplateId.TRAV_SELECT, make_doc("d", "t"), [])
 
 
+class _ChatClient:
+    """An HttpProvider behind an LlmGateway; call() is one call_with_retry."""
+
+    ok = _OK
+    reply = BestLabels(ids=())
+    malformed = _NoChoicesResponse()  # a 200 reply that is retried
+
+    def __init__(self, session, **fields):
+        self.gateway = _http_gateway(session, **fields)
+        self.http = self.gateway.provider
+
+    def call(self):
+        return self.gateway.call_with_retry(_empty_spec())
+
+
+class _EmbeddingClient:
+    """An HttpEmbedder; call() embeds one text, as one request through the retry loop."""
+
+    ok = _EmbeddingResponse()
+    reply = [[1.0, 0.0]]
+    malformed = _NotJsonResponse()
+
+    def __init__(self, session, **fields):
+        config = ProviderConfig(**{"embedding_endpoint": "https://api.example/emb",
+                                   "embedding_model": "m", "max_retries": 3, "timeout": 5.0,
+                                   **fields})
+        self.http = HttpEmbedder(config, session=session)
+
+    def call(self):
+        return self.http.embed_many(["t"]).tolist()
+
+
+@pytest.fixture(params=[_ChatClient, _EmbeddingClient], ids=["chat", "embedding"])
+def client(request):
+    """Each HTTP client: chat completions and embeddings share one POST and one retry loop."""
+    return request.param
+
+
 class TestHttpProvider:
     def test_rejects_mock_endpoint(self):
         with pytest.raises(ConfigError):
@@ -596,71 +645,70 @@ class TestHttpProvider:
         assert session.bodies[0]["messages"][0]["role"] == "system"
         assert session.bodies[0]["messages"][1]["content"].endswith("Reminder: schema")
 
-    def test_auth_error(self, sleeps):
+    def test_auth_error(self, sleeps, client):
         session = _ScriptedSession(_FakeResponse(status_code=401))
         with pytest.raises(AuthError):
-            _http_gateway(session, max_retries=0).call_with_retry(_empty_spec())
+            client(session, max_retries=0).call()
 
-    def test_server_error_retries_then_fails(self, sleeps):
+    def test_server_error_retries_then_fails(self, sleeps, client):
         session = _ScriptedSession(_HTTP_500)
         with pytest.raises(TransportError):
-            _http_gateway(session, max_retries=2).call_with_retry(_empty_spec())
+            client(session, max_retries=2).call()
         assert session.posts == 3
 
-    def test_timeout_maps_to_provider_timeout(self, sleeps):
+    def test_timeout_maps_to_provider_timeout(self, sleeps, client):
         import requests
 
         session = _ScriptedSession(requests.Timeout("too slow"))
         with pytest.raises(ProviderTimeout):
-            _http_gateway(session, max_retries=0).call_with_retry(_empty_spec())
+            client(session, max_retries=0).call()
 
-    def test_own_session_pools_one_connection_per_call_in_flight(self):
-        provider = HttpProvider(ProviderConfig(endpoint="https://api.example/chat",
-                                               max_in_flight=7))
+    def test_own_session_pools_one_connection_per_call_in_flight(self, client):
+        session = client(None, max_in_flight=7).http.session
         for url in ("https://api.example/chat", "http://api.example/chat"):
-            adapter = provider.session.get_adapter(url)
+            adapter = session.get_adapter(url)
             assert adapter.poolmanager.connection_pool_kw["maxsize"] == 7
 
-    def test_given_session_is_left_alone(self):
-        session = _ScriptedSession(_OK)
-        provider = HttpProvider(ProviderConfig(endpoint="https://api.example/chat"),
-                                session=session)
-        assert provider.session is session
+    def test_given_session_is_left_alone(self, client):
+        session = _ScriptedSession(client.ok)
+        assert client(session).http.session is session
 
-    def test_missing_credentials_env(self, monkeypatch, sleeps):
+    def test_missing_credentials_env(self, monkeypatch, sleeps, client):
         monkeypatch.delenv("MY_SECRET", raising=False)
-        session = _ScriptedSession(_OK)
+        session = _ScriptedSession(client.ok)
         with pytest.raises(AuthError, match="MY_SECRET"):
-            _http_gateway(session, credentials="MY_SECRET").call_with_retry(_empty_spec())
+            client(session, credentials="MY_SECRET").call()
         assert session.posts == 0 and sleeps == []
 
 
 class TestRetryPolicy:
-    """LlmGateway.call_with_retry over HttpProvider with max_retries=3."""
+    """Each HTTP client through the retry loop with max_retries=3; the chat
+    client through LlmGateway.call_with_retry."""
 
     @pytest.mark.parametrize("status, error", [
         (400, ClientError), (401, AuthError), (403, AuthError), (404, ClientError),
     ])
-    def test_client_errors_fail_fast(self, sleeps, status, error):
-        session = _ScriptedSession(_FakeResponse(status_code=status), _OK)
+    def test_client_errors_fail_fast(self, sleeps, client, status, error):
+        session = _ScriptedSession(_FakeResponse(status_code=status), client.ok)
         with pytest.raises(error):
-            _http_gateway(session).call_with_retry(_empty_spec())
+            client(session).call()
         assert session.posts == 1
         assert sleeps == []
 
-    def test_server_error_on_every_attempt_exhausts_budget(self, sleeps):
+    def test_server_error_on_every_attempt_exhausts_budget(self, sleeps, client):
         session = _ScriptedSession(_HTTP_500)
-        gateway = _http_gateway(session)
+        sender = client(session)
         with pytest.raises(TransportError) as err:
-            gateway.call_with_retry(_empty_spec())
+            sender.call()
         assert not isinstance(err.value, ClientError)
         assert session.posts == 4
         assert sleeps == [0.5, 1.0, 2.0]
-        assert gateway.calls_made == 0
+        if client is _ChatClient:
+            assert sender.gateway.calls_made == 0
 
     @pytest.mark.parametrize("failure", ["429", "408", "503", "timeout", "connection",
-                                         "no-choices"])
-    def test_transient_failures_are_retried(self, sleeps, failure):
+                                         "malformed"])
+    def test_transient_failures_are_retried(self, sleeps, client, failure):
         import requests
 
         outcome = {
@@ -669,14 +717,15 @@ class TestRetryPolicy:
             "503": _FakeResponse(status_code=503),
             "timeout": requests.Timeout("slow"),
             "connection": requests.ConnectionError("refused"),
-            "no-choices": _NoChoicesResponse(),
+            "malformed": client.malformed,
         }[failure]
-        session = _ScriptedSession(outcome, outcome, _OK)
-        gateway = _http_gateway(session)
-        assert gateway.call_with_retry(_empty_spec()) == BestLabels(ids=())
+        session = _ScriptedSession(outcome, outcome, client.ok)
+        sender = client(session)
+        assert sender.call() == client.reply
         assert session.posts == 3
         assert sleeps == [0.5, 1.0]
-        assert gateway.calls_made == 1
+        if client is _ChatClient:
+            assert sender.gateway.calls_made == 1
 
     @pytest.mark.parametrize("status, headers, expected", [
         (429, {"Retry-After": "3"}, [3.0]),
@@ -688,9 +737,9 @@ class TestRetryPolicy:
         (429, {"Retry-After": "nan"}, [0.5]),
         (500, {"Retry-After": "3"}, [0.5]),  # only 429 and 503 carry it
     ])
-    def test_retry_after_lengthens_the_backoff(self, sleeps, status, headers, expected):
-        session = _ScriptedSession(_FakeResponse(status_code=status, headers=headers), _OK)
-        assert _http_gateway(session).call_with_retry(_empty_spec()) == BestLabels(ids=())
+    def test_retry_after_lengthens_the_backoff(self, sleeps, client, status, headers, expected):
+        session = _ScriptedSession(_FakeResponse(status_code=status, headers=headers), client.ok)
+        assert client(session).call() == client.reply
         assert session.posts == 2
         assert sleeps == expected
 
@@ -732,10 +781,10 @@ class TestRetryPolicy:
         records = [json.loads(line) for line in log_path.read_text().splitlines()]
         assert [(r["attempt"], r["outcome"]) for r in records] == [(1, "provider_error:AuthError")]
 
-    def test_backoff_doubles_to_a_cap(self, sleeps):
+    def test_backoff_doubles_to_a_cap(self, sleeps, client):
         session = _ScriptedSession(_HTTP_500)
         with pytest.raises(TransportError):
-            _http_gateway(session, max_retries=7).call_with_retry(_empty_spec())
+            client(session, max_retries=7).call()
         assert session.posts == 8
         assert sleeps == [0.5, 1.0, 2.0, 4.0, 8.0, 8.0, 8.0]
 

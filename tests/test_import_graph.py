@@ -1,7 +1,9 @@
-"""Only the command line imports `taxocat.cli`: the library never depends on it.
+"""Who may import what: only the command line imports `taxocat.cli`, only the
+gateway imports `requests`, and the taxonomy does not import the gateway.
 
 Every module under src/taxocat/ is parsed, and each import is resolved to
-the absolute module names it can bind. Imports under `TYPE_CHECKING` count.
+the absolute module names it can bind. Imports under `TYPE_CHECKING` and
+inside functions count.
 """
 from __future__ import annotations
 
@@ -42,13 +44,30 @@ def test_every_spelling_of_a_cli_import_is_seen(source):
     assert any(_is_cli(name) for _, name in imported_names(source, ["taxocat"]))
 
 
+def _imports(path: Path) -> list[tuple[int, str]]:
+    return imported_names(path.read_text(encoding="utf-8"),
+                          ["taxocat", *path.parent.relative_to(PACKAGE).parts])
+
+
 def test_no_library_module_imports_cli():
     offenders = [
         f"{path.relative_to(PACKAGE.parent)}:{line} imports {name}"
         for path in sorted(PACKAGE.rglob("*.py")) if path.name != "cli.py"
-        for line, name in imported_names(
-            path.read_text(encoding="utf-8"),
-            ["taxocat", *path.parent.relative_to(PACKAGE).parts])
+        for line, name in _imports(path)
         if _is_cli(name)
     ]
     assert not offenders
+
+
+def test_only_the_gateway_imports_requests():
+    importers = {
+        path.name for path in PACKAGE.rglob("*.py")
+        for _, name in _imports(path) if name.split(".")[0] == "requests"
+    }
+    assert importers == {"gateway.py"}
+
+
+def test_taxonomy_does_not_import_the_gateway():
+    assert not [f"taxonomy.py:{line} imports {name}"
+                for line, name in _imports(PACKAGE / "taxonomy.py")
+                if name == "taxocat.gateway" or name.startswith("taxocat.gateway.")]

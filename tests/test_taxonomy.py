@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taxocat.gateway import generate_description, render_user_text
 from taxocat.taxonomy import (
     AcronymMap,
     Taxonomy,
@@ -16,7 +17,6 @@ from taxocat.taxonomy import (
     TaxonomyParseError,
     description_exemplars,
     expand_acronyms,
-    generate_description,
     hierarchy_stats,
     load_acronym_map,
     load_taxonomy,
@@ -310,6 +310,24 @@ class TestGenerateDescription:
         assert text
         payload = gateway.provider.calls[0].user_payload
         assert "parent_name" not in payload and "parent_description" not in payload
+
+    def test_prompt_nodes_are_shaped_like_every_other_prompt(self):
+        tax = Taxonomy(
+            [
+                TaxonomyNode(id="p", name="Game\tTheory",
+                             description=" ".join(f"w{i}" for i in range(90))),
+                TaxonomyNode(id="c", name="Auction\ntheory", parent_id="p"),
+                TaxonomyNode(id="e", name="Bargaining  Theory", parent_id="p",
+                             description="Negotiation\nmodels"),
+            ]
+        )
+        gateway = recording_mock_gateway()
+        generate_description(tax, "c", gateway, exemplar_id="e")
+        lines = render_user_text(gateway.provider.calls[0]).split("\n")
+        assert lines[:2] == ["Label Name: Auction theory", "Parent Name: Game Theory"]
+        assert lines[2] == "Parent Description: " + " ".join(f"w{i}" for i in range(60))
+        assert lines[3:] == [
+            'Example: the label "Bargaining Theory" is described as: Negotiation models']
 
     def test_mock_description_contains_node_name(self, mock_gw):
         text = generate_description(self._taxonomy(), "c", mock_gw, exemplar_id="e")
