@@ -265,7 +265,7 @@ def _require_new_output(output_path: str | None, *input_paths: str | None,
 # The keys a --config file may set, with their JSON types.
 RUN_DEFAULT_TYPES = {
     "top_k": "int", "aggregation": "str", "max_labels": "int", "min_labels": "int",
-    "sibling_cap": "int", "parallelism": "int", "apply_sibling": "bool", "apply_decrease": "dict",
+    "sibling_cap": "int", "parallelism": "int", "apply_sibling": "bool",
 }
 
 
@@ -275,12 +275,6 @@ def _load_run_defaults(path: str | None) -> dict[str, Any]:
     data = gw.read_json_config(path, RUN_DEFAULT_TYPES, "--config")
     if data.get("aggregation", "leaf-only") not in AGG_CHOICES:
         raise CliError(f"--config key 'aggregation' must be one of {', '.join(AGG_CHOICES)}")
-    # Rerank output is never decreased: its top_n already caps it at max_labels.
-    methods = {m.value for m in strategies.Method if m is not strategies.Method.RERANK}
-    for name, value in data.get("apply_decrease", {}).items():
-        if name not in methods or not isinstance(value, bool):
-            raise CliError(f"--config key 'apply_decrease' must map {', '.join(sorted(methods))} "
-                           f"to true or false, not {name!r} to {value!r}")
     return data
 
 
@@ -291,9 +285,6 @@ def _setting(cli_value, config: dict[str, Any], key: str, default):
 def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
     """Merge CLI flags over config-file values over defaults."""
     run_cfg = _load_run_defaults(args.config)
-    # A method the file leaves out is decreased (PostProcessConfig reads it with a True default).
-    apply_decrease = {strategies.Method(name): value
-                      for name, value in run_cfg.get("apply_decrease", {}).items()}
     max_labels = _setting(args.max_labels, run_cfg, "max_labels", 5)
     try:
         return RunConfig(
@@ -307,7 +298,6 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
             postprocess=postprocess.PostProcessConfig(
                 max_labels=max_labels,
                 sibling_cap=_setting(args.sibling_cap, run_cfg, "sibling_cap", 3),
-                apply_decrease=apply_decrease,
                 apply_sibling=not args.no_sibling_cap and run_cfg.get("apply_sibling", True),
                 random_decrease=(args.ablation == "no-decrease"),
             ),
@@ -348,9 +338,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # -- evaluate -----------------------------------------------------------------------
 
 
-def _load_baseline_reports(path: str) -> list[evaluation.MethodReport]:
+def _load_baseline_reports(path: str, judged: set[str]) -> list[evaluation.MethodReport]:
     """Precomputed rows (e.g. an earlier system's published numbers) to merge
     into the comparison: [{method, n, accuracy_pct, score_dist_pct: {"5": ...}}].
+    Each method is a string that no judged method and no other row has.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -359,14 +350,19 @@ def _load_baseline_reports(path: str) -> list[evaluation.MethodReport]:
     if not isinstance(data, list):
         raise CliError("--baseline must contain a JSON list of method reports")
     reports = []
+    seen = set(judged)
     for row in data:
         try:
+            method = row["method"]
+            if not isinstance(method, str) or method in seen:
+                raise ValueError(f"method must be a name not reported yet, not {method!r}")
+            seen.add(method)
             n = row["n"]
             if isinstance(n, bool) or not isinstance(n, int) or n < 1:
                 raise ValueError(f"n must be an integer >= 1, not {n!r}")
             reports.append(
                 evaluation.MethodReport(
-                    method=row["method"],
+                    method=method,
                     n=n,
                     accuracy_pct=_percentage(row["accuracy_pct"]),
                     score_dist_pct={s: _percentage(row["score_dist_pct"][str(s)])
@@ -390,7 +386,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     judgments = evaluation.load_judgments(args.judgments)
     reports = list(evaluation.compute_metrics(judgments).values())
     if args.baseline:
-        reports.extend(_load_baseline_reports(args.baseline))
+        reports.extend(_load_baseline_reports(args.baseline, {r.method for r in reports}))
     table = evaluation.compare_methods(reports)
     print(table.render())
     if args.json_output:

@@ -50,34 +50,32 @@ class ConfigError(GatewayError):
 
 
 class ProviderError(GatewayError):
-    """Transport-level failure talking to a provider; `retryable` ones may pass on retry."""
-
-    retryable = False
-    retry_after: float | None = None  # seconds the provider asked to wait before a retry
+    """A failed provider request: a TransportError may pass on retry, a RefusedError will not."""
 
 
 class TransportError(ProviderError):
-    """Connection failure, malformed reply, or HTTP 408, 429 or 5xx."""
-
-    retryable = True
+    """Connection failure, timeout, malformed reply, or HTTP 408, 429 or 5xx."""
 
     def __init__(self, message: str, retry_after: float | None = None):
         super().__init__(message)
-        self.retry_after = retry_after
+        self.retry_after = retry_after  # seconds the provider asked to wait before a retry
 
 
-class ClientError(TransportError):
-    """HTTP 4xx other than 401, 403, 408 and 429: the request is rejected as sent."""
-
-    retryable = False
+class ProviderTimeout(TransportError):
+    pass
 
 
-class ProviderTimeout(ProviderError):
-    retryable = True
+class RefusedError(ProviderError):
+    """The provider refused the request as sent, so it would refuse every later
+    one too: it is never retried, and it stops the batch."""
 
 
-class AuthError(ProviderError):
+class AuthError(RefusedError):
     """HTTP 401 or 403, or the credential variable is not set."""
+
+
+class ClientError(RefusedError):
+    """HTTP 4xx other than 401, 403, 408 and 429: the request is rejected as sent."""
 
 
 class ResponseParseError(GatewayError):
@@ -209,7 +207,7 @@ class ProviderConfig:
 
 
 _JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,),
-               "dict": (dict,), "None": (type(None),)}
+               "None": (type(None),)}
 
 
 def _finite_number(text: str) -> float:
@@ -220,11 +218,21 @@ def _finite_number(text: str) -> float:
 
 
 def read_json_config(path: str | Path, types: Mapping[str, str], what: str) -> dict[str, Any]:
-    """The JSON object in a config file. Its keys must be in `types`, and each
-    value must have its key's type, named as in an annotation ("str | None").
-    NaN, Infinity and numbers too large for a float are errors."""
+    """The JSON object in a config file. Its keys must be in `types`, each at
+    most once, and each value must have its key's type, named as in an
+    annotation ("str | None"). NaN, Infinity and numbers too large for a
+    float are errors."""
+
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        data: dict[str, Any] = {}
+        for key, value in pairs:
+            if key in data:
+                raise ConfigError(f"{what} key {key!r} is repeated")
+            data[key] = value
+        return data
+
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"),
+        data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique_keys,
                           parse_float=_finite_number, parse_constant=_finite_number)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
@@ -644,10 +652,10 @@ def post_json(session, config: ProviderConfig, url: str, body: Mapping[str, Any]
     """The JSON reply to one POST of `body` to `url`, with config's credential and timeout.
 
     Every failure is a typed ProviderError: AuthError for HTTP 401 and 403
-    or an unset credential variable, ProviderTimeout for a timeout,
-    TransportError for another request failure, HTTP 408, 429, 5xx or a
-    reply that is not JSON (with the Retry-After of a 429 or 503), and
-    ClientError for any other HTTP 4xx.
+    or an unset credential variable, ClientError for any other HTTP 4xx
+    (both RefusedErrors), ProviderTimeout for a timeout, and TransportError
+    for another request failure, HTTP 408, 429, 5xx or a reply that is not
+    JSON (with the Retry-After of a 429 or 503).
     """
     import requests
 
@@ -691,10 +699,10 @@ def _retry_after_s(response) -> float | None:
 def with_retries(send: Callable[[int], T], max_retries: int) -> T:
     """The one retry loop: send(attempt) for attempt 1, 2, ..., at most max_retries + 1 times.
 
-    A retryable ProviderError is retried after a backoff: 0.5 s, doubling,
-    or the provider's Retry-After if longer, capped at 8 s. A
-    RetryExhaustedError, a reply the caller could not use, is retried at
-    once. Any other error, and the last attempt's failure, is raised.
+    A TransportError is retried after a backoff: 0.5 s, doubling, or the
+    provider's Retry-After if longer, capped at 8 s. A RetryExhaustedError,
+    a reply the caller could not use, is retried at once. Any other error
+    (a RefusedError included), and the last attempt's failure, is raised.
     """
     attempts = max_retries + 1
     backoffs = 0
@@ -703,9 +711,7 @@ def with_retries(send: Callable[[int], T], max_retries: int) -> T:
             return send(attempt)
         except RetryExhaustedError:
             continue
-        except ProviderError as exc:
-            if not exc.retryable:
-                raise
+        except TransportError as exc:
             time.sleep(min(max(0.5 * 2**backoffs, exc.retry_after or 0.0), 8.0))
             backoffs += 1
     return send(attempts)
@@ -895,7 +901,7 @@ class CallGroup:
     """Calls sent concurrently on the process-wide pool of config.max_in_flight
     threads, used as a context manager: `with gateway.group() as calls:`.
 
-    Once one of the group's calls raises a non-retryable ProviderError, its
+    Once one of the group's calls raises a RefusedError, its
     calls that start later raise it too, without sending a request. Leaving
     the block cancels every call not yet started and waits for every started
     one, so no call outlives its group; an exception leaving the block is
@@ -905,7 +911,7 @@ class CallGroup:
     def __init__(self, gateway: LlmGateway):
         self._gateway = gateway
         self._futures: list[Future] = []
-        self._latched: ProviderError | None = None
+        self._latched: RefusedError | None = None
 
     def submit(self, spec: PromptSpec) -> Future:
         """gateway.call_with_retry(spec) on the pool; its Future holds the reply."""
@@ -919,9 +925,8 @@ class CallGroup:
         try:
             # Looked up per call, so a wrapper set on the class sees pooled calls too.
             return self._gateway.call_with_retry(spec)
-        except ProviderError as exc:
-            if not exc.retryable:
-                self._latched = exc
+        except RefusedError as exc:
+            self._latched = exc
             raise
 
     def __enter__(self) -> CallGroup:

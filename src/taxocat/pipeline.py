@@ -68,8 +68,8 @@ def classify_document(
     """One output record for `doc`.
 
     Any failure becomes a `hard-failure` record, so one document cannot
-    kill the batch; a non-retryable provider error is raised instead,
-    because every later document would be rejected the same way.
+    kill the batch; a RefusedError is raised instead, because every later
+    document would be refused the same way.
     """
     method = config.method
     try:
@@ -95,9 +95,9 @@ def classify_document(
             doc, labels, taxonomy, pt, gateway, config.postprocess,
             rng=_doc_rng(config.seed, doc.doc_id),
         )
+    except gw.RefusedError:
+        raise
     except Exception as exc:
-        if isinstance(exc, gw.ProviderError) and not exc.retryable:
-            raise
         error = f"{type(exc).__name__}: {exc}"
         # The record carries the error; the traceback is for debugging only.
         logger.warning("document %s failed: %s", doc.doc_id, error)

@@ -1,22 +1,20 @@
-"""Label-set refinement: cap at five via an LLM call, enforce sibling diversity.
+"""Label-set refinement: cap at max_labels via an LLM call, enforce sibling diversity.
 
 The decrease step asks the provider to pick the best-fitting labels among
-the candidates (rerank output is excluded: its labels are already scored
-and capped). Sibling diversity stops a result from clustering under one
-parent by swapping the excess for the best non-sibling candidates still
-available in the pruned taxonomy.
+the candidates of any result longer than max_labels. Sibling diversity
+stops a result from clustering under one parent by swapping the excess for
+the best non-sibling candidates still available in the pruned taxonomy.
 """
 from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass, field, replace
-from typing import Mapping
+from dataclasses import dataclass, replace
 
 from . import gateway as gw
 from .documents import Document
 from .retrieval import PrunedTaxonomy
-from .strategies import LabelSet, Method, known_ids, with_flags
+from .strategies import LabelSet, known_ids, with_flags
 from .taxonomy import Taxonomy
 
 logger = logging.getLogger(__name__)
@@ -29,7 +27,6 @@ FLAG_NEEDS_REVIEW = "needs-review"
 class PostProcessConfig:
     max_labels: int = 5
     sibling_cap: int = 3
-    apply_decrease: Mapping[Method, bool] = field(default_factory=dict)  # unlisted: decreased
     apply_sibling: bool = True
     random_decrease: bool = False  # ablation: seeded uniform pick instead of the LLM call
 
@@ -53,11 +50,10 @@ def decrease_labels(
     the best ids; anything outside the input set is dropped, and if the
     intersection is not exactly max_labels the labels follow the input
     order (which encodes the strategy's own preference) after the kept ids.
-    A provider failure falls back to that ordering outright. Every result
-    not made of exactly max_labels kept ids is flagged decrease-fallback.
+    A call that exhausts its retries falls back to that ordering outright;
+    a RefusedError is raised. Every result not made of exactly max_labels
+    kept ids is flagged decrease-fallback.
     """
-    if labels.method is Method.RERANK:
-        raise ValueError("decrease step does not apply to rerank output")
     candidates = list(labels.leaf_ids)
     if len(candidates) <= max_labels:
         return labels
@@ -74,7 +70,7 @@ def decrease_labels(
         parsed = gateway.call_with_retry(gw.doc_spec(gw.TemplateId.DECREASE_LABELS, doc, payloads))
         returned = list(parsed.ids)
         kept = known_ids(returned, set(candidates), f"decrease[{doc.doc_id}]")
-    except (gw.RetryExhaustedError, gw.ProviderError):
+    except (gw.RetryExhaustedError, gw.TransportError):
         logger.warning("decrease[%s]: provider failed, falling back to input order", doc.doc_id)
 
     # Kept ids first, then the rest, each in input order (a stable sort).
@@ -164,17 +160,13 @@ def postprocess_chain(
 ) -> LabelSet:
     """Full refinement chain: decrease to max_labels, then sibling diversity.
 
-    Non-empty input always lands in [1, max_labels]; empty input passes
-    through flagged for review.
+    Non-empty input of any method always lands in [1, max_labels]; empty
+    input passes through flagged for review.
     """
     if not labels.leaf_ids:
         return with_flags(labels, FLAG_NEEDS_REVIEW)
     out = labels
-    if (
-        out.method is not Method.RERANK
-        and config.apply_decrease.get(out.method, True)
-        and len(out.leaf_ids) > config.max_labels
-    ):
+    if len(out.leaf_ids) > config.max_labels:
         if config.random_decrease:
             out = random_decrease(out, config.max_labels, rng or random.Random(0))
         else:

@@ -21,8 +21,9 @@ from . import gateway as gw, ndjson
 from .documents import Document, document_text
 from .taxonomy import Taxonomy, TaxonomyNode
 
-# Similarities are compared at this many decimals, so float noise in the
-# last bits cannot break an exact tie; ties then go to the lower leaf id.
+# Similarities are compared at this many decimals, and ties go to the lower
+# leaf id. Most last-bit noise rounds away, but a similarity on a rounding
+# boundary rounds either way after a one-ulp change (ROADMAP item 4).
 SIM_DECIMALS = 12
 # Texts per embeddings request.
 EMBED_BATCH = 128

@@ -238,8 +238,8 @@ def classify_rerank(
     aggregation needs ancestors beyond the direct parent, those are scored
     in a second call sent at the same time; if that call cannot be
     completed, each leaf's direct-parent score stands in for its deeper
-    ancestors and the result is flagged. A non-retryable provider error
-    from either call is raised.
+    ancestors and the result is flagged. A RefusedError from either call
+    is raised.
     """
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
@@ -274,9 +274,7 @@ def classify_rerank(
         if deeper_call is not None:
             try:
                 deeper_scores = _read_scores(doc, deeper, deeper_call.result())
-            except (gw.RetryExhaustedError, gw.ProviderError, ScoringIncompleteError) as exc:
-                if isinstance(exc, gw.ProviderError) and not exc.retryable:
-                    raise
+            except (gw.RetryExhaustedError, gw.TransportError, ScoringIncompleteError):
                 logger.warning("rerank[%s]: ancestor scoring unavailable", doc.doc_id)
                 flags.append(FLAG_ANCESTOR_SCORES_UNAVAILABLE)
 
@@ -383,7 +381,7 @@ def classify_select_pointwise(
     parent waits for the slowest leaf. Replies are read in leaf order, then
     in the order of each parent's first fitting leaf, so the first failure
     raised is the one asking leaves and then parents in that order would
-    raise. The group's rules hold: after a non-retryable error, calls not
+    raise. The group's rules hold: after a RefusedError, calls not
     yet started send nothing, and no call outlives the document.
     """
     parent_of = {leaf_id: taxonomy.node(leaf_id).parent_id for leaf_id in pt.leaf_ids}

@@ -442,14 +442,14 @@ class TestClassify:
         ("{not json", "cannot read --config"),
         ('{"aggregation": "bogus"}', "'aggregation' must be one of"),
         ('{"max_labels": "x"}', "'max_labels' must be int"),
-        ('{"apply_decrease": {"bogus": true}}', "'apply_decrease' must map"),
-        ('{"apply_decrease": {"rerank": "no"}}', "'apply_decrease' must map"),
-        ('{"apply_decrease": {"rerank": true}}',
-         "must map select_one_pass, select_pointwise, trav_select to true or false, not 'rerank'"),
+        ('{"apply_decrease": {"bogus": true}}', "unknown --config keys: apply_decrease"),
+        ('{"apply_decrease": {"rerank": "no"}}', "unknown --config keys: apply_decrease"),
+        ('{"apply_decrease": {"rerank": true}}', "unknown --config keys: apply_decrease"),
         ('{"apply_sibling": "no"}', "'apply_sibling' must be bool"),
         ('{"sibling_cap": 0}', "sibling_cap must be >= 1"),
         ('{"topk": 20}', "unknown --config keys: topk"),
         ('{"top_k": NaN}', "NaN is not a finite number"),
+        ('{"top_k": 20, "top_k": 90}', "--config key 'top_k' is repeated"),
     ])
     def test_malformed_config_file_is_an_error(self, workdir, capsys, text, message):
         tmp, _, _ = workdir
@@ -494,6 +494,53 @@ class TestClassify:
         assert code == 1
         assert "refusing to overwrite the input file" in capsys.readouterr().err
         assert target.read_bytes() == before
+
+    def _decrease_replies(self, monkeypatch, reply):
+        """Make --mock answer the decrease call with reply(doc_id), a raw reply or an
+        exception to raise; returns the ids of the documents whose decrease was asked."""
+        asked = []
+
+        class Provider(gw.MockProvider):
+            def complete(self, spec, reminder=None):
+                if spec.template_id is not gw.TemplateId.DECREASE_LABELS:
+                    return super().complete(spec, reminder)
+                asked.append(spec.user_payload["document"]["doc_id"])
+                answer = reply(asked[-1])
+                if isinstance(answer, Exception):
+                    raise answer
+                return answer or super().complete(spec, reminder)
+
+        monkeypatch.setattr(gw, "MockProvider", Provider)
+        return asked
+
+    @pytest.mark.parametrize("error", [gw.AuthError("HTTP 401"), gw.ClientError("HTTP 400: no")],
+                             ids=["401", "400"])
+    def test_refused_decrease_call_stops_the_batch(self, workdir, monkeypatch, capsys, error):
+        tmp, _, docs = workdir
+        asked = self._decrease_replies(
+            monkeypatch, lambda doc_id: error if len(asked) == 3 else None)
+        code, out = self._run(tmp, ["--strategy", "one-pass", "--max-labels", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        ahead = [d.doc_id for d in docs][:[d.doc_id for d in docs].index(asked[2])]
+        assert [r["doc_id"] for r in records] == ahead
+        assert [r["doc_id"] for r in records if "decrease" in r["provenance"]] == asked[:2]
+
+    @pytest.mark.parametrize("reply", ["junk", gw.TransportError("HTTP 503")],
+                             ids=["unparseable", "unavailable"])
+    def test_exhausted_decrease_call_falls_back(self, workdir, monkeypatch, reply):
+        tmp, _, docs = workdir
+        monkeypatch.setattr("taxocat.gateway.time.sleep", lambda seconds: None)
+        asked = self._decrease_replies(monkeypatch, lambda doc_id: reply)
+        code, out = self._run(tmp, ["--strategy", "one-pass", "--max-labels", "1"])
+        assert code == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(records) == len(docs) and asked
+        for record in records:
+            decreased = record["doc_id"] in asked
+            assert ("decrease-fallback" in record["flags"]) is decreased
+            assert len(record["labels"]) == 1
 
     def test_config_file_provides_defaults(self, workdir):
         tmp, _, _ = workdir
@@ -764,6 +811,7 @@ class TestEvaluateAndRank:
         ("accuracy_pct", 100.5), ("accuracy_pct", -1),
         pytest.param("accuracy_pct", 10**400, id="accuracy_pct-1e400"),
         ("5", "inf"), ("5", float("inf")), ("5", False),
+        ("method", 7), ("method", None), ("method", "m"),  # "m" is a judged method
     ])
     def test_evaluate_bad_baseline_row_is_an_error(self, tmp_path, capsys, key, value):
         path = tmp_path / "j.ndjson"
@@ -780,6 +828,20 @@ class TestEvaluateAndRank:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: bad baseline report entry: ")
+        assert captured.out == ""
+
+    def test_evaluate_repeated_baseline_method_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "j.ndjson"
+        write_ndjson(path, [{"doc_id": "d", "method": "m", "correct": True, "score": 5}])
+        row = {"method": "earlier", "n": 10, "accuracy_pct": 50.0,
+               "score_dist_pct": {"5": 0.0, "4": 0.0, "3": 100.0, "2": 0.0, "1": 0.0}}
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps([row, row]))
+        code = cli.main(["evaluate", "--judgments", str(path), "--baseline", str(baseline)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: bad baseline report entry: "
+                                "method must be a name not reported yet, not 'earlier'\n")
         assert captured.out == ""
 
     def test_evaluate_empty_file_fails(self, tmp_path, capsys):
@@ -935,6 +997,7 @@ class TestEvaluateAndRank:
         ("classify", "{not json", "cannot read provider config"),
         ("classify", '{"timeout": "5"}', "'timeout' must be float"),
         ("rank", '{"embeding_model": "e"}', "unknown provider config keys: embeding_model"),
+        ("classify", '{"timeout": 5, "timeout": 60}', "provider config key 'timeout' is repeated"),
     ])
     def test_malformed_provider_file_is_an_error(self, workdir, capsys, tmp_path,
                                                  command, text, message):

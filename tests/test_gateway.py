@@ -28,6 +28,7 @@ from taxocat.gateway import (
     PromptSpec,
     ProviderConfig,
     ProviderTimeout,
+    RefusedError,
     RetryExhaustedError,
     SchemaError,
     Scores,
@@ -690,8 +691,9 @@ class TestRetryPolicy:
     ])
     def test_client_errors_fail_fast(self, sleeps, client, status, error):
         session = _ScriptedSession(_FakeResponse(status_code=status), client.ok)
-        with pytest.raises(error):
+        with pytest.raises(error) as err:
             client(session).call()
+        assert isinstance(err.value, RefusedError) and not isinstance(err.value, TransportError)
         assert session.posts == 1
         assert sleeps == []
 

@@ -10,9 +10,12 @@ update these digests and say why in CHANGES.md.
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from taxocat import cli, gateway as gw, pipeline, postprocess, retrieval, strategies
 from taxocat.documents import load_documents
@@ -133,3 +136,49 @@ def test_run_config_rejects_a_top_k_out_of_range(tmp_path):
             postprocess=postprocess.PostProcessConfig(), include_descriptions=True,
             contextualize=True, parallelism=1, seed=0,
         )
+
+
+@pytest.fixture(scope="module")
+def bound_inputs(tmp_path_factory):
+    """A 200-node forest, its leaf index and eight documents, for the label-bound property."""
+    taxonomy = random_forest(random.Random(21), 200)
+    embedder = retrieval.HashBagEmbedder()
+    rng = random.Random(22)
+    docs = [vocab_doc(rng, f"doc{i}") for i in range(8)]
+    store = retrieval.embed_taxonomy_leaves(taxonomy, embedder)
+    return tmp_path_factory.mktemp("bound"), taxonomy, store, embedder, docs
+
+
+@given(
+    strategy=st.sampled_from(sorted(cli.STRATEGY_CHOICES)),
+    ablation=st.sampled_from([None, *cli.ABLATION_CHOICES]),
+    labels=st.integers(1, 6).flatmap(lambda hi: st.tuples(st.integers(1, hi), st.just(hi))),
+    sibling_cap=st.integers(1, 4),
+    no_sibling_cap=st.booleans(),
+    top_k=st.integers(10, 30),
+)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_every_record_holds_at_most_max_labels_leaves(bound_inputs, strategy, ablation, labels,
+                                                       sibling_cap, no_sibling_cap, top_k):
+    tmp, taxonomy, store, embedder, docs = bound_inputs
+    min_labels, max_labels = labels
+    argv = ["classify", "--taxonomy", str(tmp), "--documents", str(tmp),
+            "--output", str(tmp / "out.ndjson"), "--strategy", strategy, "--mock",
+            "--top-k", str(top_k), "--min-labels", str(min_labels),
+            "--max-labels", str(max_labels), "--sibling-cap", str(sibling_cap)]
+    if ablation:
+        argv += ["--ablation", ablation]
+    if no_sibling_cap:
+        argv.append("--no-sibling-cap")
+    config = cli._resolve_run_config(cli.build_parser().parse_args(argv))
+    failures = pipeline.classify_batch(docs, taxonomy, store, embedder, gw.mock_gateway(), config)
+    assert failures == 0
+    leaves = set(taxonomy.leaf_ids())
+    records = [json.loads(line) for line in config.output_path.read_text().splitlines()]
+    assert [r["doc_id"] for r in records] == [d.doc_id for d in docs]
+    for record in records:
+        assert len(set(record["labels"])) == len(record["labels"]) <= max_labels
+        assert set(record["labels"]) <= leaves
+        if not record["labels"]:
+            assert postprocess.FLAG_NEEDS_REVIEW in record["flags"]

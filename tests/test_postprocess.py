@@ -1,11 +1,13 @@
 """Decrease-to-five and sibling-diversity refinement."""
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
-from taxocat.gateway import BestLabels, LlmGateway, ProviderConfig, TransportError
+from taxocat.gateway import BestLabels, LlmGateway, ProviderConfig, TemplateId, TransportError
+from taxocat.pipeline import RunConfig, classify_batch
 from taxocat.postprocess import (
     FLAG_DECREASE_FALLBACK,
     FLAG_NEEDS_REVIEW,
@@ -15,11 +17,23 @@ from taxocat.postprocess import (
     postprocess_chain,
     random_decrease,
 )
-from taxocat.retrieval import LeafRanking, build_pruned_taxonomy
-from taxocat.strategies import LabelSet, Method
+from taxocat.retrieval import (
+    HashBagEmbedder,
+    LeafRanking,
+    build_pruned_taxonomy,
+    embed_taxonomy_leaves,
+)
+from taxocat.strategies import AggregationFunction, LabelSet, Method
 from taxocat.taxonomy import Taxonomy, TaxonomyNode
 
-from .util import ScriptedProvider, make_doc, o_overlap
+from .util import (
+    ScriptedProvider,
+    make_doc,
+    o_overlap,
+    recording_mock_gateway,
+    ternary_taxonomy,
+    vocab_doc,
+)
 
 
 def _fanout_taxonomy(n_parents=4, leaves_per_parent=4):
@@ -67,12 +81,6 @@ class TestDecreaseLabels:
         tax = _fanout_taxonomy()
         labels = _labels(list(tax.leaf_ids())[:5])
         assert decrease_labels(make_doc("d", "x"), labels, tax, mock_gw) is labels
-
-    def test_rerank_input_rejected(self, mock_gw):
-        tax = _fanout_taxonomy()
-        labels = _labels(list(tax.leaf_ids())[:6], method=Method.RERANK)
-        with pytest.raises(ValueError):
-            decrease_labels(make_doc("d", "x"), labels, tax, mock_gw)
 
     def test_partial_return_filled_by_input_order(self):
         tax = _fanout_taxonomy()
@@ -217,18 +225,39 @@ class TestChain:
             out = postprocess_chain(doc, _labels(picked), tax, pt, mock_gw, config, rng=rng)
             assert 1 <= len(out.leaf_ids) <= config.max_labels
 
-    def test_rerank_skips_decrease(self, mock_gw):
+    @pytest.mark.parametrize("random_decrease", [False, True], ids=["llm", "no-decrease"])
+    @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+    def test_oversized_input_of_any_method_is_decreased(self, mock_gw, method,
+                                                        random_decrease):
         tax = _fanout_taxonomy(n_parents=6, leaves_per_parent=2)
         picked = [f"p{i}l0" for i in range(6)]
-        out = postprocess_chain(
-            make_doc("d", "x"),
-            _labels(picked, method=Method.RERANK),
-            tax,
-            _pt_for(tax),
-            mock_gw,
-            PostProcessConfig(apply_sibling=False),
+        config = PostProcessConfig(apply_sibling=False, random_decrease=random_decrease)
+        out = postprocess_chain(make_doc("d", "auction markets"), _labels(picked, method=method),
+                                tax, _pt_for(tax), mock_gw, config, rng=random.Random(0))
+        assert len(out.leaf_ids) == config.max_labels
+        assert set(out.leaf_ids) <= set(picked)
+        assert out.provenance["decrease"]["kept"] == list(out.leaf_ids)
+
+    @pytest.mark.parametrize("agg", list(AggregationFunction), ids=lambda a: a.value)
+    @pytest.mark.parametrize("max_labels", [1, 3, 5])
+    def test_rerank_through_the_pipeline_sends_no_decrease_call(self, tmp_path, agg,
+                                                               max_labels):
+        tax = ternary_taxonomy()
+        embedder = HashBagEmbedder()
+        rng = random.Random(5)
+        docs = [vocab_doc(rng, f"doc{i}") for i in range(6)]
+        gateway = recording_mock_gateway()
+        config = RunConfig(
+            taxonomy_path=tmp_path, documents_path=tmp_path, output_path=tmp_path / "out.ndjson",
+            method=Method.RERANK, top_k=20, aggregation=agg, label_range=(1, max_labels),
+            postprocess=PostProcessConfig(max_labels=max_labels), include_descriptions=True,
+            contextualize=True, parallelism=1, seed=0,
         )
-        assert len(out.leaf_ids) == 6  # rerank output passes through undecresed
+        assert classify_batch(docs, tax, embed_taxonomy_leaves(tax, embedder), embedder,
+                              gateway, config) == 0
+        assert {spec.template_id for spec in gateway.provider.calls} == {TemplateId.RERANK}
+        for line in config.output_path.read_text().splitlines():
+            assert len(json.loads(line)["labels"]) == max_labels
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
