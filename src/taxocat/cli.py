@@ -18,7 +18,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Any, Sequence
 
-from . import evaluation, gateway as gw, pipeline, postprocess, retrieval, strategies
+from . import evaluation, gateway as gw, ndjson, pipeline, postprocess, retrieval, strategies
 from . import taxonomy as tax
 from .documents import DocumentError, load_documents
 from .pipeline import RunConfig
@@ -343,10 +343,7 @@ def _load_baseline_reports(path: str, judged: set[str]) -> list[evaluation.Metho
     into the comparison: [{method, n, accuracy_pct, score_dist_pct: {"5": ...}}].
     Each method is a string that no judged method and no other row has.
     """
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read --baseline {path}: {exc}") from None
+    data = ndjson.read_json(path, CliError, "--baseline")
     if not isinstance(data, list):
         raise CliError("--baseline must contain a JSON list of method reports")
     reports = []

@@ -38,8 +38,6 @@ def document_text(doc: Document) -> str:
 
     Missing keywords or abstract contribute nothing (no blank lines).
     """
-    if not doc.title.strip():
-        raise DocumentError(f"document {doc.doc_id!r} has an empty title")
     segments = [doc.title]
     if doc.keywords:
         segments.append(", ".join(doc.keywords))

@@ -20,7 +20,7 @@ import os
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from enum import Enum
 from functools import cache, lru_cache
@@ -127,15 +127,21 @@ def load_template(template_id: TemplateId) -> str:
     ).rstrip("\n")
 
 
+@cache
+def _fill(template: str, count: int | None) -> str:
+    """The one rule every system text is made by: `count` in place of `{count}`."""
+    return template.format(count=count)
+
+
 @dataclass(frozen=True)
 class PromptSpec:
     template_id: TemplateId
     user_payload: Mapping[str, Any]
-    system_text: str = ""
+    count: int | None = None  # how many labels the prompt names, its template's {count}
+    system_text: str = field(init=False)
 
     def __post_init__(self):
-        if not self.system_text:
-            object.__setattr__(self, "system_text", load_template(self.template_id))
+        object.__setattr__(self, "system_text", _fill(load_template(self.template_id), self.count))
 
     @property
     def user_text(self) -> str:
@@ -210,32 +216,11 @@ _JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (boo
                "None": (type(None),)}
 
 
-def _finite_number(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text} is not a finite number")
-    return value
-
-
 def read_json_config(path: str | Path, types: Mapping[str, str], what: str) -> dict[str, Any]:
-    """The JSON object in a config file. Its keys must be in `types`, each at
-    most once, and each value must have its key's type, named as in an
-    annotation ("str | None"). NaN, Infinity and numbers too large for a
-    float are errors."""
-
-    def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
-        data: dict[str, Any] = {}
-        for key, value in pairs:
-            if key in data:
-                raise ConfigError(f"{what} key {key!r} is repeated")
-            data[key] = value
-        return data
-
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique_keys,
-                          parse_float=_finite_number, parse_constant=_finite_number)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+    """The JSON object in a config file, read by ndjson.read_json. Its keys
+    must be in `types`, and each value must have its key's type, named as in
+    an annotation ("str | None")."""
+    data = ndjson.read_json(path, ConfigError, what)
     if not isinstance(data, dict):
         raise ConfigError(f"{what} must be a JSON object")
     unknown = sorted(set(data) - set(types))
@@ -347,19 +332,18 @@ def node_payload(node: TaxonomyNode, **extra: Any) -> dict[str, Any]:
     return {"id": node.id, "name": _one_line(node.name), "description": description, **extra}
 
 
-def doc_spec(template_id: TemplateId, doc: Document,
-             nodes: Sequence[Mapping[str, Any]]) -> PromptSpec:
+def doc_spec(template_id: TemplateId, doc: Document, nodes: Sequence[Mapping[str, Any]],
+             count: int | None = None) -> PromptSpec:
     """The prompt `template_id` asks about `doc`, showing `nodes` as node_payload shapes them.
 
     A pointwise template shows one node. The one-pass tree's nodes come in
     depth-first order, each with its `depth` (0 at the top) and `is_leaf`.
+    The prompt names `count` labels, the number of nodes unless given.
     """
     document = {"doc_id": doc.doc_id, "title": doc.title, "keywords": list(doc.keywords),
                 "abstract": doc.abstract}
-    system_text = ""
-    if template_id is TemplateId.RERANK:
-        system_text = load_template(template_id).format(*[len(nodes)] * 3)
-    return PromptSpec(template_id, {"document": document, "nodes": list(nodes)}, system_text)
+    return PromptSpec(template_id, {"document": document, "nodes": list(nodes)},
+                      len(nodes) if count is None else count)
 
 
 def build_desc_gen_spec(
@@ -530,7 +514,7 @@ _BEST_LABELS_REPLY = 'a JSON object {"best_labels": [label ids]}'
 _REPLIES: dict[TemplateId, str] = {
     TemplateId.TRAV_SELECT: _BEST_LABELS_REPLY,
     TemplateId.SELECT_ONE_PASS: _BEST_LABELS_REPLY,
-    TemplateId.DECREASE_LABELS: 'a JSON object {"best_labels": [the top 5 label ids]}',
+    TemplateId.DECREASE_LABELS: _BEST_LABELS_REPLY,
     TemplateId.RERANK: 'a JSON object {"scores": [[label id, score], ...]} '
     "with scores between 0.01 and 1.00",
     TemplateId.SELECTP_LEAF: 'a JSON object {"main_focus": text, "label_fit": boolean}',
@@ -541,7 +525,7 @@ _REPLIES: dict[TemplateId, str] = {
 
 
 def schema_reminder(template_id: TemplateId) -> str:
-    """The retry hint naming the reply `template_id` asks for."""
+    """The retry hint naming the reply `template_id` asks for, and no label count."""
     return f"Reminder: respond with only {_REPLIES[template_id]}."
 
 
@@ -583,7 +567,8 @@ def mock_complete(spec: PromptSpec, threshold: float = DEFAULT_OVERLAP_THRESHOLD
     A node "fits" a document when the overlap between the document content
     and the node's name-plus-description reaches the threshold; relevancy
     scores are the overlap rounded to two decimals and clamped to
-    [0.01, 1.00]. Output is always a valid reply for the template.
+    [0.01, 1.00]. A decrease reply names the spec's count of labels, best
+    overlap first. Output is always a valid reply for the template.
     """
     payload = spec.user_payload
     tid = spec.template_id
@@ -617,7 +602,7 @@ def mock_complete(spec: PromptSpec, threshold: float = DEFAULT_OVERLAP_THRESHOLD
         return json.dumps({"scores": [[nid, _mock_score(o)] for nid, o in overlaps]})
     if tid is TemplateId.DECREASE_LABELS:
         ranked = sorted(overlaps, key=lambda item: (-item[1], item[0]))
-        return json.dumps({"best_labels": [nid for nid, _ in ranked[:5]]})
+        return json.dumps({"best_labels": [nid for nid, _ in ranked[:spec.count]]})
     if tid in (TemplateId.SELECT_ONE_PASS, TemplateId.TRAV_SELECT):
         return json.dumps({"best_labels": [nid for nid, o in overlaps if o >= threshold]})
     raise ConfigError(f"unknown template {tid!r}")

@@ -1,6 +1,6 @@
-"""Newline-delimited JSON, the format of every line file taxocat reads or writes.
+"""The JSON files taxocat reads or writes: newline-delimited records, or one document.
 
-A file is UTF-8 text with one JSON object per line; blank lines are
+A line file is UTF-8 text with one JSON object per line; blank lines are
 skipped. Each function takes the caller's error class and a short name for
 the file (`what`): a file that cannot be opened, read, decoded or written
 raises that class naming the file, and a line that is not a JSON object
@@ -9,6 +9,7 @@ raises it as "<what> line N: ...".
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator
@@ -20,7 +21,7 @@ def _failure(verb: str, what: str, file: File, exc: Exception) -> str:
     name = file if isinstance(file, (str, Path)) else getattr(file, "name", "<stream>")
     if isinstance(exc, UnicodeError):
         return f"cannot {verb} {what} {name}: not valid UTF-8 ({exc.reason})"
-    return f"cannot {verb} {what} {name}: {exc.strerror or exc}"
+    return f"cannot {verb} {what} {name}: {getattr(exc, 'strerror', None) or exc}"
 
 
 def _open(file: File, mode: str, error: type[Exception], what: str) -> IO[str]:
@@ -29,7 +30,7 @@ def _open(file: File, mode: str, error: type[Exception], what: str) -> IO[str]:
     try:
         return open(file, mode, encoding="utf-8")
     except OSError as exc:
-        raise error(_failure("open", what, file, exc)) from exc
+        raise error(_failure("read" if mode == "r" else "write", what, file, exc)) from exc
 
 
 @contextmanager
@@ -59,6 +60,34 @@ def read_records(file: File, error: type[Exception], what: str
             if not isinstance(record, dict):
                 raise error(f"{what} line {lineno}: expected a JSON object")
             yield lineno, record
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
+def read_json(file: File, error: type[Exception], what: str) -> Any:
+    """The one JSON document in the file. Text that is not JSON, NaN, Infinity,
+    a number too large for a float and a key repeated in an object raise `error`."""
+
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        data: dict[str, Any] = {}
+        for key, value in pairs:
+            if key in data:
+                raise error(f"{what} key {key!r} is repeated")
+            data[key] = value
+        return data
+
+    with reading(file, error, what) as fh:
+        text = fh.read()
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys,
+                          parse_float=_finite, parse_constant=_finite)
+    except ValueError as exc:
+        raise error(_failure("read", what, file, exc)) from None
 
 
 def write_records(file: File, records: Iterable[dict[str, Any]], error: type[Exception],

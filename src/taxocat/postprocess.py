@@ -46,13 +46,13 @@ def decrease_labels(
 ) -> LabelSet:
     """Reduce an oversized label set to exactly max_labels.
 
-    The provider sees the candidates with their parent context and returns
-    the best ids; anything outside the input set is dropped, and if the
-    intersection is not exactly max_labels the labels follow the input
-    order (which encodes the strategy's own preference) after the kept ids.
-    A call that exhausts its retries falls back to that ordering outright;
-    a RefusedError is raised. Every result not made of exactly max_labels
-    kept ids is flagged decrease-fallback.
+    The provider sees the candidates with their parent context and is asked
+    for the best max_labels ids. The reply's first max_labels ids that are
+    candidates are kept, written in input order (which encodes the
+    strategy's own preference); if there are fewer, the other candidates
+    follow in input order. A call that exhausts its retries falls back to
+    that ordering outright; a RefusedError is raised. Every result not made
+    of exactly max_labels kept ids is flagged decrease-fallback.
     """
     candidates = list(labels.leaf_ids)
     if len(candidates) <= max_labels:
@@ -67,9 +67,9 @@ def decrease_labels(
     returned: list[str] = []
     kept: list[str] = []
     try:
-        parsed = gateway.call_with_retry(gw.doc_spec(gw.TemplateId.DECREASE_LABELS, doc, payloads))
-        returned = list(parsed.ids)
-        kept = known_ids(returned, set(candidates), f"decrease[{doc.doc_id}]")
+        spec = gw.doc_spec(gw.TemplateId.DECREASE_LABELS, doc, payloads, max_labels)
+        returned = list(gateway.call_with_retry(spec).ids)
+        kept = known_ids(returned, set(candidates), f"decrease[{doc.doc_id}]")[:max_labels]
     except (gw.RetryExhaustedError, gw.TransportError):
         logger.warning("decrease[%s]: provider failed, falling back to input order", doc.doc_id)
 

@@ -9,7 +9,6 @@ Depth convention: top-level nodes sit at depth 1.
 """
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -246,22 +245,8 @@ class AcronymMap:
 
 
 def load_acronym_map(source: str | Path | IO[str]) -> AcronymMap:
-    """Read a JSON object of {acronym: expansion}; duplicate keys are rejected."""
-    with ndjson.reading(source, TaxonomyParseError, "acronym map") as fh:
-        text = fh.read()
-
-    def _reject_dupes(pairs):
-        out = {}
-        for key, value in pairs:
-            if key in out:
-                raise TaxonomyParseError(f"duplicate acronym key: {key!r}")
-            out[key] = value
-        return out
-
-    try:
-        data = json.loads(text, object_pairs_hook=_reject_dupes)
-    except json.JSONDecodeError as exc:
-        raise TaxonomyParseError(f"invalid acronym map JSON: {exc.msg}") from exc
+    """Read a JSON object of {acronym: expansion} with ndjson.read_json."""
+    data = ndjson.read_json(source, TaxonomyParseError, "acronym map")
     if not isinstance(data, dict):
         raise TaxonomyParseError("acronym map must be a JSON object")
     return AcronymMap(entries=data)

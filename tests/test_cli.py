@@ -793,7 +793,7 @@ class TestEvaluateAndRank:
         assert "previous_sota" in out and "61.5" in out
         assert out.index("select_pointwise") < out.index("previous_sota")
 
-    @pytest.mark.parametrize("text", ["[1", None])
+    @pytest.mark.parametrize("text", ["[1", None, '[{"accuracy_pct": NaN}]', '[{"5": Infinity}]'])
     def test_evaluate_bad_baseline_is_an_error(self, tmp_path, capsys, text):
         path = tmp_path / "j.ndjson"
         write_ndjson(path, [{"doc_id": "d", "method": "m", "correct": True, "score": 5}])
@@ -807,10 +807,10 @@ class TestEvaluateAndRank:
 
     @pytest.mark.parametrize(("key", "value"), [
         ("n", True), ("n", 0), ("n", 2.5), ("n", "192"),
-        ("accuracy_pct", "nan"), ("accuracy_pct", float("nan")), ("accuracy_pct", True),
+        ("accuracy_pct", "nan"), ("accuracy_pct", True),
         ("accuracy_pct", 100.5), ("accuracy_pct", -1),
         pytest.param("accuracy_pct", 10**400, id="accuracy_pct-1e400"),
-        ("5", "inf"), ("5", float("inf")), ("5", False),
+        ("5", "inf"), ("5", False),
         ("method", 7), ("method", None), ("method", "m"),  # "m" is a judged method
     ])
     def test_evaluate_bad_baseline_row_is_an_error(self, tmp_path, capsys, key, value):
@@ -823,11 +823,23 @@ class TestEvaluateAndRank:
         else:
             row["score_dist_pct"][key] = value
         baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps([row]))  # NaN and Infinity as JSON writes them
+        baseline.write_text(json.dumps([row]))
         code = cli.main(["evaluate", "--judgments", str(path), "--baseline", str(baseline)])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: bad baseline report entry: ")
+        assert captured.out == ""
+
+    def test_evaluate_repeated_baseline_key_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "j.ndjson"
+        write_ndjson(path, [{"doc_id": "d", "method": "m", "correct": True, "score": 5}])
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text('[{"method": "old", "method": "older", "n": 10, "accuracy_pct": 50, '
+                            '"score_dist_pct": {"5": 0, "4": 0, "3": 100, "2": 0, "1": 0}}]')
+        code = cli.main(["evaluate", "--judgments", str(path), "--baseline", str(baseline)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --baseline key 'method' is repeated\n"
         assert captured.out == ""
 
     def test_evaluate_repeated_baseline_method_is_an_error(self, tmp_path, capsys):

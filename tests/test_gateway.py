@@ -3,9 +3,11 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -226,8 +228,7 @@ _REPLIES = {
                               'a JSON object {"main_focus": text, "label_fit": boolean}'),
     TemplateId.SELECTP_PARENT: (ParentVerdict, 'a JSON object {"main_focus": text, '
                                 '"label_fit": boolean, "relevancy_score": number between 0 and 1}'),
-    TemplateId.DECREASE_LABELS: (BestLabels,
-                                 'a JSON object {"best_labels": [the top 5 label ids]}'),
+    TemplateId.DECREASE_LABELS: (BestLabels, 'a JSON object {"best_labels": [label ids]}'),
 }
 
 
@@ -238,6 +239,39 @@ def test_every_template_names_its_reply(template_id):
     spec = _SPECS[template_id]
     assert spec.template_id is template_id
     assert isinstance(extract_response(mock_complete(spec), template_id), reply_type)
+
+
+def test_every_prompt_file_is_a_template():
+    files = sorted(path.name for path in (Path(gw.__file__).parent / "prompts").iterdir())
+    assert files == sorted(f"{template_id.value}.txt" for template_id in TemplateId)
+
+
+@pytest.mark.parametrize("template_id", list(TemplateId))
+def test_template_holds_no_brace_but_its_count(template_id):
+    # Every system text is its template with the count in place of {count}.
+    text = load_template(template_id)
+    assert not re.search("[{}]", text.replace("{count}", ""))
+    assert PromptSpec(template_id, {}, count=37).system_text == text.replace("{count}", "37")
+
+
+@pytest.mark.parametrize("count", [1, 3, 7, 40])
+def test_rerank_and_decrease_state_their_count(count):
+    doc = make_doc("d", "auctions")
+    nodes = [{"id": f"n{i}", "name": "x"} for i in range(count)]
+    rerank = doc_spec(TemplateId.RERANK, doc, nodes).system_text
+    assert f"a list of {count} labels" in rerank
+    assert f"there are {count} scores" in rerank
+    assert f"a list of {count} tuples" in rerank
+    decrease = doc_spec(TemplateId.DECREASE_LABELS, doc, nodes + nodes, count).system_text
+    assert decrease.count(f"the top {count} labels") == 2
+
+
+@pytest.mark.parametrize("template_id", list(TemplateId))
+def test_reminder_states_no_label_count(template_id):
+    # The system text states how many labels to name; a score range is the
+    # only number a reminder holds.
+    reminder = re.sub(r"between [0-9.]+ and [0-9.]+", "", schema_reminder(template_id))
+    assert not re.search("[0-9]", reminder)
 
 
 class TestExtractResponse:
@@ -399,7 +433,7 @@ class TestMockProvider:
             {"id": "far2", "name": "psi", "description": None},
             {"id": "far3", "name": "chi", "description": None},
         ]
-        spec = doc_spec(TemplateId.DECREASE_LABELS, doc, nodes)
+        spec = doc_spec(TemplateId.DECREASE_LABELS, doc, nodes, count=5)
         parsed = extract_response(mock_complete(spec), TemplateId.DECREASE_LABELS)
         assert len(parsed.ids) == 5
         assert set(parsed.ids[:4]) == {"n0", "n1", "n2", "n3"}

@@ -72,23 +72,28 @@ def _prompt_digest(specs) -> str:
     return hashlib.sha256("\n".join(digests).encode()).hexdigest()
 
 
+def run_one(inputs, monkeypatch, out, strategy, *flags) -> tuple[str, str]:
+    """(output digest, prompt digest) of `classify --mock` with `flags`, written to `out`."""
+    gateways = record_cli_gateways(monkeypatch)
+    args = ["classify", "--taxonomy", str(inputs / "taxonomy.ndjson"),
+            "--documents", str(inputs / "docs.ndjson"), "--output", str(out),
+            "--strategy", strategy, "--mock", "--seed", "7", "--parallelism", "1", *flags]
+    assert cli.main(args) == 0
+    specs = [spec for gateway in gateways for spec in gateway.provider.calls]
+    return hashlib.sha256(out.read_bytes()).hexdigest(), _prompt_digest(specs)
+
+
 def run_all(inputs, monkeypatch) -> dict[tuple, tuple[str, str]]:
     """(output digest, prompt digest) per configuration."""
     done = {}
     for strategy, ablation in DIGESTS:
-        gateways = record_cli_gateways(monkeypatch)
-        out = inputs / f"{strategy}-{ablation}.ndjson"
-        args = ["classify", "--taxonomy", str(inputs / "taxonomy.ndjson"),
-                "--documents", str(inputs / "docs.ndjson"), "--output", str(out),
-                "--strategy", strategy, "--mock", "--seed", "7", "--parallelism", "1"]
+        flags = []
         if strategy == "rerank":
-            args += ["--agg", "harmonic-all-ancestors"]
+            flags += ["--agg", "harmonic-all-ancestors"]
         if ablation:
-            args += ["--ablation", ablation]
-        assert cli.main(args) == 0
-        specs = [spec for gateway in gateways for spec in gateway.provider.calls]
-        done[strategy, ablation] = (
-            hashlib.sha256(out.read_bytes()).hexdigest(), _prompt_digest(specs))
+            flags += ["--ablation", ablation]
+        done[strategy, ablation] = run_one(
+            inputs, monkeypatch, inputs / f"{strategy}-{ablation}.ndjson", strategy, *flags)
     return done
 
 
@@ -106,6 +111,24 @@ def test_classify_output_digest(runs, strategy, ablation):
 @pytest.mark.parametrize(("strategy", "ablation"), sorted(PROMPT_DIGESTS, key=str))
 def test_classify_prompt_digest(runs, strategy, ablation):
     assert runs[strategy, ablation][1] == PROMPT_DIGESTS[strategy, ablation]
+
+
+# one-pass at --max-labels 3, where the decrease call asks for three labels.
+THREE_LABEL_DIGESTS = (
+    "53f06e27bb8b110c76250f7fff8b58e2c93ed6e4ca6e8f4f905c1d19657fb1fa",
+    "78f83e08afb5e48bcab390c5e29850b73ac302bb23b6864dd5ed5b5f0245939c",
+)
+
+
+def test_one_pass_at_three_labels_keeps_every_decrease_reply(inputs, monkeypatch):
+    out = inputs / "one-pass-three.ndjson"
+    digests = run_one(inputs, monkeypatch, out, "one-pass", "--max-labels", "3")
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    decreased = [r for r in records if "decrease" in r["provenance"]]
+    assert decreased
+    assert all(len(r["provenance"]["decrease"]["returned"]) == 3 for r in decreased)
+    assert not any(postprocess.FLAG_DECREASE_FALLBACK in r["flags"] for r in records)
+    assert digests == THREE_LABEL_DIGESTS
 
 
 def test_classify_batch_writes_the_command_lines_bytes(inputs, tmp_path):

@@ -5,8 +5,17 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from taxocat.gateway import BestLabels, LlmGateway, ProviderConfig, TemplateId, TransportError
+from taxocat.gateway import (
+    BestLabels,
+    LlmGateway,
+    ProviderConfig,
+    TemplateId,
+    TransportError,
+    mock_gateway,
+)
 from taxocat.pipeline import RunConfig, classify_batch
 from taxocat.postprocess import (
     FLAG_DECREASE_FALLBACK,
@@ -98,7 +107,7 @@ class TestDecreaseLabels:
         assert FLAG_DECREASE_FALLBACK in out.flags
 
     @pytest.mark.parametrize(("reply", "kept", "fallback"), [
-        ([9, 7, 2, 7, 5, 0, 8, 3], [0, 2, 3, 5, 7], True),  # six known ids
+        ([9, 7, 2, 7, 5, 0, 8, 3], [0, 2, 5, 7, 8], False),  # six known ids, first five kept
         ([9, 6, 1, 6, 4, 2, 8], [1, 2, 4, 6, 8], False),  # five known ids
         ([9, 6, 6, 3], [3, 6, 0, 1, 2], True),  # two known ids, padded
     ], ids=["more", "exact", "fewer"])
@@ -117,6 +126,35 @@ class TestDecreaseLabels:
                                               "kept": list(out.leaf_ids)}
         assert (FLAG_DECREASE_FALLBACK in out.flags) is fallback
         assert "decrease[d]: dropping unknown label id 'unknown'" in caplog.text
+
+    @given(max_labels=st.integers(1, 7), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_mock_reply_is_kept_whole_at_any_max_labels(self, max_labels, data):
+        tax = _fanout_taxonomy()
+        leaves = list(tax.leaf_ids())
+        candidates = data.draw(st.permutations(leaves))[:data.draw(
+            st.integers(max_labels + 1, len(leaves)))]
+        words = data.draw(st.lists(st.sampled_from(
+            ["auction", "markets", "risk", "climate", "welfare", "pricing", "labor", "credit"]),
+            min_size=1, max_size=5))
+        doc = make_doc("d", " ".join(words))
+        out = decrease_labels(doc, _labels(candidates), tax, mock_gateway(), max_labels)
+        # Oracle: the mock's best max_labels by overlap, ties by id, in input order.
+        best = sorted(candidates, key=lambda lid: (-o_overlap(doc, tax.node(lid)), lid))
+        assert list(out.leaf_ids) == [lid for lid in candidates if lid in best[:max_labels]]
+        assert FLAG_DECREASE_FALLBACK not in out.flags
+
+    def test_reply_of_seven_keeps_its_first_three_known_ids(self):
+        tax = _fanout_taxonomy()
+        candidates = list(tax.leaf_ids())[:9]
+        reply = ["unknown"] + [candidates[i] for i in (8, 1, 6, 0, 2, 5)]
+        provider = ScriptedProvider(json.dumps({"best_labels": reply}))
+        gateway = LlmGateway(provider, ProviderConfig())
+        out = decrease_labels(make_doc("d", "x"), _labels(candidates), tax, gateway, max_labels=3)
+        assert list(out.leaf_ids) == [candidates[i] for i in (1, 6, 8)]
+        assert out.flags == ()
+        [(spec, _reminder)] = provider.calls
+        assert spec.system_text.count("top 3 labels") == 2
 
     def test_empty_reply_is_flagged(self):
         tax = _fanout_taxonomy()

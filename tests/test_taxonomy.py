@@ -264,7 +264,7 @@ class TestExpandAcronyms:
             AcronymMap({"OK": "  "})
         with pytest.raises(TaxonomyParseError):
             AcronymMap({"two words": "nope"})
-        with pytest.raises(TaxonomyParseError, match="duplicate"):
+        with pytest.raises(TaxonomyParseError, match="acronym map key 'A' is repeated"):
             load_acronym_map(io.StringIO('{"A": "one", "A": "two"}'))
 
     def test_suggestions_flag_initialisms(self):
