@@ -7,4 +7,11 @@ labels, followed by post-processing and an evaluation harness for SME
 judgments.
 """
 
+import os
+
+# Ranking multiplies small blocks; a second OpenBLAS thread spins between
+# them and costs more CPU than it saves. Set before numpy is first imported;
+# a value the user set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"

@@ -423,7 +423,9 @@ def cmd_rank(args: argparse.Namespace) -> int:
     embedder = _make_embedder(_provider_config(args))
     store = _embedding_store(args, loaded, embedder)
     k = max(depths)
-    rankings = [retrieval.rank_leaves(doc, loaded, store, embedder, k=k) for doc in docs]
+    block = pipeline.RANK_BLOCK
+    rankings = [ranking for start in range(0, len(docs), block) for ranking in
+                retrieval.rank_block(docs[start:start + block], loaded, store, embedder, k=k)]
     rows = retrieval.recall_at_k(rankings, gold, depths)
     print("depth  all-gold  any-gold")
     for row in rows:

@@ -10,11 +10,13 @@ from __future__ import annotations
 import hashlib
 import logging
 import random
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from . import gateway as gw, ndjson, postprocess, retrieval, strategies
 from .documents import Document, DocumentError
@@ -24,6 +26,9 @@ logger = logging.getLogger(__name__)
 
 TOP_K_RANGE = (10, 100)
 FLAG_HARD_FAILURE = "hard-failure"
+# Documents ranked together: one embedding request and one screening
+# product per block.
+RANK_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -57,15 +62,64 @@ def _doc_rng(seed: int, doc_id: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
+class _BlockRankings:
+    """Each document's top-k leaf ranking, ranked RANK_BLOCK documents at a
+    time in input order, by the first worker that takes one of the block's.
+
+    A block whose ranking raises anything but a RefusedError is ranked again
+    one document at a time, so each document gets the ranking or the error
+    it gets ranked alone.
+    """
+
+    def __init__(self, docs: Sequence[Document], taxonomy: Taxonomy,
+                 store: retrieval.EmbeddingStore | None, embedder: retrieval.Embedder | None,
+                 k: int):
+        self._docs = docs
+        self._args = (taxonomy, store, embedder, k)
+        self._lock = threading.Lock()
+        self._ready: dict[int, retrieval.LeafRanking | Exception] = {}
+
+    def take(self, index: int) -> retrieval.LeafRanking:
+        """The ranking of docs[index], or its error raised; once per index."""
+        with self._lock:
+            if index not in self._ready:
+                start = index - index % RANK_BLOCK
+                block = self._docs[start:start + RANK_BLOCK]
+                self._ready.update(zip(range(start, start + len(block)), self._outcomes(block)))
+            outcome = self._ready.pop(index)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    def _outcomes(self, block: Sequence[Document]) -> list:
+        try:
+            return retrieval.rank_block(block, *self._args)
+        except gw.RefusedError as exc:
+            return [exc] * len(block)
+        except Exception as exc:
+            if len(block) == 1:
+                return [exc]
+            logger.warning("ranking documents %s to %s together failed (%s: %s); "
+                           "ranking them one by one", block[0].doc_id, block[-1].doc_id,
+                           type(exc).__name__, exc)
+        outcomes: list = []
+        for doc in block:
+            try:
+                outcomes += retrieval.rank_block([doc], *self._args)
+            except Exception as exc:
+                outcomes.append(exc)
+        return outcomes
+
+
 def classify_document(
     doc: Document,
     taxonomy: Taxonomy,
-    store: retrieval.EmbeddingStore | None,
-    embedder: retrieval.Embedder | None,
+    ranking: Callable[[], retrieval.LeafRanking],
     gateway: gw.LlmGateway,
     config: RunConfig,
 ) -> dict[str, Any]:
-    """One output record for `doc`.
+    """One output record for `doc`; `ranking` gives its top-k leaves, and is
+    not called for trav-select.
 
     Any failure becomes a `hard-failure` record, so one document cannot
     kill the batch; a RefusedError is raised instead, because every later
@@ -77,8 +131,7 @@ def classify_document(
         if method is strategies.Method.TRAV_SELECT:
             labels = strategies.classify_trav_select(doc, taxonomy, gateway)
         else:
-            ranking = retrieval.rank_leaves(doc, taxonomy, store, embedder, k=config.top_k)
-            pt = retrieval.build_pruned_taxonomy(taxonomy, ranking, config.top_k)
+            pt = retrieval.build_pruned_taxonomy(taxonomy, ranking(), config.top_k)
             if method is strategies.Method.SELECT_ONE_PASS:
                 labels = strategies.classify_select_one_pass(doc, taxonomy, pt, gateway)
             elif method is strategies.Method.RERANK:
@@ -138,9 +191,11 @@ def classify_batch(
         # description, while the store, embedded from the full taxonomy, does.
         taxonomy = taxonomy.with_nodes(replace(node, description=None) for node in taxonomy)
     failures = 0
+    rankings = _BlockRankings(docs, taxonomy, store, embedder, config.top_k)
 
-    def classify_one(doc: Document) -> dict[str, Any]:
-        return classify_document(doc, taxonomy, store, embedder, gateway, config)
+    def classify_one(index: int) -> dict[str, Any]:
+        return classify_document(docs[index], taxonomy, partial(rankings.take, index),
+                                 gateway, config)
 
     def classified() -> Iterator[dict[str, Any]]:
         nonlocal failures
@@ -148,7 +203,7 @@ def classify_batch(
         try:
             # pool.map preserves input order; one worker needs no threads
             run = pool.map if config.parallelism > 1 else map
-            for record in run(classify_one, docs):
+            for record in run(classify_one, range(len(docs))):
                 failures += FLAG_HARD_FAILURE in record["flags"]
                 yield record
         finally:

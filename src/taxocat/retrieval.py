@@ -1,8 +1,9 @@
 """Embedding-based leaf ranking and pruned-taxonomy construction.
 
 Leaf nodes are embedded once per taxonomy version (name plus description),
-documents on the fly. The leaf vectors are one matrix of unit-norm rows, so
-a document's cosine similarity to every leaf is one matrix-vector
+documents on the fly, a block at a time. The leaf vectors are one matrix of
+unit-norm rows, so one matrix product screens every leaf for a block, and a
+document's similarities to its candidates are one matrix-vector
 contraction; the top-k leaves plus their root paths form the pruned
 taxonomy handed to the LLM strategies.
 """
@@ -25,6 +26,11 @@ from .taxonomy import Taxonomy, TaxonomyNode
 # leaf id. Most last-bit noise rounds away, but a similarity on a rounding
 # boundary rounds either way after a one-ulp change (ROADMAP item 4).
 SIM_DECIMALS = 12
+# A leaf is a candidate for a document's top k when its screened similarity
+# is within this of the k-th best. The screen and the keys differ by at most
+# about 2 * dim * 2**-53 (6e-14 at dim 256), and rounding moves a key by at
+# most 5e-13.
+SCREEN_MARGIN = 1e-9
 # Texts per embeddings request.
 EMBED_BATCH = 128
 # Words whose hash-bag coordinate one HashBagEmbedder remembers.
@@ -356,11 +362,24 @@ def rank_leaves(
     embedder: Embedder,
     k: int | None = None,
 ) -> LeafRanking:
-    """Rank taxonomy leaves by cosine similarity to the document content.
+    """rank_block of the one document `doc`."""
+    return rank_block([doc], taxonomy, store, embedder, k)[0]
+
+
+def rank_block(
+    docs: Sequence[Document],
+    taxonomy: Taxonomy,
+    store: EmbeddingStore,
+    embedder: Embedder,
+    k: int | None = None,
+) -> list[LeafRanking]:
+    """Rank taxonomy leaves by cosine similarity to each document's content.
 
     Similarities are rounded to SIM_DECIMALS decimals and ties break by
     ascending leaf id, so rankings are reproducible across runs and
-    platforms. With `k`, only the best k entries are kept.
+    platforms. With `k`, only the best k entries are kept. The block is
+    embedded in one embed_many call, and a document's ranking does not
+    depend on the other documents of its block.
     """
     if embedder.model_tag != store.model_tag:
         raise RetrievalError(
@@ -374,24 +393,42 @@ def rank_leaves(
         if missing:
             raise IndexIncompleteError(missing)
         raise RetrievalError("embedding store rows are not the taxonomy's leaves in order")
+    if not docs:
+        return []
     matrix = store.matrix
-    query = _unit_rows([doc.doc_id], embedder.embed_many([document_text(doc)]))[0]
-    if query.shape[0] != matrix.shape[1]:
-        raise RetrievalError(f"dimension mismatch: {query.shape[0]} vs {matrix.shape[1]}")
-    # einsum, not matrix @ query: that goes to multithreaded BLAS, which costs more CPU here.
-    sims = np.einsum("ij,j->i", matrix, query)
-    sims = np.round(np.clip(sims, -1.0, 1.0), SIM_DECIMALS)
-    keys = -sims  # ascending: best first
-    order = np.arange(len(keys))
-    if k is not None and k < len(keys):
-        kth = np.partition(keys, k - 1)[k - 1]
-        order = np.flatnonzero(keys <= kth)  # keeps every leaf tied with the k-th
-    # Positions follow the ascending leaf ids, so they break ties.
-    order = order[np.lexsort((order, keys[order]))][:k].tolist()
-    return LeafRanking(
-        doc_id=doc.doc_id,
-        entries=tuple(zip([leaves[i] for i in order], sims[order].tolist())),
-    )
+    queries = _unit_rows([doc.doc_id for doc in docs],
+                         embedder.embed_many([document_text(doc) for doc in docs]))
+    if queries.shape[1] != matrix.shape[1]:
+        raise RetrievalError(f"dimension mismatch: {queries.shape[1]} vs {matrix.shape[1]}")
+    screen = None
+    if k is not None and k < len(leaves):
+        # One (leaves, docs) product screens the block; as (docs, leaves) it
+        # makes OpenBLAS touch more memory. It sums in another order than
+        # the keys below, but far less than SCREEN_MARGIN apart, so each
+        # document's candidates hold its top k.
+        screen = matrix @ queries.T
+    rankings = []
+    for i, doc in enumerate(docs):
+        if screen is None:
+            candidates = np.arange(len(leaves))
+            rows = matrix
+        else:
+            column = screen[:, i]
+            kth = np.partition(column, len(leaves) - k)[len(leaves) - k]
+            candidates = np.flatnonzero(column >= kth - SCREEN_MARGIN)
+            rows = matrix[candidates]
+        # The keys: one einsum per row, so a row's sum does not depend on
+        # which other rows are computed with it.
+        sims = np.round(np.clip(np.einsum("ij,j->i", rows, queries[i]), -1.0, 1.0),
+                        SIM_DECIMALS)
+        # Candidates are in ascending leaf-id order, so their positions break ties.
+        order = np.lexsort((candidates, -sims))[:k]
+        rankings.append(LeafRanking(
+            doc_id=doc.doc_id,
+            entries=tuple(zip([leaves[j] for j in candidates[order].tolist()],
+                              sims[order].tolist())),
+        ))
+    return rankings
 
 
 def build_pruned_taxonomy(taxonomy: Taxonomy, ranking: LeafRanking, k: int) -> PrunedTaxonomy:

@@ -7,13 +7,15 @@ import gc
 import hashlib
 import json
 import logging
+import math
 import random
 import weakref
 from pathlib import Path
 
 import pytest
 
-from taxocat import cli, gateway as gw, retrieval, strategies
+from taxocat import cli, gateway as gw, pipeline, retrieval, strategies
+from taxocat.documents import document_text
 from taxocat.taxonomy import Taxonomy, TaxonomyNode, save_taxonomy
 
 from .util import (
@@ -324,18 +326,19 @@ class TestClassify:
                              parent_id="t2m1")
         save_taxonomy(Taxonomy(list(tax) + [added]), tmp / "taxonomy.ndjson")
         embedders, rankings = [], []
-        real_rank = retrieval.rank_leaves
+        real_rank = retrieval.rank_block
 
         def counting_embedder(config):
             embedders.append(CountingEmbedder())
             return embedders[-1]
 
         def recording_rank(*args, **kwargs):
-            rankings.append(real_rank(*args, **kwargs))
-            return rankings[-1]
+            block = real_rank(*args, **kwargs)
+            rankings.extend(block)
+            return block
 
         monkeypatch.setattr(cli, "_make_embedder", counting_embedder)
-        monkeypatch.setattr(retrieval, "rank_leaves", recording_rank)
+        monkeypatch.setattr(retrieval, "rank_block", recording_rank)
         code, cached_out = self._run(tmp, args, out_name="c2.ndjson")
         assert code == 0
         records = [json.loads(line) for line in cached_out.read_text().splitlines()]
@@ -596,17 +599,20 @@ class TestProviderWiring:
              "--strategy", strategy, "--provider", str(provider), "--parallelism", "1", *extra]
         )
 
-    def _classify_over_a_complete_cache(self, workdir, monkeypatch, *statuses):
+    def _classify_over_a_complete_cache(self, workdir, monkeypatch, *statuses,
+                                        unavailable=None):
         """Exit code and embedding request count of a one-pass classify whose
         --embedding-cache holds every leaf, so only documents are embedded.
         The embedding endpoint answers `statuses` in turn, then 200 with
-        hash-bag vectors; the chat endpoint selects no label."""
+        hash-bag vectors, except that a request whose texts `unavailable`
+        holds for is answered 503; the chat endpoint selects no label."""
         tmp, tax, _ = workdir
         emb = "https://api.example/emb"
         fields = {"endpoint": "https://api.example/chat", "model_name": "m",
                   "embedding_endpoint": emb, "embedding_model": "e"}
         script = []
         inputs = []
+        refused = []
 
         class Session:
             def mount(self, prefix, adapter):
@@ -619,8 +625,11 @@ class TestProviderWiring:
                 inputs.append(json["input"])
                 rows = [{"index": i, "embedding": row} for i, row in enumerate(
                     retrieval.HashBagEmbedder().embed_many(json["input"]).tolist())]
-                return argparse.Namespace(status_code=script.pop(0) if script else 200,
-                                          text="", headers={}, json=lambda: {"data": rows})
+                status = script.pop(0) if script else 200
+                if any(rule(json["input"]) for rule in refused):
+                    status = 503
+                return argparse.Namespace(status_code=status, text="", headers={},
+                                          json=lambda: {"data": rows})
 
         monkeypatch.setattr("requests.Session", Session)
         cache = tmp / "emb.ndjson"
@@ -628,6 +637,7 @@ class TestProviderWiring:
         retrieval.embed_taxonomy_leaves(tax, embedder).save(cache)
         inputs.clear()
         script += statuses
+        refused += [unavailable] if unavailable else []
         code = self._classify(tmp, fields, "one-pass", "--embedding-cache", str(cache))
         return code, len(inputs)
 
@@ -637,13 +647,58 @@ class TestProviderWiring:
         assert requests_sent == 1
         assert "error: HTTP 401" in capsys.readouterr().err
 
+    def test_documents_are_embedded_one_request_per_block(self, workdir, monkeypatch):
+        _, _, docs = workdir
+        code, requests_sent = self._classify_over_a_complete_cache(workdir, monkeypatch)
+        assert code == 0
+        assert requests_sent == math.ceil(len(docs) / pipeline.RANK_BLOCK) < len(docs)
+
+    def test_auth_error_on_a_later_block_keeps_the_ranked_documents(self, workdir, monkeypatch,
+                                                                    capsys):
+        tmp, _, docs = workdir
+        code, requests_sent = self._classify_over_a_complete_cache(workdir, monkeypatch, 200, 401)
+        assert code == 1
+        assert requests_sent == 2
+        records = [json.loads(line) for line in (tmp / "out.ndjson").read_text().splitlines()]
+        assert [r["doc_id"] for r in records] == [d.doc_id for d in docs[:pipeline.RANK_BLOCK]]
+        assert "error: HTTP 401" in capsys.readouterr().err
+
+    def test_failed_block_request_falls_back_to_one_request_per_document(self, workdir,
+                                                                         monkeypatch):
+        # Every request of more than one text fails after its retries, and so
+        # does docs[3]'s own: only docs[3] fails, with the record it gets
+        # when every document is ranked alone.
+        tmp, _, docs = workdir
+        monkeypatch.setattr("taxocat.gateway.time.sleep", lambda seconds: None)
+        poison = [document_text(docs[3])]
+
+        def unavailable(texts):
+            return len(texts) > 1 or texts == poison
+
+        code, requests_sent = self._classify_over_a_complete_cache(
+            workdir, monkeypatch, unavailable=unavailable)
+        assert code == 1
+        records = [json.loads(line) for line in (tmp / "out.ndjson").read_text().splitlines()]
+        assert [r["doc_id"] for r in records] == [d.doc_id for d in docs]
+        assert ["hard-failure" in r["flags"] for r in records] == [
+            i == 3 for i in range(len(docs))]
+        assert records[3]["provenance"]["error"].startswith("TransportError: HTTP 503")
+        blocks = math.ceil(len(docs) / pipeline.RANK_BLOCK)
+        attempts = gw.ProviderConfig().max_retries + 1
+        assert requests_sent == blocks * attempts + len(docs) - 1 + attempts
+        batched = (tmp / "out.ndjson").read_bytes()
+        monkeypatch.setattr(pipeline, "RANK_BLOCK", 1)
+        assert self._classify_over_a_complete_cache(
+            workdir, monkeypatch, unavailable=unavailable) == (1, len(docs) - 1 + attempts)
+        assert (tmp / "out.ndjson").read_bytes() == batched
+
     def test_rate_limited_embedding_is_retried(self, workdir, monkeypatch):
         tmp, _, docs = workdir
         sleeps = []
         monkeypatch.setattr("taxocat.gateway.time.sleep", sleeps.append)
         code, requests_sent = self._classify_over_a_complete_cache(workdir, monkeypatch, 429)
         assert code == 0
-        assert requests_sent == len(docs) + 1
+        assert requests_sent == math.ceil(len(docs) / pipeline.RANK_BLOCK) + 1
         assert sleeps == [0.5]
         records = [json.loads(line) for line in (tmp / "out.ndjson").read_text().splitlines()]
         assert len(records) == len(docs)
@@ -933,14 +988,14 @@ class TestEvaluateAndRank:
         write_ndjson(tmp_path / "gold.ndjson",
                      [{"doc_id": doc_id, "gold": labels} for doc_id, labels in gold.items()])
         lengths = []
-        real = retrieval.rank_leaves
+        real = retrieval.rank_block
 
         def recording(*args, **kwargs):
-            ranking = real(*args, **kwargs)
-            lengths.append(len(ranking.entries))
-            return ranking
+            block = real(*args, **kwargs)
+            lengths.extend(len(ranking.entries) for ranking in block)
+            return block
 
-        monkeypatch.setattr(retrieval, "rank_leaves", recording)
+        monkeypatch.setattr(retrieval, "rank_block", recording)
         json_out = tmp_path / "recall.json"
         code = cli.main(
             ["rank", "--documents", str(tmp / "docs.ndjson"),

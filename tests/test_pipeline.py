@@ -12,16 +12,17 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from taxocat import cli, gateway as gw, pipeline, postprocess, retrieval, strategies
-from taxocat.documents import load_documents
+from taxocat.documents import document_text, load_documents
 from taxocat.taxonomy import load_taxonomy, save_taxonomy
 
-from .util import random_forest, record_cli_gateways, vocab_doc, write_ndjson
+from .util import CountingEmbedder, random_forest, record_cli_gateways, vocab_doc, write_ndjson
 
 DIGESTS = {
     ("trav-select", None): "57d3b1924a27e9cdfcd4d13d4c562057b6dc9be4a15adac851bcb70cc768ec8c",
@@ -148,6 +149,34 @@ def test_classify_batch_writes_the_command_lines_bytes(inputs, tmp_path):
     assert failures == 0
     digest = hashlib.sha256(config.output_path.read_bytes()).hexdigest()
     assert digest == DIGESTS["one-pass", "no-description"]
+
+
+@pytest.mark.parametrize("strategy", ["one-pass", "pointwise"])
+def test_workers_rank_each_block_once(inputs, tmp_path, strategy):
+    # More workers than cores and a short switch interval: a block ranked
+    # twice, or a ranking handed to the wrong document, changes the count
+    # of embedding calls or the bytes.
+    taxonomy = load_taxonomy(inputs / "taxonomy.ndjson")
+    docs = load_documents(inputs / "docs.ndjson")
+    store = retrieval.embed_taxonomy_leaves(taxonomy, retrieval.HashBagEmbedder())
+    embedder = CountingEmbedder()
+    config = cli._resolve_run_config(cli.build_parser().parse_args(
+        ["classify", "--taxonomy", str(inputs), "--documents", str(inputs),
+         "--output", str(tmp_path / "out.ndjson"), "--strategy", strategy, "--mock",
+         "--seed", "7", "--parallelism", "8"]))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        failures = pipeline.classify_batch(docs, taxonomy, store, embedder,
+                                           gw.mock_gateway(), config)
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == 0
+    assert sorted(embedder.batches) == sorted(
+        [document_text(doc) for doc in docs[start:start + pipeline.RANK_BLOCK]]
+        for start in range(0, len(docs), pipeline.RANK_BLOCK))
+    digest = hashlib.sha256(config.output_path.read_bytes()).hexdigest()
+    assert digest == DIGESTS[strategy, None]
 
 
 def test_run_config_rejects_a_top_k_out_of_range(tmp_path):

@@ -6,11 +6,15 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from taxocat import ndjson
@@ -30,14 +34,15 @@ from taxocat.retrieval import (
     embed_taxonomy_leaves,
     load_gold_labels,
     node_text,
+    rank_block,
     rank_leaves,
     recall_at_k,
     text_sha256,
 )
 from taxocat.taxonomy import Taxonomy, TaxonomyNode
 
-from .util import (CountingEmbedder, cosine_similarity, make_doc, random_forest,
-                   ternary_taxonomy, vocab_doc)
+from .util import (CountingEmbedder, ProjectionEmbedder, cosine_similarity, make_doc,
+                   random_forest, ternary_taxonomy, vocab_doc)
 
 _CONFIG = ProviderConfig(embedding_endpoint="https://x/emb", embedding_model="m")
 
@@ -547,6 +552,99 @@ class TestRankLeaves:
             LeafRanking(doc_id="d", entries=(("a", 0.1), ("b", 0.9)))
         with pytest.raises(RetrievalError, match="duplicate"):
             LeafRanking(doc_id="d", entries=(("a", 0.9), ("a", 0.1)))
+
+
+# Leaf texts drawn from a pool this small repeat, so leaves tie exactly.
+_SHARED_TEXTS = ("auction design", "credit risk pricing", "climate", "labor markets welfare")
+
+
+def _splits(n: int):
+    """Every way to cut range(n) into consecutive blocks, as lists of (start, stop)."""
+    for mask in range(1 << max(n - 1, 0)):
+        cuts = [0] + [i + 1 for i in range(n - 1) if mask >> i & 1] + [n]
+        yield list(zip(cuts, cuts[1:]))
+
+
+class TestRankBlock:
+    """rank_block screens the block with one product, then keys each document's
+    candidates exactly as a block of one does."""
+
+    @pytest.mark.parametrize("embedder_kind", ["hash-bag", "projection"])
+    @pytest.mark.parametrize("k_kind", ["one", "between", "all", "none"])
+    @given(seed=st.integers(0, 10**6), n_nodes=st.integers(2, 120), n_docs=st.integers(1, 5))
+    @settings(max_examples=15, deadline=None)
+    def test_every_split_ranks_as_one_document_at_a_time(self, embedder_kind, k_kind, seed,
+                                                         n_nodes, n_docs):
+        rng = random.Random(seed)
+        forest = random_forest(rng, n_nodes)
+        tax = forest.with_nodes(
+            dataclasses.replace(forest.node(leaf_id), name=rng.choice(_SHARED_TEXTS),
+                                description=None)
+            for leaf_id in forest.leaf_ids())
+        embedder = HashBagEmbedder(dim=32) if embedder_kind == "hash-bag" else ProjectionEmbedder()
+        store = embed_taxonomy_leaves(tax, embedder)
+        n_leaves = len(tax.leaf_ids())
+        assume(k_kind != "between" or n_leaves > 2)
+        k = {"one": 1, "between": rng.randint(2, max(2, n_leaves - 1)),
+             "all": n_leaves + rng.randint(0, 3), "none": None}[k_kind]
+        docs = [make_doc(f"d{i}", " ".join(rng.sample(_SHARED_TEXTS, rng.randint(1, 3))))
+                for i in range(n_docs)]
+        alone = [rank_leaves(doc, tax, store, embedder, k) for doc in docs]
+        for split in _splits(n_docs):
+            blocks = [rank_block(docs[start:stop], tax, store, embedder, k)
+                      for start, stop in split]
+            assert [ranking for block in blocks for ranking in block] == alone
+
+    def test_a_block_is_one_embedding_call_and_an_empty_one_none(self, tiny_taxonomy):
+        embedder = CountingEmbedder(dim=16)
+        store = embed_taxonomy_leaves(tiny_taxonomy, embedder)
+        docs = [make_doc(f"d{i}", "beta gamma"[:i + 4]) for i in range(5)]
+        assert rank_block([], tiny_taxonomy, store, embedder, 1) == []
+        assert len(rank_block(docs, tiny_taxonomy, store, embedder, 1)) == len(docs)
+        assert embedder.batches[1:] == [[document_text(doc) for doc in docs]]
+
+    @pytest.mark.parametrize("embedder", [HashBagEmbedder(), ProjectionEmbedder(dim=256)],
+                             ids=["hash-bag", "projection"])
+    def test_candidate_rows_are_keyed_bit_for_bit(self, embedder):
+        # About 3,000 leaves: each candidate row's einsum equals that row of
+        # the full einsum, so the top 40 are the full ranking's first 40.
+        rng = random.Random(4)
+        tax = random_forest(rng, 6000)
+        assert len(tax.leaf_ids()) > 3000
+        store = embed_taxonomy_leaves(tax, embedder)
+        docs = [vocab_doc(rng, f"d{i}") for i in range(24)]
+        queries = embedder.embed_many([document_text(doc) for doc in docs])
+        queries /= np.linalg.norm(queries, axis=1)[:, np.newaxis]
+        for query in queries:
+            full = np.einsum("ij,j->i", store.matrix, query)
+            rows = np.sort(rng.sample(range(len(store)), 60))
+            assert (np.einsum("ij,j->i", store.matrix[rows], query).tobytes()
+                    == full[rows].tobytes())
+        for doc, top in zip(docs, rank_block(docs, tax, store, embedder, 40)):
+            assert top.entries == rank_block([doc], tax, store, embedder)[0].entries[:40]
+
+
+class TestBlasDefault:
+    """Importing taxocat sets OpenBLAS to one thread unless the user chose."""
+
+    @staticmethod
+    def _value_after_import(env_value: str | None) -> str:
+        env = {key: value for key, value in os.environ.items()
+               if key != "OPENBLAS_NUM_THREADS"}
+        if env_value is not None:
+            env["OPENBLAS_NUM_THREADS"] = env_value
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-c",
+             "import os, taxocat; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+            env=env, capture_output=True, text=True, check=True, timeout=60).stdout.strip()
+
+    def test_unset_becomes_one_thread(self):
+        assert self._value_after_import(None) == "1"
+
+    def test_a_user_value_is_kept(self):
+        assert self._value_after_import("2") == "2"
 
 
 def _ranking(doc_id: str, leaf_ids: list[str]) -> LeafRanking:

@@ -118,6 +118,21 @@ class CountingEmbedder(HashBagEmbedder):
         return super().embed_many(self.batches[-1])
 
 
+class ProjectionEmbedder:
+    """Dense, non-integer embedder: a text's hash-bag counts times a seeded
+    Gaussian matrix. Rows are projected one at a time, so a text's vector
+    does not depend on the other texts of its call."""
+
+    def __init__(self, dim: int = 48):
+        self.bag = HashBagEmbedder(128)
+        self.projection = np.random.default_rng(0).standard_normal((128, dim))
+        self.model_tag = f"projection-{dim}"
+
+    def embed_many(self, texts):
+        rows = [counts @ self.projection for counts in self.bag.embed_many(texts)]
+        return np.array(rows).reshape(len(texts), self.projection.shape[1])
+
+
 # -- scripted providers --------------------------------------------------------
 
 
