@@ -415,7 +415,7 @@ def _parse_depths(text: str | None) -> tuple[int, ...]:
 
 def cmd_rank(args: argparse.Namespace) -> int:
     _require_new_output(args.json_output, args.taxonomy, args.documents, args.gold,
-                        args.embedding_cache, flag="--json-output")
+                        args.embedding_cache, args.provider, flag="--json-output")
     loaded = tax.load_taxonomy(args.taxonomy)
     docs = load_documents(args.documents)
     gold = retrieval.load_gold_labels(args.gold)

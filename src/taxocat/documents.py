@@ -4,7 +4,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
 
 from . import ndjson
 
@@ -64,7 +63,7 @@ def check_length_advisories(doc: Document) -> list[str]:
     return warnings
 
 
-def load_documents(source: str | Path | IO[str]) -> list[Document]:
+def load_documents(source: str | Path) -> list[Document]:
     """Read newline-delimited JSON documents: {doc_id, title, keywords, abstract}."""
     docs = []
     seen: set[str] = set()

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import Iterable
 
 from . import ndjson
 
@@ -52,7 +52,7 @@ def percent(count: int, total: int) -> float:
     return float(value.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
-def load_judgments(source: str | Path | IO[str]) -> list[Judgment]:
+def load_judgments(source: str | Path) -> list[Judgment]:
     """Read newline-delimited JSON judgments: {doc_id, method, correct, score, rationale?}."""
     judgments = []
     seen: set[tuple[str, str]] = set()
@@ -86,19 +86,13 @@ def load_judgments(source: str | Path | IO[str]) -> list[Judgment]:
     return judgments
 
 
-def compute_metrics(
-    judgments: Iterable[Judgment], methods: Sequence[str] | None = None
-) -> dict[str, MethodReport]:
+def compute_metrics(judgments: Iterable[Judgment]) -> dict[str, MethodReport]:
     """Accuracy% and S-i% per method, one-decimal half-up rounding."""
     grouped: dict[str, list[Judgment]] = {}
     for judgment in judgments:
         grouped.setdefault(judgment.method, []).append(judgment)
-    wanted = list(methods) if methods is not None else sorted(grouped)
     reports: dict[str, MethodReport] = {}
-    for method in wanted:
-        pool = grouped.get(method, [])
-        if not pool:
-            raise JudgmentError(f"no judgments for method {method!r}")
+    for method, pool in sorted(grouped.items()):
         n = len(pool)
         correct = sum(1 for j in pool if j.correct)
         dist = {

@@ -1,10 +1,10 @@
 """The JSON files taxocat reads or writes: newline-delimited records, or one document.
 
 A line file is UTF-8 text with one JSON object per line; blank lines are
-skipped. Each function takes the caller's error class and a short name for
-the file (`what`): a file that cannot be opened, read, decoded or written
-raises that class naming the file, and a line that is not a JSON object
-raises it as "<what> line N: ...".
+skipped. Every function takes the file's path, the caller's error class and
+a short name for the file (`what`): a file that cannot be opened, read,
+decoded or written raises that class naming the path, and a line that is
+not a JSON object raises it as "<what> line N: ...".
 """
 from __future__ import annotations
 
@@ -14,36 +14,23 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator
 
-File = str | Path | IO[str]  # a path, or a stream the caller opened and closes
+File = str | Path
 
 
 def _failure(verb: str, what: str, file: File, exc: Exception) -> str:
-    name = file if isinstance(file, (str, Path)) else getattr(file, "name", "<stream>")
     if isinstance(exc, UnicodeError):
-        return f"cannot {verb} {what} {name}: not valid UTF-8 ({exc.reason})"
-    return f"cannot {verb} {what} {name}: {getattr(exc, 'strerror', None) or exc}"
-
-
-def _open(file: File, mode: str, error: type[Exception], what: str) -> IO[str]:
-    if not isinstance(file, (str, Path)):
-        return file
-    try:
-        return open(file, mode, encoding="utf-8")
-    except OSError as exc:
-        raise error(_failure("read" if mode == "r" else "write", what, file, exc)) from exc
+        return f"cannot {verb} {what} {file}: not valid UTF-8 ({exc.reason})"
+    return f"cannot {verb} {what} {file}: {getattr(exc, 'strerror', None) or exc}"
 
 
 @contextmanager
 def reading(file: File, error: type[Exception], what: str) -> Iterator[IO[str]]:
-    """The file open for reading; a failure to read or decode it raises `error`."""
-    fh = _open(file, "r", error, what)
+    """The file open for reading; a failure to open, read or decode it raises `error`."""
     try:
-        yield fh
+        with open(file, encoding="utf-8") as fh:
+            yield fh
     except (OSError, UnicodeDecodeError) as exc:
         raise error(_failure("read", what, file, exc)) from exc
-    finally:
-        if fh is not file:
-            fh.close()
 
 
 def read_records(file: File, error: type[Exception], what: str
@@ -97,17 +84,15 @@ def write_records(file: File, records: Iterable[dict[str, Any]], error: type[Exc
     Only the file's own I/O raises `error`: an exception raised while
     producing a record propagates unchanged.
     """
-    fh = _open(file, "a" if append else "w", error, what)
-
-    def io(step, *args) -> None:
+    def io(step, *args, **kwargs):
         try:
-            step(*args)
+            return step(*args, **kwargs)
         except (OSError, UnicodeEncodeError) as exc:
             raise error(_failure("write", what, file, exc)) from exc
 
+    fh = io(open, file, "a" if append else "w", encoding="utf-8")
     try:
         for record in records:
             io(fh.write, json.dumps(record, ensure_ascii=False) + "\n")
     finally:
-        if fh is not file:
-            io(fh.close)
+        io(fh.close)

@@ -156,7 +156,7 @@ def postprocess_chain(
     pt: PrunedTaxonomy | None,
     gateway: gw.LlmGateway,
     config: PostProcessConfig,
-    rng: random.Random | None = None,
+    rng: random.Random,
 ) -> LabelSet:
     """Full refinement chain: decrease to max_labels, then sibling diversity.
 
@@ -168,7 +168,7 @@ def postprocess_chain(
     out = labels
     if len(out.leaf_ids) > config.max_labels:
         if config.random_decrease:
-            out = random_decrease(out, config.max_labels, rng or random.Random(0))
+            out = random_decrease(out, config.max_labels, rng)
         else:
             out = decrease_labels(doc, out, taxonomy, gateway, config.max_labels)
     if config.apply_sibling:

@@ -14,7 +14,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -209,8 +209,8 @@ class EmbeddingStore:
             raise IndexIncompleteError([node_id])
         return EmbeddingVector(values=self.matrix[row], model_tag=self.model_tag)
 
-    def save(self, target: str | Path | IO[str]) -> None:
-        """Write one record per row, sorted by id; a path is replaced atomically.
+    def save(self, target: str | Path) -> None:
+        """Write one record per row, sorted by id, replacing the file atomically.
 
         The records go to a temporary file beside the path, which then
         replaces it, so a run that dies mid-write leaves the old file or none.
@@ -220,9 +220,6 @@ class EmbeddingStore:
              "text_sha256": self.text_hashes[row], "vector": self.matrix[row].tolist()}
             for node_id, row in sorted(self._row.items())
         )
-        if not isinstance(target, (str, Path)):
-            ndjson.write_records(target, records, RetrievalError, "embedding cache")
-            return
         target = Path(target)
         temp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
         try:
@@ -236,9 +233,9 @@ class EmbeddingStore:
             temp.unlink(missing_ok=True)
 
     @classmethod
-    def load(cls, source: str | Path | IO[str], model_tag: str | None = None) -> "EmbeddingStore":
+    def load(cls, source: str | Path, model_tag: str) -> "EmbeddingStore":
         """The store a save wrote: every row is checked to be a unit vector of
-        one dimension, under one model tag, then copied bit for bit."""
+        one dimension, under `model_tag`, then copied bit for bit."""
         ids: list[str] = []
         hashes: list[str] = []
         vectors: list[list[float]] = []
@@ -254,7 +251,6 @@ class EmbeddingStore:
                 raise RetrievalError(
                     f"embedding cache line {lineno}: expected {{node_id, model_tag, "
                     "text_sha256, vector: [numbers]}; delete the file to rebuild it")
-            model_tag = record["model_tag"] if model_tag is None else model_tag
             if record["model_tag"] != model_tag:
                 raise RetrievalError(f"embedding cache line {lineno}: "
                                      f"model_tag {record['model_tag']!r}, expected {model_tag!r}")
@@ -271,7 +267,7 @@ class EmbeddingStore:
         if len(off):
             raise RetrievalError(f"embedding cache: vector of {ids[off[0]]!r} is not unit "
                                  "length; delete the file to rebuild it")
-        return cls("empty" if model_tag is None else model_tag, ids, matrix, hashes)
+        return cls(model_tag, ids, matrix, hashes)
 
 
 def _unit_rows(ids: Sequence[str], matrix: np.ndarray) -> np.ndarray:
@@ -495,7 +491,7 @@ def recall_at_k(
     return results
 
 
-def load_gold_labels(source: str | Path | IO[str]) -> dict[str, frozenset[str]]:
+def load_gold_labels(source: str | Path) -> dict[str, frozenset[str]]:
     """Read newline-delimited JSON gold labels: {doc_id, gold: [leaf ids]}."""
     gold: dict[str, frozenset[str]] = {}
     for lineno, record in ndjson.read_records(source, RetrievalError, "gold file"):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import ndjson
 
@@ -186,7 +186,7 @@ def hierarchy_stats(taxonomy: Taxonomy) -> HierarchyStats:
 # "acronym_expanded" is written only when true so enrichment round-trips.
 
 
-def load_taxonomy(source: str | Path | IO[str]) -> Taxonomy:
+def load_taxonomy(source: str | Path) -> Taxonomy:
     nodes = []
     for lineno, record in ndjson.read_records(source, TaxonomyParseError, "taxonomy"):
         where = f"taxonomy line {lineno}"
@@ -218,7 +218,7 @@ def load_taxonomy(source: str | Path | IO[str]) -> Taxonomy:
     return Taxonomy(nodes)
 
 
-def save_taxonomy(taxonomy: Taxonomy, target: str | Path | IO[str]) -> None:
+def save_taxonomy(taxonomy: Taxonomy, target: str | Path) -> None:
     records = ({key: value for key, value in vars(node).items()
                 if value is not None and value is not False} for node in taxonomy)
     ndjson.write_records(target, records, TaxonomyError, "taxonomy")
@@ -244,7 +244,7 @@ class AcronymMap:
         return len(self.entries)
 
 
-def load_acronym_map(source: str | Path | IO[str]) -> AcronymMap:
+def load_acronym_map(source: str | Path) -> AcronymMap:
     """Read a JSON object of {acronym: expansion} with ndjson.read_json."""
     data = ndjson.read_json(source, TaxonomyParseError, "acronym map")
     if not isinstance(data, dict):

@@ -346,7 +346,7 @@ class TestClassify:
         assert embedders[0].batches[0] == ["auction credit: risk pricing"]
         assert cache.read_bytes() != written
         grown = tuple(sorted(tax.leaf_ids() + ("t2m1l9",)))
-        assert retrieval.EmbeddingStore.load(cache).ids == grown
+        assert retrieval.EmbeddingStore.load(cache, embedders[0].model_tag).ids == grown
         # Ranked as by an index built from scratch.
         code, fresh_out = self._run(tmp, ["--strategy", "one-pass"], out_name="c3.ndjson")
         assert code == 0
@@ -915,6 +915,7 @@ class TestEvaluateAndRank:
         path = tmp_path / "empty.ndjson"
         path.write_text("")
         assert cli.main(["evaluate", "--judgments", str(path)]) == 1
+        assert capsys.readouterr().err == "error: no reports to compare\n"
 
     def test_evaluate_orders_methods(self, tmp_path, capsys):
         records = [
@@ -1117,8 +1118,8 @@ class TestOutputsAreNotInputs:
     of its input files (or its audit log over its output)."""
 
     CASES = [("evaluate", "--json-output", "--judgments"), ("evaluate", "--json-output", "--baseline")]
-    CASES += [("rank", "--json-output", flag)
-              for flag in ("--taxonomy", "--documents", "--gold", "--embedding-cache")]
+    CASES += [("rank", "--json-output", flag) for flag in
+              ("--taxonomy", "--documents", "--gold", "--embedding-cache", "--provider")]
     CASES += [("classify", "--audit-log", flag) for flag in
               ("--output", "--taxonomy", "--documents", "--embedding-cache", "--config", "--provider")]
     CASES += [("describe", "--audit-log", flag) for flag in ("--output", "--taxonomy", "--provider")]
@@ -1146,7 +1147,7 @@ class TestOutputsAreNotInputs:
         (tmp / "out.ndjson").write_text("kept\n")
         used = {
             "evaluate": ["--judgments", "--baseline"],
-            "rank": ["--taxonomy", "--documents", "--gold", "--embedding-cache"],
+            "rank": ["--taxonomy", "--documents", "--gold", "--embedding-cache", "--provider"],
             "classify": ["--taxonomy", "--documents", "--output", "--embedding-cache",
                          "--config", "--provider"],
             "describe": ["--taxonomy", "--output", "--provider"],

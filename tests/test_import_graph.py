@@ -1,5 +1,6 @@
 """Who may import what: only the command line imports `taxocat.cli`, only the
 gateway imports `requests`, and the taxonomy does not import the gateway.
+Also, no function takes a stream where a file is meant: files are paths.
 
 Every module under src/taxocat/ is parsed, and each import is resolved to
 the absolute module names it can bind. Imports under `TYPE_CHECKING` and
@@ -71,3 +72,59 @@ def test_taxonomy_does_not_import_the_gateway():
     assert not [f"taxonomy.py:{line} imports {name}"
                 for line, name in _imports(PACKAGE / "taxonomy.py")
                 if name == "taxocat.gateway" or name.startswith("taxocat.gateway.")]
+
+
+STREAM_TYPES = {"IO", "TextIO", "BinaryIO", "StringIO"}
+
+
+def _names(expr: ast.expr) -> set[str]:
+    """Every name `expr` spells, reading `a.b` as `b`."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(expr) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def _annotation_names(annotation: ast.expr | None) -> set[str]:
+    """The names an annotation spells, quoted or not."""
+    if annotation is None:
+        return set()
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        annotation = ast.parse(annotation.value, mode="eval").body
+    return _names(annotation)
+
+
+def stream_parameters(sources: dict[str, str]) -> list[str]:
+    """A "module:line function(parameter)" entry for every parameter annotated
+    with a stream type, directly or through a module-level alias of one."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    streams = set(STREAM_TYPES)
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and _names(node.value) & STREAM_TYPES:
+                streams |= {target.id for target in node.targets if isinstance(target, ast.Name)}
+    return [
+        f"{name}:{node.lineno} {node.name}({arg.arg})"
+        for name, tree in trees.items()
+        for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs,
+                    node.args.vararg, node.args.kwarg)
+        if arg is not None and _annotation_names(arg.annotation) & streams
+    ]
+
+
+@pytest.mark.parametrize("source", [
+    "def load(source: str | Path | IO[str]): ...", "def load(source: typing.TextIO): ...",
+    "def load(source: 'IO[str]'): ...", "def load(*, source: StringIO): ...",
+    "File = str | IO[str]\ndef load(source: File): ...",
+    "File = str | IO[str]\ndef load(source: ndjson.File): ...",
+])
+def test_every_spelling_of_a_stream_parameter_is_seen(source):
+    [found] = stream_parameters({"m.py": source})
+    assert found.endswith(" load(source)")
+
+
+def test_no_function_takes_a_stream():
+    offenders = stream_parameters({
+        str(path.relative_to(PACKAGE.parent)): path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.rglob("*.py"))
+    })
+    assert not offenders

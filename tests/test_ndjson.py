@@ -2,7 +2,6 @@
 errors, and errors raised while producing or writing records."""
 from __future__ import annotations
 
-import io
 import json
 import re
 import tempfile
@@ -75,13 +74,7 @@ class TestEmbeddingCacheRoundTrip:
     def test_through_a_path(self, tmp_path):
         store = _store()
         store.save(tmp_path / "cache.ndjson")
-        self._assert_same(EmbeddingStore.load(tmp_path / "cache.ndjson"), store)
-
-    def test_through_a_stream(self):
-        store = _store()
-        buffer = io.StringIO()
-        store.save(buffer)
-        self._assert_same(EmbeddingStore.load(io.StringIO(buffer.getvalue())), store)
+        self._assert_same(EmbeddingStore.load(tmp_path / "cache.ndjson", "modèle-1"), store)
 
     def test_ascii_escaped_cache_still_loads(self, tmp_path):
         # Caches used to be written with json.dumps' default ASCII escaping.
@@ -98,9 +91,10 @@ class TestEmbeddingCacheRoundTrip:
 
 
 class TestReadRecords:
-    def test_blank_lines_skipped_and_counted(self):
-        text = '{"a": 1}\n\n   \n{"b": 2}\n'
-        assert list(ndjson.read_records(io.StringIO(text), CodecError, "test file")) == [
+    def test_blank_lines_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "test.ndjson"
+        path.write_text('{"a": 1}\n\n   \n{"b": 2}\n', encoding="utf-8")
+        assert list(ndjson.read_records(path, CodecError, "test file")) == [
             (1, {"a": 1}), (4, {"b": 2})]
 
     @pytest.mark.parametrize(("line", "message"), [
@@ -108,9 +102,11 @@ class TestReadRecords:
         ("[1, 2]", "test file line 2: expected a JSON object"),
         ('"text"', "test file line 2: expected a JSON object"),
     ])
-    def test_bad_line_names_its_number(self, line, message):
+    def test_bad_line_names_its_number(self, tmp_path, line, message):
+        path = tmp_path / "test.ndjson"
+        path.write_text('{}\n' + line + '\n', encoding="utf-8")
         with pytest.raises(CodecError, match=message):
-            list(ndjson.read_records(io.StringIO('{}\n' + line + '\n'), CodecError, "test file"))
+            list(ndjson.read_records(path, CodecError, "test file"))
 
 
 class TestWriteRecords:

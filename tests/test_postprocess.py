@@ -246,7 +246,8 @@ class TestChain:
     def test_empty_input_flagged_for_review(self, mock_gw):
         tax = _fanout_taxonomy()
         out = postprocess_chain(
-            make_doc("d", "x"), _labels([]), tax, _pt_for(tax), mock_gw, PostProcessConfig()
+            make_doc("d", "x"), _labels([]), tax, _pt_for(tax), mock_gw, PostProcessConfig(),
+            rng=random.Random(0),
         )
         assert out.leaf_ids == ()
         assert FLAG_NEEDS_REVIEW in out.flags

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import io
 import json
 import math
 import os
@@ -42,7 +41,7 @@ from taxocat.retrieval import (
 from taxocat.taxonomy import Taxonomy, TaxonomyNode
 
 from .util import (CountingEmbedder, ProjectionEmbedder, cosine_similarity, make_doc,
-                   random_forest, ternary_taxonomy, vocab_doc)
+                   random_forest, ternary_taxonomy, vocab_doc, write_ndjson)
 
 _CONFIG = ProviderConfig(embedding_endpoint="https://x/emb", embedding_model="m")
 
@@ -105,14 +104,15 @@ class TestDocumentLoading:
         with pytest.raises(DocumentError, match="duplicate"):
             load_documents(path)
 
-    def test_length_advisories_warn_but_accept(self, caplog):
+    def test_length_advisories_warn_but_accept(self, tmp_path, caplog):
         import logging
 
         from taxocat.documents import load_documents
 
-        stream = io.StringIO('{"doc_id": "d", "title": "hi", "abstract": "too short"}\n')
+        path = tmp_path / "docs.ndjson"
+        write_ndjson(path, [{"doc_id": "d", "title": "hi", "abstract": "too short"}])
         with caplog.at_level(logging.WARNING, logger="taxocat.documents"):
-            docs = load_documents(stream)
+            docs = load_documents(path)
         assert len(docs) == 1  # advisory ranges never reject
         assert any("title has 1 words" in m for m in caplog.messages)
         assert any("abstract has 2 words" in m for m in caplog.messages)
@@ -187,10 +187,12 @@ class TestEmbedderAndStore:
         store = embed_taxonomy_leaves(tiny_taxonomy, FixedEmbedder({"Beta": [3.0, 4.0]}))
         assert np.allclose(store.get("B").values, [0.6, 0.8])
 
-    def test_load_rejects_a_row_that_is_not_unit_length(self):
-        line = '{"node_id": "a", "model_tag": "t", "text_sha256": "h", "vector": [0, -2]}\n'
+    def test_load_rejects_a_row_that_is_not_unit_length(self, tmp_path):
+        path = tmp_path / "cache.ndjson"
+        write_ndjson(path, [{"node_id": "a", "model_tag": "t", "text_sha256": "h",
+                             "vector": [0, -2]}])
         with pytest.raises(RetrievalError, match="'a' is not unit length; delete the file"):
-            EmbeddingStore.load(io.StringIO(line))
+            EmbeddingStore.load(path, "t")
 
     def test_store_rejects_duplicate_ids_and_row_count_mismatch(self):
         with pytest.raises(RetrievalError, match="duplicate embedding ids: a"):
@@ -209,7 +211,7 @@ class TestEmbedderAndStore:
         assert loaded.ids == store.ids and loaded.text_hashes == store.text_hashes
         assert np.array_equal(loaded.matrix, store.matrix)
 
-    def test_save_load_is_bit_for_bit_where_normalising_again_is_not(self):
+    def test_save_load_is_bit_for_bit_where_normalising_again_is_not(self, tmp_path):
         # Found by search: dividing this leaf's unit row by its norm again
         # changes its bits, as the load of a saved cache used to do.
         name = ("gapivo ranado bosola gapivo ranado bosola sopode kolepi tucike ritoru tafidu "
@@ -220,9 +222,9 @@ class TestEmbedderAndStore:
         store = embed_taxonomy_leaves(tax, HashBagEmbedder())
         row = store.get("L").values
         assert not np.array_equal(row / np.linalg.norm(row), row)
-        buffer = io.StringIO()
-        store.save(buffer)
-        loaded = EmbeddingStore.load(io.StringIO(buffer.getvalue()))
+        path = tmp_path / "cache.ndjson"
+        store.save(path)
+        loaded = EmbeddingStore.load(path, store.model_tag)
         assert np.array_equal(loaded.get("L").values, row)
 
     def test_failed_write_leaves_neither_file(self, tmp_path, monkeypatch):
@@ -247,7 +249,7 @@ class TestEmbedderAndStore:
         store = EmbeddingStore("a", ("x",), np.array([[0.6, 0.8]]), ("h",))
         store.save(path)
         assert [p.name for p in tmp_path.iterdir()] == ["cache.ndjson"]
-        assert EmbeddingStore.load(path).ids == ("x",)
+        assert EmbeddingStore.load(path, "a").ids == ("x",)
 
     def test_load_rejects_tag_mismatch(self, tmp_path):
         store = EmbeddingStore("a", ("x",), np.array([[0.6, 0.8]]), ("h",))
@@ -748,38 +750,48 @@ class TestRecallAtK:
 class TestMalformedRecords:
     """Bad gold and embedding-cache lines raise RetrievalError naming the line."""
 
-    def test_gold_line_not_an_object(self):
-        text = '{"doc_id": "a", "gold": ["x"]}\n[1, 2]\n'
+    def test_gold_line_not_an_object(self, tmp_path):
+        path = tmp_path / "gold.ndjson"
+        write_ndjson(path, [{"doc_id": "a", "gold": ["x"]}, [1, 2]])
         with pytest.raises(RetrievalError, match="gold file line 2"):
-            load_gold_labels(io.StringIO(text))
+            load_gold_labels(path)
 
-    def test_gold_labels_must_be_ids(self):
+    def test_gold_labels_must_be_ids(self, tmp_path):
+        path = tmp_path / "gold.ndjson"
+        write_ndjson(path, [{"doc_id": "a", "gold": [{"id": "x"}]}])
         with pytest.raises(RetrievalError, match="gold file line 1"):
-            load_gold_labels(io.StringIO('{"doc_id": "a", "gold": [{"id": "x"}]}\n'))
+            load_gold_labels(path)
 
-    def test_cache_line_without_model_tag(self):
-        line = json.dumps({"node_id": "n", "vector": [1.0, 0.0]})
+    def test_cache_line_without_model_tag(self, tmp_path):
+        path = tmp_path / "cache.ndjson"
+        write_ndjson(path, [{"node_id": "n", "vector": [1.0, 0.0]}])
         with pytest.raises(RetrievalError, match="embedding cache line 1"):
-            EmbeddingStore.load(io.StringIO(line + "\n"))
+            EmbeddingStore.load(path, "t")
 
-    def test_cache_line_not_an_object(self):
+    def test_cache_line_not_an_object(self, tmp_path):
+        path = tmp_path / "cache.ndjson"
+        write_ndjson(path, [[1]])
         with pytest.raises(RetrievalError, match="embedding cache line 1"):
-            EmbeddingStore.load(io.StringIO("[1]\n"))
+            EmbeddingStore.load(path, "t")
 
-    def test_cache_line_without_text_hash(self):
-        line = json.dumps({"node_id": "n", "model_tag": "t", "vector": [1.0, 0.0]})
+    def test_cache_line_without_text_hash(self, tmp_path):
+        path = tmp_path / "cache.ndjson"
+        write_ndjson(path, [{"node_id": "n", "model_tag": "t", "vector": [1.0, 0.0]}])
         with pytest.raises(RetrievalError, match="line 1: .*text_sha256.*delete the file"):
-            EmbeddingStore.load(io.StringIO(line + "\n"))
+            EmbeddingStore.load(path, "t")
 
     @pytest.mark.parametrize("vector", [[1.0, "2"], [True, 1.0], [[1.0, 0.0]], "1.0", None])
-    def test_cache_vector_must_be_numbers(self, vector):
-        line = json.dumps({"node_id": "n", "model_tag": "t", "text_sha256": "h", "vector": vector})
+    def test_cache_vector_must_be_numbers(self, tmp_path, vector):
+        path = tmp_path / "cache.ndjson"
+        write_ndjson(path, [{"node_id": "n", "model_tag": "t", "text_sha256": "h",
+                             "vector": vector}])
         with pytest.raises(RetrievalError, match="embedding cache line 1"):
-            EmbeddingStore.load(io.StringIO(line + "\n"))
+            EmbeddingStore.load(path, "t")
 
-    def test_cache_rows_must_have_one_dimension(self):
-        lines = [json.dumps({"node_id": node_id, "model_tag": "t", "text_sha256": "h",
-                             "vector": vector})
-                 for node_id, vector in (("a", [1.0, 0.0]), ("b", [1.0, 0.0, 0.0]))]
+    def test_cache_rows_must_have_one_dimension(self, tmp_path):
+        path = tmp_path / "cache.ndjson"
+        write_ndjson(path, [{"node_id": node_id, "model_tag": "t", "text_sha256": "h",
+                             "vector": vector}
+                            for node_id, vector in (("a", [1.0, 0.0]), ("b", [1.0, 0.0, 0.0]))])
         with pytest.raises(RetrievalError, match="line 2: 3 numbers, expected 2"):
-            EmbeddingStore.load(io.StringIO("\n".join(lines) + "\n"))
+            EmbeddingStore.load(path, "t")

@@ -1,7 +1,6 @@
 """Taxonomy loading, validation, statistics, traversal, and enrichment."""
 from __future__ import annotations
 
-import io
 import random
 
 import pytest
@@ -27,8 +26,10 @@ from taxocat.taxonomy import (
 from .util import random_forest, recording_mock_gateway
 
 
-def _load(text: str) -> Taxonomy:
-    return load_taxonomy(io.StringIO(text))
+def _load(tmp_path, text: str) -> Taxonomy:
+    path = tmp_path / "taxonomy.ndjson"
+    path.write_text(text, encoding="utf-8")
+    return load_taxonomy(path)
 
 
 def _parent_ids(tax: Taxonomy) -> tuple[str, ...]:
@@ -36,8 +37,9 @@ def _parent_ids(tax: Taxonomy) -> tuple[str, ...]:
 
 
 class TestLoading:
-    def test_smallest_forest(self):
+    def test_smallest_forest(self, tmp_path):
         tax = _load(
+            tmp_path,
             '{"id": "A", "name": "Alpha"}\n'
             '{"id": "B", "name": "Beta", "parent_id": "A"}\n'
             '{"id": "C", "name": "Gamma", "parent_id": "A"}\n'
@@ -46,8 +48,9 @@ class TestLoading:
         assert tax.leaf_ids() == ("B", "C")
         assert _parent_ids(tax) == ("A",)
 
-    def test_with_nodes_has_its_own_leaf_tuple(self):
+    def test_with_nodes_has_its_own_leaf_tuple(self, tmp_path):
         tax = _load(
+            tmp_path,
             '{"id": "A", "name": "Alpha"}\n'
             '{"id": "B", "name": "Beta", "parent_id": "A"}\n'
             '{"id": "C", "name": "Gamma", "parent_id": "A"}\n'
@@ -58,45 +61,46 @@ class TestLoading:
         assert tax.leaf_ids() == ("B", "C")
         assert _parent_ids(tax) == ("A",)
 
-    def test_cycle_rejected(self):
+    def test_cycle_rejected(self, tmp_path):
         with pytest.raises(TaxonomyIntegrityError, match="cycle"):
             _load(
+                tmp_path,
                 '{"id": "X", "name": "Ex", "parent_id": "Y"}\n'
                 '{"id": "Y", "name": "Why", "parent_id": "X"}\n'
             )
 
-    def test_self_cycle_rejected(self):
+    def test_self_cycle_rejected(self, tmp_path):
         with pytest.raises(TaxonomyIntegrityError, match="cycle.*Z"):
-            _load('{"id": "Z", "name": "Zed", "parent_id": "Z"}\n')
+            _load(tmp_path, '{"id": "Z", "name": "Zed", "parent_id": "Z"}\n')
 
-    def test_duplicate_id_rejected(self):
+    def test_duplicate_id_rejected(self, tmp_path):
         with pytest.raises(TaxonomyIntegrityError, match="duplicate"):
-            _load('{"id": "A", "name": "One"}\n{"id": "A", "name": "Two"}\n')
+            _load(tmp_path, '{"id": "A", "name": "One"}\n{"id": "A", "name": "Two"}\n')
 
-    def test_dangling_parent_rejected(self):
+    def test_dangling_parent_rejected(self, tmp_path):
         with pytest.raises(TaxonomyIntegrityError, match="missing parent.*nope"):
-            _load('{"id": "A", "name": "One", "parent_id": "nope"}\n')
+            _load(tmp_path, '{"id": "A", "name": "One", "parent_id": "nope"}\n')
 
-    def test_malformed_line_reports_position(self):
+    def test_malformed_line_reports_position(self, tmp_path):
         with pytest.raises(TaxonomyParseError, match="line 2"):
-            _load('{"id": "A", "name": "One"}\nnot json\n')
+            _load(tmp_path, '{"id": "A", "name": "One"}\nnot json\n')
 
-    def test_blank_name_rejected(self):
+    def test_blank_name_rejected(self, tmp_path):
         with pytest.raises(TaxonomyParseError, match="name"):
-            _load('{"id": "A", "name": "   "}\n')
+            _load(tmp_path, '{"id": "A", "name": "   "}\n')
 
-    def test_missing_field_rejected(self):
+    def test_missing_field_rejected(self, tmp_path):
         with pytest.raises(TaxonomyParseError, match="missing field"):
-            _load('{"id": "A"}\n')
+            _load(tmp_path, '{"id": "A"}\n')
 
     @pytest.mark.parametrize("value", ['"false"', '"true"', "0", "1", "0.0", "null", "[]"])
-    def test_non_boolean_acronym_expanded_rejected(self, value):
+    def test_non_boolean_acronym_expanded_rejected(self, tmp_path, value):
         with pytest.raises(TaxonomyParseError,
                            match="line 1: 'acronym_expanded' must be true or false"):
-            _load('{"id": "A", "name": "A", "acronym_expanded": %s}\n' % value)
+            _load(tmp_path, '{"id": "A", "name": "A", "acronym_expanded": %s}\n' % value)
 
-    def test_boolean_acronym_expanded_loads(self):
-        tax = _load('{"id": "A", "name": "A", "acronym_expanded": false}\n'
+    def test_boolean_acronym_expanded_loads(self, tmp_path):
+        tax = _load(tmp_path, '{"id": "A", "name": "A", "acronym_expanded": false}\n'
                     '{"id": "B", "name": "B", "acronym_expanded": true}\n')
         assert not tax.node("A").acronym_expanded
         assert tax.node("B").acronym_expanded
@@ -104,20 +108,20 @@ class TestLoading:
         assert out.node("A").name == "Alpha"
         assert out.node("B").name == "B"
 
-    def test_round_trip_identical(self):
+    def test_round_trip_identical(self, tmp_path):
         tax = _load(
+            tmp_path,
             '{"id": "A", "name": "Alpha", "description": "top level"}\n'
             '{"id": "B", "name": "Beta", "parent_id": "A", "acronym_expanded": true}\n'
             '{"id": "C", "name": "Gamma", "parent_id": "A"}\n'
         )
-        buffer = io.StringIO()
-        save_taxonomy(tax, buffer)
-        reloaded = load_taxonomy(io.StringIO(buffer.getvalue()))
+        first, second = tmp_path / "first.ndjson", tmp_path / "second.ndjson"
+        save_taxonomy(tax, first)
+        reloaded = load_taxonomy(first)
         assert {n.id: n for n in tax} == {n.id: n for n in reloaded}
 
-        buffer2 = io.StringIO()
-        save_taxonomy(reloaded, buffer2)
-        assert buffer.getvalue() == buffer2.getvalue()
+        save_taxonomy(reloaded, second)
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestHierarchyStats:
@@ -259,13 +263,15 @@ class TestExpandAcronyms:
         for node in tax:
             assert out.node(node.id).parent_id == node.parent_id
 
-    def test_map_validation(self):
+    def test_map_validation(self, tmp_path):
         with pytest.raises(TaxonomyParseError):
             AcronymMap({"OK": "  "})
         with pytest.raises(TaxonomyParseError):
             AcronymMap({"two words": "nope"})
+        path = tmp_path / "acronyms.json"
+        path.write_text('{"A": "one", "A": "two"}', encoding="utf-8")
         with pytest.raises(TaxonomyParseError, match="acronym map key 'A' is repeated"):
-            load_acronym_map(io.StringIO('{"A": "one", "A": "two"}'))
+            load_acronym_map(path)
 
     def test_suggestions_flag_initialisms(self):
         tax = Taxonomy(
