@@ -728,9 +728,13 @@ class HttpProvider:
         }
         reply = post_json(self.session, self.config, self.config.endpoint, body)
         try:
-            return reply["choices"][0]["message"]["content"]
+            content = reply["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed provider response: {exc}") from exc
+        if not isinstance(content, str):  # null or a number would pass as a reply
+            raise TransportError(
+                f"malformed provider response: content is {type(content).__name__}")
+        return content
 
 
 # -- audit log -------------------------------------------------------------------------

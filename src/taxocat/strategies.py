@@ -16,7 +16,7 @@ from concurrent.futures import Future, as_completed
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from statistics import fmean
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from . import gateway as gw
 from .documents import Document
@@ -65,15 +65,16 @@ class LabelSet:
             raise StrategyError(f"duplicate labels in LabelSet for {self.doc_id!r}")
 
 
-def known_ids(ids: Sequence[str], known: set[str], context: str) -> list[str]:
-    """Drop provider-returned ids that are not in the candidate set, keeping order."""
-    kept = []
+def known_ids(ids: Iterable[str], known: set[str], context: str) -> list[str]:
+    """Drop provider-returned ids that are not in the candidate set, keeping
+    each kept id once, where it first occurs."""
+    kept: dict[str, None] = {}
     for node_id in ids:
-        if node_id in known and node_id not in kept:
-            kept.append(node_id)
-        elif node_id not in known:
+        if node_id in known:
+            kept[node_id] = None
+        else:
             logger.warning("%s: dropping unknown label id %r", context, node_id)
-    return kept
+    return list(kept)
 
 
 # -- TravSelect ------------------------------------------------------------------
@@ -208,20 +209,13 @@ def _rerank_spec(doc: Document, taxonomy: Taxonomy, node_ids: Sequence[str]) -> 
 
 def _read_scores(doc: Document, node_ids: Sequence[str], parsed: gw.Scores) -> dict[str, float]:
     """One scoring reply; unknown ids dropped, missing ids default to 0.01."""
-    wanted = set(node_ids)
-    scores: dict[str, float] = {}
-    for node_id, score in parsed.pairs:
-        if node_id in wanted:
-            scores[node_id] = score
-        else:
-            logger.warning("rerank[%s]: dropping unknown scored id %r", doc.doc_id, node_id)
-    if len(scores) * 2 < len(node_ids):
+    replied = dict(parsed.pairs)
+    scored = known_ids(replied, set(node_ids), f"rerank[{doc.doc_id}]")
+    if len(scored) * 2 < len(node_ids):
         raise ScoringIncompleteError(
-            f"got scores for {len(scores)} of {len(node_ids)} requested nodes"
+            f"got scores for {len(scored)} of {len(node_ids)} requested nodes"
         )
-    for node_id in node_ids:
-        scores.setdefault(node_id, 0.01)
-    return scores
+    return {node_id: replied.get(node_id, 0.01) for node_id in node_ids}
 
 
 def classify_rerank(
@@ -232,39 +226,31 @@ def classify_rerank(
     fn: AggregationFunction = AggregationFunction.LEAF_ONLY,
     top_n: int = 5,
 ) -> LabelSet:
-    """Score every pruned-taxonomy leaf and its direct parent, then rank.
+    """Score every pruned-taxonomy leaf and its ancestors, then rank.
 
-    The scoring prompt covers leaves and direct parents. When the chosen
-    aggregation needs ancestors beyond the direct parent, those are scored
-    in a second call sent at the same time; if that call cannot be
-    completed, each leaf's direct-parent score stands in for its deeper
-    ancestors and the result is flagged. A RefusedError from either call
-    is raised.
+    The scoring prompt covers the leaves and their direct parents. When the
+    chosen aggregation needs ancestors beyond the direct parent, the ones
+    that prompt does not cover are scored in a second call sent at the same
+    time. Each node is scored once, and every leaf reads its ancestors'
+    scores from both replies. If the second call cannot be completed, the
+    leaf's direct-parent score stands in for the ancestors it would have
+    scored, and the result is flagged. A RefusedError from either call is
+    raised.
     """
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
-    leaves = list(pt.leaf_ids)
-    parents: list[str] = []
-    for leaf_id in leaves:
-        parent_id = taxonomy.node(leaf_id).parent_id
-        if parent_id is not None and parent_id not in parents:
-            parents.append(parent_id)
-    needs_ancestors = fn in (
-        AggregationFunction.AVG_ALL_ANCESTORS,
-        AggregationFunction.HARMONIC_ALL_ANCESTORS,
-    )
-    # The deeper ancestors are known before any reply, so their call goes
-    # out on the shared pool while this thread asks for the rest.
-    first_ids = leaves + parents
+    chains = {leaf_id: taxonomy.path_to_root(leaf_id)[1:] for leaf_id in pt.leaf_ids}
+    first = dict.fromkeys([*pt.leaf_ids, *(chain[0] for chain in chains.values() if chain)])
     deeper: list[str] = []
-    if needs_ancestors:
-        first = set(first_ids)
-        for leaf_id in leaves:
-            for ancestor_id in taxonomy.path_to_root(leaf_id)[2:]:
-                if ancestor_id not in first and ancestor_id not in deeper:
-                    deeper.append(ancestor_id)
+    if fn in (AggregationFunction.AVG_ALL_ANCESTORS, AggregationFunction.HARMONIC_ALL_ANCESTORS):
+        deeper = list(dict.fromkeys(
+            a for chain in chains.values() for a in chain[1:] if a not in first
+        ))
+    first_ids = list(first)
     flags: list[str] = []
     deeper_scores: dict[str, float] = {}
+    # The deeper ancestors are known before any reply, so their call goes
+    # out on the shared pool while this thread asks for the rest.
     with gateway.group() as calls:
         deeper_call = calls.submit(_rerank_spec(doc, taxonomy, deeper)) if deeper else None
         scores = _read_scores(
@@ -278,19 +264,14 @@ def classify_rerank(
                 logger.warning("rerank[%s]: ancestor scoring unavailable", doc.doc_id)
                 flags.append(FLAG_ANCESTOR_SCORES_UNAVAILABLE)
 
-    final: dict[str, float] = {}
-    for leaf_id in leaves:
-        chain = taxonomy.path_to_root(leaf_id)[1:]
-        ancestor_scores: list[float] = []
-        if chain:
-            parent_score = scores[chain[0]]
-            ancestor_scores.append(parent_score)
-            if needs_ancestors:
-                for ancestor_id in chain[1:]:
-                    ancestor_scores.append(deeper_scores.get(ancestor_id, parent_score))
-        final[leaf_id] = aggregate_score(scores[leaf_id], ancestor_scores, fn)
-
-    ranked = sorted(leaves, key=lambda nid: (-final[nid], nid))[:top_n]
+    known = {**deeper_scores, **scores}
+    final = {
+        leaf_id: aggregate_score(
+            known[leaf_id], [known.get(a, known[chain[0]]) for a in chain], fn
+        )
+        for leaf_id, chain in chains.items()
+    }
+    ranked = sorted(final, key=lambda nid: (-final[nid], nid))[:top_n]
     return LabelSet(
         doc_id=doc.doc_id,
         leaf_ids=tuple(ranked),

@@ -48,8 +48,10 @@ from taxocat.gateway import (
     render_user_text,
     schema_reminder,
 )
+from taxocat.postprocess import FLAG_DECREASE_FALLBACK, decrease_labels
 from taxocat.retrieval import HttpEmbedder
-from taxocat.taxonomy import TaxonomyNode
+from taxocat.strategies import LabelSet, Method
+from taxocat.taxonomy import Taxonomy, TaxonomyNode
 
 from .util import ScriptedProvider, ask_in_order, make_doc, o_jaccard, o_tokens
 
@@ -679,6 +681,24 @@ class TestHttpProvider:
         assert raw == '{"best_labels": []}'
         assert session.bodies[0]["messages"][0]["role"] == "system"
         assert session.bodies[0]["messages"][1]["content"].endswith("Reminder: schema")
+
+    @pytest.mark.parametrize("content", [None, 42])
+    def test_content_that_is_not_text_is_retried(self, sleeps, content):
+        session = _ScriptedSession(_FakeResponse(content=content), _OK)
+        assert _http_gateway(session).call_with_retry(_empty_spec()) == BestLabels(ids=())
+        assert session.posts == 2
+
+    def test_decrease_call_answered_with_null_content_falls_back(self, sleeps):
+        leaves = [f"l{i}" for i in range(7)]
+        tax = Taxonomy([TaxonomyNode(id="p", name="parent"),
+                        *(TaxonomyNode(id=lid, name=f"leaf {lid}", parent_id="p")
+                          for lid in leaves)])
+        labels = LabelSet(doc_id="d", leaf_ids=tuple(leaves), method=Method.SELECT_ONE_PASS)
+        session = _ScriptedSession(_FakeResponse(content=None))
+        out = decrease_labels(make_doc("d", "t"), labels, tax, _http_gateway(session))
+        assert session.posts == 4
+        assert out.leaf_ids == tuple(leaves[:5])
+        assert out.flags == (FLAG_DECREASE_FALLBACK,)
 
     def test_auth_error(self, sleeps, client):
         session = _ScriptedSession(_FakeResponse(status_code=401))

@@ -30,8 +30,8 @@ DIGESTS = {
     ("one-pass", None): "56a5417f4e35469da9b4388d9ad147f9a8ba7331f61578b3b3d7eca3e0c49931",
     ("one-pass", "no-description"): "14e546bd127975be67f1fc3003a9c48b0709090fe414348e224d33b2c7262cd1",
     ("one-pass", "no-decrease"): "bfa469658131a56a9fb32ca77683fa3376d30f05e4a39b8cbf0b89dac832cf6d",
-    ("rerank", None): "ede69d622ec05fdf8a4093b0f5bb9febf8125ca49ba1d86c0217e29866925e8f",
-    ("rerank", "no-description"): "3def07e90acbae8b4779750007f0eecd1495251b9ff58b6bd5bb407c4529e297",
+    ("rerank", None): "a185050ae28efe96dcc15e231cd3ebb066458d56b56695065617e1d1093aa3d8",
+    ("rerank", "no-description"): "9ed93d50b07fa619d214548ac51c14540a7f23b2d18264edefecc9dd4f555a9d",
     ("pointwise", None): "1074c71d57eda7ac2a701d517b495f8844ac2612fec8645fb8a081f02c88196f",
     ("pointwise", "no-description"): "b1526236f3c2f789b7def8f585d4282bf93ebbca2323e571bb0da40c069d50f7",
     ("pointwise", "no-context"): "a8d1d652adae9581fb95dbcaf891983254188bdf641cedea02cf02c06f6e834d",

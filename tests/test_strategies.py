@@ -284,7 +284,13 @@ def _chain_taxonomy():
 
 
 def _rerank_oracle(taxonomy, pt, table, fn, top_n, parent_substitute=False):
-    """Independent recomputation of final scores plus the ranking sort."""
+    """Independent recomputation of final scores plus the ranking sort.
+
+    With parent_substitute (the deeper call failed), the direct parent's
+    score stands in for every ancestor outside the first call, which scores
+    the leaves and their direct parents.
+    """
+    first = set(pt.leaf_ids) | {taxonomy.node(lid).parent_id for lid in pt.leaf_ids}
     final = {}
     for leaf_id in pt.leaf_ids:
         chain = []
@@ -300,7 +306,7 @@ def _rerank_oracle(taxonomy, pt, table, fn, top_n, parent_substitute=False):
             if fn in (AggregationFunction.AVG_ALL_ANCESTORS,
                       AggregationFunction.HARMONIC_ALL_ANCESTORS):
                 for ancestor in chain[1:]:
-                    ancestors.append(parent_score if parent_substitute
+                    ancestors.append(parent_score if parent_substitute and ancestor not in first
                                      else table.get(ancestor, 0.01))
         if fn is AggregationFunction.LEAF_ONLY:
             final[leaf_id] = leaf_score
@@ -309,8 +315,7 @@ def _rerank_oracle(taxonomy, pt, table, fn, top_n, parent_substitute=False):
         elif fn is AggregationFunction.AVG_ALL_ANCESTORS:
             final[leaf_id] = fmean([leaf_score, *ancestors])
         else:
-            values = [leaf_score, *ancestors]
-            final[leaf_id] = len(values) / sum(1 / v for v in values)
+            final[leaf_id] = statistics.harmonic_mean([leaf_score, *ancestors])
     ranked = sorted(pt.leaf_ids, key=lambda lid: (-final[lid], lid))[:top_n]
     return ranked, final
 
@@ -370,6 +375,48 @@ class TestRerank:
             assert list(labels.leaf_ids) == expected
             for lid in pt.leaf_ids:
                 assert labels.provenance["final_scores"][lid] == pytest.approx(final[lid])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 80), st.integers(2, 7),
+           st.integers(1, 30), st.sampled_from(list(AggregationFunction)))
+    def test_mixed_depth_forests_match_brute_force(self, seed, n_nodes, max_depth, k, fn):
+        rng = random.Random(seed)
+        tax = random_forest(rng, n_nodes, max_depth=max_depth)
+        pt = full_pt(tax, k=k)
+        table = {n.id: round(rng.uniform(0.01, 1.0), 2) for n in tax}
+        gateway = LlmGateway(TableProvider(table), ProviderConfig())
+        labels = classify_rerank(make_doc("d", "x"), tax, pt, gateway, fn=fn, top_n=5)
+        expected, final = _rerank_oracle(tax, pt, table, fn, 5)
+        assert list(labels.leaf_ids) == expected
+        assert labels.provenance["final_scores"] == final
+
+    def test_deeper_call_failure_keeps_first_call_scores(self):
+        # r -> g -> {p -> l1, l2}: g is l2's direct parent, so the first call
+        # scores it; only r is left for the deeper call, which fails.
+        tax = Taxonomy([
+            TaxonomyNode(id="r", name="root"),
+            TaxonomyNode(id="g", name="grand", parent_id="r"),
+            TaxonomyNode(id="p", name="parent", parent_id="g"),
+            TaxonomyNode(id="l1", name="leaf one", parent_id="p"),
+            TaxonomyNode(id="l2", name="leaf two", parent_id="g"),
+        ])
+        pt = full_pt(tax)
+        table = {"r": 0.4, "g": 0.9, "p": 0.2, "l1": 0.5, "l2": 0.3}
+        provider = TableProvider(table, fail_ids={"r"})
+        gateway = LlmGateway(provider, ProviderConfig(max_retries=0))
+        labels = classify_rerank(make_doc("d", "x"), tax, pt, gateway,
+                                 fn=AggregationFunction.AVG_ALL_ANCESTORS)
+        sent = sorted(sorted(n["id"] for n in spec.user_payload["nodes"])
+                      for spec in provider.calls)
+        assert sent == [["g", "l1", "l2", "p"], ["r"]]
+        assert labels.flags == (FLAG_ANCESTOR_SCORES_UNAVAILABLE,)
+        # l1: p, g (first call), r -> p's score; l2: g, r -> g's score
+        assert labels.provenance["final_scores"] == pytest.approx(
+            {"l1": fmean([0.5, 0.2, 0.9, 0.2]), "l2": fmean([0.3, 0.9, 0.9])})
+        expected, final = _rerank_oracle(tax, pt, table, AggregationFunction.AVG_ALL_ANCESTORS, 5,
+                                         parent_substitute=True)
+        assert list(labels.leaf_ids) == expected
+        assert labels.provenance["final_scores"] == pytest.approx(final)
 
     def test_deeper_ancestors_scored_in_second_call(self):
         tax = _chain_taxonomy()
