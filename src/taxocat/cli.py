@@ -422,10 +422,11 @@ def cmd_rank(args: argparse.Namespace) -> int:
     depths = _parse_depths(args.depths)
     embedder = _make_embedder(_provider_config(args))
     store = _embedding_store(args, loaded, embedder)
-    k = max(depths)
-    block = pipeline.RANK_BLOCK
-    rankings = [ranking for start in range(0, len(docs), block) for ranking in
-                retrieval.rank_block(docs[start:start + block], loaded, store, embedder, k=k)]
+    rankings = []
+    for _, ranking in pipeline.ranked(docs, loaded, store, embedder, max(depths)):
+        if isinstance(ranking, Exception):
+            raise ranking
+        rankings.append(ranking)
     rows = retrieval.recall_at_k(rankings, gold, depths)
     print("depth  all-gold  any-gold")
     for row in rows:

@@ -79,7 +79,7 @@ def read_json(file: File, error: type[Exception], what: str) -> Any:
 
 def write_records(file: File, records: Iterable[dict[str, Any]], error: type[Exception],
                   what: str, append: bool = False) -> None:
-    """Write each record as one line as soon as it arrives.
+    """Write and flush each record as one line as soon as it arrives.
 
     Only the file's own I/O raises `error`: an exception raised while
     producing a record propagates unchanged.
@@ -90,7 +90,7 @@ def write_records(file: File, records: Iterable[dict[str, Any]], error: type[Exc
         except (OSError, UnicodeEncodeError) as exc:
             raise error(_failure("write", what, file, exc)) from exc
 
-    fh = io(open, file, "a" if append else "w", encoding="utf-8")
+    fh = io(open, file, "a" if append else "w", encoding="utf-8", buffering=1)
     try:
         for record in records:
             io(fh.write, json.dumps(record, ensure_ascii=False) + "\n")

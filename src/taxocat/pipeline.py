@@ -1,6 +1,6 @@
-"""The classification batch: for each document, retrieve and prune (all
-strategies but traversal), ask the LLM strategy, post-process, and write
-the record.
+"""The classification batch: rank the documents a block at a time (all
+strategies but traversal), then on a worker prune, ask the LLM strategy and
+post-process each document, and write its record in input order.
 
 Each layer is called through its module attribute, so it can be replaced or
 wrapped from outside (tests, tracing) without touching this module.
@@ -8,15 +8,15 @@ wrapped from outside (tests, tracing) without touching this module.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import logging
 import random
-import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator
 
 from . import gateway as gw, ndjson, postprocess, retrieval, strategies
 from .documents import Document, DocumentError
@@ -29,6 +29,9 @@ FLAG_HARD_FAILURE = "hard-failure"
 # Documents ranked together: one embedding request and one screening
 # product per block.
 RANK_BLOCK = 8
+# Documents submitted and not yet written, per worker: room for documents
+# in retry backoff (up to 8 s each), and memory that does not grow with the batch.
+IN_FLIGHT_PER_WORKER = 64
 
 
 @dataclass(frozen=True)
@@ -62,64 +65,48 @@ def _doc_rng(seed: int, doc_id: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-class _BlockRankings:
-    """Each document's top-k leaf ranking, ranked RANK_BLOCK documents at a
-    time in input order, by the first worker that takes one of the block's.
-
-    A block whose ranking raises anything but a RefusedError is ranked again
-    one document at a time, so each document gets the ranking or the error
-    it gets ranked alone.
-    """
-
-    def __init__(self, docs: Sequence[Document], taxonomy: Taxonomy,
-                 store: retrieval.EmbeddingStore | None, embedder: retrieval.Embedder | None,
-                 k: int):
-        self._docs = docs
-        self._args = (taxonomy, store, embedder, k)
-        self._lock = threading.Lock()
-        self._ready: dict[int, retrieval.LeafRanking | Exception] = {}
-
-    def take(self, index: int) -> retrieval.LeafRanking:
-        """The ranking of docs[index], or its error raised; once per index."""
-        with self._lock:
-            if index not in self._ready:
-                start = index - index % RANK_BLOCK
-                block = self._docs[start:start + RANK_BLOCK]
-                self._ready.update(zip(range(start, start + len(block)), self._outcomes(block)))
-            outcome = self._ready.pop(index)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-    def _outcomes(self, block: Sequence[Document]) -> list:
+def ranked(docs: Iterable[Document], taxonomy: Taxonomy,
+           store: retrieval.EmbeddingStore | None, embedder: retrieval.Embedder | None,
+           k: int) -> Iterator[tuple[Document, retrieval.LeafRanking | Exception]]:
+    """(document, its top-k leaf ranking or the error ranking raised) in input
+    order, ranked RANK_BLOCK documents at a time. A block that fails with
+    anything but a RefusedError is ranked again one document at a time, as
+    each would be alone. A RefusedError is the last item: every later request
+    would be refused the same way."""
+    args = (taxonomy, store, embedder, k)
+    docs = iter(docs)
+    while block := list(itertools.islice(docs, RANK_BLOCK)):
         try:
-            return retrieval.rank_block(block, *self._args)
-        except gw.RefusedError as exc:
-            return [exc] * len(block)
+            outcomes: Iterable = retrieval.rank_block(block, *args)
         except Exception as exc:
-            if len(block) == 1:
-                return [exc]
-            logger.warning("ranking documents %s to %s together failed (%s: %s); "
-                           "ranking them one by one", block[0].doc_id, block[-1].doc_id,
-                           type(exc).__name__, exc)
-        outcomes: list = []
-        for doc in block:
-            try:
-                outcomes += retrieval.rank_block([doc], *self._args)
-            except Exception as exc:
-                outcomes.append(exc)
-        return outcomes
+            outcomes = [exc]
+            if len(block) > 1 and not isinstance(exc, gw.RefusedError):
+                logger.warning("ranking documents %s to %s together failed (%s: %s); "
+                               "ranking them one by one", block[0].doc_id, block[-1].doc_id,
+                               type(exc).__name__, exc)
+                outcomes = (_rank_alone(doc, args) for doc in block)
+        for doc, outcome in zip(block, outcomes):
+            yield doc, outcome
+            if isinstance(outcome, gw.RefusedError):
+                return
+
+
+def _rank_alone(doc: Document, args: tuple) -> retrieval.LeafRanking | Exception:
+    try:
+        return retrieval.rank_leaves(doc, *args)
+    except Exception as exc:
+        return exc
 
 
 def classify_document(
     doc: Document,
     taxonomy: Taxonomy,
-    ranking: Callable[[], retrieval.LeafRanking],
+    ranking: retrieval.LeafRanking | Exception | None,
     gateway: gw.LlmGateway,
     config: RunConfig,
 ) -> dict[str, Any]:
-    """One output record for `doc`; `ranking` gives its top-k leaves, and is
-    not called for trav-select.
+    """One output record for `doc`, from its top-k leaf ranking or the error
+    ranking it raised (`ranked`); trav-select takes None.
 
     Any failure becomes a `hard-failure` record, so one document cannot
     kill the batch; a RefusedError is raised instead, because every later
@@ -131,7 +118,9 @@ def classify_document(
         if method is strategies.Method.TRAV_SELECT:
             labels = strategies.classify_trav_select(doc, taxonomy, gateway)
         else:
-            pt = retrieval.build_pruned_taxonomy(taxonomy, ranking(), config.top_k)
+            if isinstance(ranking, Exception):
+                raise ranking
+            pt = retrieval.build_pruned_taxonomy(taxonomy, ranking, config.top_k)
             if method is strategies.Method.SELECT_ONE_PASS:
                 labels = strategies.classify_select_one_pass(doc, taxonomy, pt, gateway)
             elif method is strategies.Method.RERANK:
@@ -171,44 +160,54 @@ def classify_document(
     }
 
 
+def _in_order(fn: Callable[[Any], Any], items: Iterable[Any], workers: int) -> Iterator[Any]:
+    """fn(item) for each item, in input order: in this thread for one worker, else
+    on a pool, with at most IN_FLIGHT_PER_WORKER × workers items not yet yielded."""
+    if workers == 1:
+        yield from map(fn, items)
+        return
+    pool = ThreadPoolExecutor(max_workers=workers)
+    window: deque[Future] = deque()
+    try:
+        for item in items:
+            window.append(pool.submit(fn, item))
+            if len(window) == IN_FLIGHT_PER_WORKER * workers:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def classify_batch(
-    docs: Sequence[Document],
+    docs: Iterable[Document],
     taxonomy: Taxonomy,
     store: retrieval.EmbeddingStore | None,
     embedder: retrieval.Embedder | None,
     gateway: gw.LlmGateway,
     config: RunConfig,
 ) -> int:
-    """Write one record per document to `config.output_path`, in input order;
-    return the number of hard failures.
-
-    The output is opened before the first document starts, and each record is
-    written as soon as it is next, so an error that stops the batch leaves
-    every finished document on disk.
-    """
+    """Write one record per document to `config.output_path`, in input order,
+    and return the number of hard failures. This thread ranks the documents
+    and writes each record, flushed, as soon as it is next, so a batch that
+    stops or is killed keeps every finished document; `config.parallelism`
+    workers classify them."""
     if not config.include_descriptions:
         # The one place the no-description ablation applies: no prompt sees a
         # description, while the store, embedded from the full taxonomy, does.
         taxonomy = taxonomy.with_nodes(replace(node, description=None) for node in taxonomy)
+    work = (((doc, None) for doc in docs) if config.method is strategies.Method.TRAV_SELECT
+            else ranked(docs, taxonomy, store, embedder, config.top_k))
     failures = 0
-    rankings = _BlockRankings(docs, taxonomy, store, embedder, config.top_k)
 
-    def classify_one(index: int) -> dict[str, Any]:
-        return classify_document(docs[index], taxonomy, partial(rankings.take, index),
-                                 gateway, config)
+    def classify_one(item: tuple[Document, Any]) -> dict[str, Any]:
+        return classify_document(item[0], taxonomy, item[1], gateway, config)
 
-    def classified() -> Iterator[dict[str, Any]]:
+    def counted(record: dict[str, Any]) -> dict[str, Any]:
         nonlocal failures
-        pool = ThreadPoolExecutor(max_workers=config.parallelism)
-        try:
-            # pool.map preserves input order; one worker needs no threads
-            run = pool.map if config.parallelism > 1 else map
-            for record in run(classify_one, range(len(docs))):
-                failures += FLAG_HARD_FAILURE in record["flags"]
-                yield record
-        finally:
-            pool.shutdown(cancel_futures=True)
+        failures += FLAG_HARD_FAILURE in record["flags"]
+        return record
 
-    with closing(classified()) as records:
-        ndjson.write_records(config.output_path, records, DocumentError, "output")
+    with closing(_in_order(classify_one, work, config.parallelism)) as records:
+        ndjson.write_records(config.output_path, map(counted, records), DocumentError, "output")
     return failures

@@ -3,12 +3,18 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import gc
 import hashlib
 import json
 import logging
 import math
+import os
 import random
+import signal
+import subprocess
+import sys
+import textwrap
 import weakref
 from pathlib import Path
 
@@ -194,6 +200,36 @@ class TestClassify:
             "--mock",
         ] + extra
         return cli.main(args), out
+
+    def test_a_killed_batch_keeps_every_written_record(self, workdir):
+        # The child kills itself as its 4th document starts, after the first
+        # three records were handed to the writer.
+        tmp, _, _ = workdir
+        args = ["--strategy", "one-pass", "--seed", "5"]
+        code, full = self._run(tmp, args, out_name="full.ndjson")
+        assert code == 0
+        child = textwrap.dedent("""
+            import os, signal, sys
+            from taxocat import cli, pipeline
+            real, started = pipeline.classify_document, []
+            def classify_document(*args):
+                started.append(args[0])
+                if len(started) == 4:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return real(*args)
+            pipeline.classify_document = classify_document
+            cli.main(sys.argv[1:])
+        """)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        killed = tmp / "killed.ndjson"
+        result = subprocess.run(
+            [sys.executable, "-c", child, "classify", "--taxonomy", str(tmp / "taxonomy.ndjson"),
+             "--documents", str(tmp / "docs.ndjson"), "--output", str(killed), "--mock", *args],
+            env=env, capture_output=True, timeout=120)
+        assert result.returncode == -signal.SIGKILL
+        assert killed.read_bytes() == b"".join(full.read_bytes().splitlines(keepends=True)[:3])
 
     def test_pointwise_emits_one_to_five_labels(self, workdir):
         tmp, _, docs = workdir
@@ -600,19 +636,21 @@ class TestProviderWiring:
         )
 
     def _classify_over_a_complete_cache(self, workdir, monkeypatch, *statuses,
-                                        unavailable=None):
-        """Exit code and embedding request count of a one-pass classify whose
-        --embedding-cache holds every leaf, so only documents are embedded.
-        The embedding endpoint answers `statuses` in turn, then 200 with
-        hash-bag vectors, except that a request whose texts `unavailable`
-        holds for is answered 503; the chat endpoint selects no label."""
+                                        unavailable=None, refused=None, run=None):
+        """Exit code and embedding request count of `run(provider fields,
+        cache path)`, by default a one-pass classify, with an --embedding-cache
+        that holds every leaf, so only documents are embedded. The embedding
+        endpoint answers `statuses` in turn, then 200 with hash-bag vectors,
+        except that a request whose texts `unavailable` holds for is answered
+        503, and one whose texts `refused` holds for 401; the chat endpoint
+        selects no label."""
         tmp, tax, _ = workdir
         emb = "https://api.example/emb"
         fields = {"endpoint": "https://api.example/chat", "model_name": "m",
                   "embedding_endpoint": emb, "embedding_model": "e"}
         script = []
         inputs = []
-        refused = []
+        rules = []
 
         class Session:
             def mount(self, prefix, adapter):
@@ -626,8 +664,9 @@ class TestProviderWiring:
                 rows = [{"index": i, "embedding": row} for i, row in enumerate(
                     retrieval.HashBagEmbedder().embed_many(json["input"]).tolist())]
                 status = script.pop(0) if script else 200
-                if any(rule(json["input"]) for rule in refused):
-                    status = 503
+                for rule_status, rule in rules:
+                    if rule and rule(json["input"]):
+                        status = rule_status
                 return argparse.Namespace(status_code=status, text="", headers={},
                                           json=lambda: {"data": rows})
 
@@ -637,8 +676,9 @@ class TestProviderWiring:
         retrieval.embed_taxonomy_leaves(tax, embedder).save(cache)
         inputs.clear()
         script += statuses
-        refused += [unavailable] if unavailable else []
-        code = self._classify(tmp, fields, "one-pass", "--embedding-cache", str(cache))
+        rules += [(503, unavailable), (401, refused)]
+        code = (run(fields, cache) if run else
+                self._classify(tmp, fields, "one-pass", "--embedding-cache", str(cache)))
         return code, len(inputs)
 
     def test_embedding_auth_error_stops_the_batch(self, workdir, monkeypatch, capsys):
@@ -703,6 +743,73 @@ class TestProviderWiring:
         records = [json.loads(line) for line in (tmp / "out.ndjson").read_text().splitlines()]
         assert len(records) == len(docs)
         assert not any("hard-failure" in r["flags"] for r in records)
+
+    def test_auth_error_on_a_later_block_stops_ranking_above_one_worker(self, workdir,
+                                                                        monkeypatch):
+        # Ranking runs ahead of the two workers, but no block after the
+        # refused one is ranked.
+        tmp, _, _ = workdir
+        rng = random.Random(2)
+        docs = [vocab_doc(rng, f"doc{i}") for i in range(3 * pipeline.RANK_BLOCK + 1)]
+        write_ndjson(tmp / "docs.ndjson", [dataclasses.asdict(doc) for doc in docs])
+        code, requests_sent = self._classify_over_a_complete_cache(
+            workdir, monkeypatch, 200, 401,
+            run=lambda fields, cache: self._classify(
+                tmp, fields, "one-pass", "--embedding-cache", str(cache), "--parallelism", "2"))
+        assert code == 1
+        assert requests_sent == 2
+        records = [json.loads(line) for line in (tmp / "out.ndjson").read_text().splitlines()]
+        assert [r["doc_id"] for r in records] == [d.doc_id for d in docs[:pipeline.RANK_BLOCK]]
+
+    def test_auth_error_while_ranking_one_by_one_stops_ranking(self, workdir, monkeypatch,
+                                                               capsys):
+        # Every request of more than one text fails after its retries, and
+        # docs[3]'s own is refused: docs[4:8] are not requested.
+        tmp, _, docs = workdir
+        monkeypatch.setattr("taxocat.gateway.time.sleep", lambda seconds: None)
+        code, requests_sent = self._classify_over_a_complete_cache(
+            workdir, monkeypatch, unavailable=lambda texts: len(texts) > 1,
+            refused=lambda texts: texts == [document_text(docs[3])])
+        assert code == 1
+        assert requests_sent == gw.ProviderConfig().max_retries + 1 + 4
+        records = [json.loads(line) for line in (tmp / "out.ndjson").read_text().splitlines()]
+        assert [r["doc_id"] for r in records] == [d.doc_id for d in docs[:3]]
+        assert "error: HTTP 401" in capsys.readouterr().err
+
+    def _rank(self, workdir, fields, cache):
+        tmp, tax, docs = workdir
+        leaves = tax.leaf_ids()
+        write_ndjson(tmp / "gold.ndjson", [{"doc_id": doc.doc_id, "gold": [leaves[i % len(leaves)]]}
+                                           for i, doc in enumerate(docs)])
+        provider = tmp / "provider.json"
+        provider.write_text(json.dumps(fields))
+        return cli.main(
+            ["rank", "--documents", str(tmp / "docs.ndjson"),
+             "--taxonomy", str(tmp / "taxonomy.ndjson"), "--gold", str(tmp / "gold.ndjson"),
+             "--depths", "1,3,10", "--provider", str(provider), "--embedding-cache", str(cache)])
+
+    def test_rank_ranks_a_failed_block_one_document_at_a_time(self, workdir, monkeypatch,
+                                                               capsys):
+        _, _, docs = workdir
+        monkeypatch.setattr("taxocat.gateway.time.sleep", lambda seconds: None)
+        rank = functools.partial(self._rank, workdir)
+        code, requests_sent = self._classify_over_a_complete_cache(
+            workdir, monkeypatch, unavailable=lambda texts: len(texts) > 1, run=rank)
+        assert code == 0
+        blocks = math.ceil(len(docs) / pipeline.RANK_BLOCK)
+        assert requests_sent == blocks * (gw.ProviderConfig().max_retries + 1) + len(docs)
+        table = capsys.readouterr().out
+        monkeypatch.setattr(pipeline, "RANK_BLOCK", 1)
+        assert self._classify_over_a_complete_cache(workdir, monkeypatch, run=rank) == (
+            0, len(docs))
+        assert capsys.readouterr().out == table
+
+    def test_rank_stops_on_a_refused_block(self, workdir, monkeypatch, capsys):
+        code, requests_sent = self._classify_over_a_complete_cache(
+            workdir, monkeypatch, 401, run=functools.partial(self._rank, workdir))
+        assert code == 1
+        assert requests_sent == 1
+        assert "error: HTTP 401" in capsys.readouterr().err
 
     def test_auth_error_stops_the_batch(self, workdir, bodies, capsys):
         tmp, _, docs = workdir

@@ -1,5 +1,6 @@
 """Who may import what: only the command line imports `taxocat.cli`, only the
-gateway imports `requests`, and the taxonomy does not import the gateway.
+gateway imports `requests` or `threading` (the one module with locks), and
+the taxonomy does not import the gateway.
 Also, no function takes a stream where a file is meant: files are paths.
 
 Every module under src/taxocat/ is parsed, and each import is resolved to
@@ -60,12 +61,18 @@ def test_no_library_module_imports_cli():
     assert not offenders
 
 
+def _importers(module: str) -> set[str]:
+    return {path.name for path in PACKAGE.rglob("*.py")
+            for _, name in _imports(path) if name.split(".")[0] == module}
+
+
 def test_only_the_gateway_imports_requests():
-    importers = {
-        path.name for path in PACKAGE.rglob("*.py")
-        for _, name in _imports(path) if name.split(".")[0] == "requests"
-    }
-    assert importers == {"gateway.py"}
+    assert _importers("requests") == {"gateway.py"}
+
+
+def test_only_the_gateway_imports_threading():
+    # The batch path ranks and writes in one thread and shares no lock.
+    assert _importers("threading") == {"gateway.py"}
 
 
 def test_taxonomy_does_not_import_the_gateway():

@@ -13,6 +13,7 @@ import hashlib
 import json
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,7 +23,15 @@ from taxocat import cli, gateway as gw, pipeline, postprocess, retrieval, strate
 from taxocat.documents import document_text, load_documents
 from taxocat.taxonomy import load_taxonomy, save_taxonomy
 
-from .util import CountingEmbedder, random_forest, record_cli_gateways, vocab_doc, write_ndjson
+from .util import (
+    CountingEmbedder,
+    make_doc,
+    random_forest,
+    record_cli_gateways,
+    ternary_taxonomy,
+    vocab_doc,
+    write_ndjson,
+)
 
 DIGESTS = {
     ("trav-select", None): "57d3b1924a27e9cdfcd4d13d4c562057b6dc9be4a15adac851bcb70cc768ec8c",
@@ -177,6 +186,33 @@ def test_workers_rank_each_block_once(inputs, tmp_path, strategy):
         for start in range(0, len(docs), pipeline.RANK_BLOCK))
     digest = hashlib.sha256(config.output_path.read_bytes()).hexdigest()
     assert digest == DIGESTS[strategy, None]
+
+
+def test_a_slow_document_holds_back_at_most_the_window(tmp_path, monkeypatch):
+    # While docs[0] sleeps, the other worker runs ahead only as far as the
+    # documents submitted and not yet written.
+    docs = [make_doc(f"d{i}", f"title {i}") for i in range(400)]
+    started = []
+    started_when_first_returned = []
+
+    def classify_document(doc, taxonomy, ranking, gateway, config):
+        started.append(doc.doc_id)
+        if doc is docs[0]:
+            time.sleep(0.3)
+            started_when_first_returned.append(len(started))
+        return {"doc_id": doc.doc_id, "flags": []}
+
+    monkeypatch.setattr(pipeline, "classify_document", classify_document)
+    config = cli._resolve_run_config(cli.build_parser().parse_args(
+        ["classify", "--taxonomy", str(tmp_path), "--documents", str(tmp_path),
+         "--output", str(tmp_path / "out.ndjson"), "--strategy", "trav-select", "--mock",
+         "--parallelism", "2"]))
+    assert pipeline.classify_batch(docs, ternary_taxonomy(), None, None, gw.mock_gateway(),
+                                   config) == 0
+    [in_flight] = started_when_first_returned
+    assert in_flight <= pipeline.IN_FLIGHT_PER_WORKER * 2 + 1
+    records = [json.loads(line) for line in config.output_path.read_text().splitlines()]
+    assert [r["doc_id"] for r in records] == [d.doc_id for d in docs]
 
 
 def test_run_config_rejects_a_top_k_out_of_range(tmp_path):

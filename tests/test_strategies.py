@@ -363,7 +363,7 @@ class TestRerank:
 
     @pytest.mark.parametrize("fn", list(AggregationFunction))
     def test_random_tables_match_brute_force(self, fn):
-        rng = random.Random(hash(fn.value) % 1000)
+        rng = random.Random(list(AggregationFunction).index(fn))
         tax = _chain_taxonomy()
         pt = full_pt(tax)
         for _ in range(15):
