@@ -239,10 +239,8 @@ def cmd_taxonomy(args: argparse.Namespace) -> int:
             print("cannot describe: no node has an existing description to use as exemplar",
                   file=sys.stderr)
             return 1
-        updates = []
-        for node_id, exemplar_id in exemplars.items():
-            text = gw.generate_description(loaded, node_id, gateway, exemplar_id)
-            updates.append(replace(loaded.node(node_id), description=text))
+        updates = [replace(loaded.node(node_id), description=text)
+                   for node_id, text in gw.generate_descriptions(loaded, exemplars, gateway).items()]
         tax.save_taxonomy(loaded.with_nodes(updates), args.output)
         print(f"described {len(updates)} nodes -> {args.output}")
         return 0

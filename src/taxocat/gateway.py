@@ -13,17 +13,19 @@ values.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import json
 import logging
 import math
 import os
+import queue
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, wait
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from enum import Enum
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol, Sequence, TypeVar, Union
@@ -362,14 +364,12 @@ def build_desc_gen_spec(
     return PromptSpec(template_id=TemplateId.DESC_GEN, user_payload=payload)
 
 
-def generate_description(taxonomy: Taxonomy, node_id: str, gateway: LlmGateway,
-                         exemplar_id: str) -> str:
-    """Ask the gateway to draft a description for a node lacking one.
+def description_spec(taxonomy: Taxonomy, node_id: str, exemplar_id: str) -> PromptSpec:
+    """The prompt that asks for a description of a node lacking one.
 
-    The prompt carries the label name, the parent name and description when
+    It carries the label name, the parent name and description when
     available, and one exemplar node (similar depth, existing description)
-    as a few-shot sample, each as node_payload shapes it. The taxonomy is not
-    mutated; the caller applies the text via Taxonomy.with_nodes.
+    as a few-shot sample, each as node_payload shapes it.
     """
     node = taxonomy.node(node_id)
     if node.description:
@@ -379,17 +379,39 @@ def generate_description(taxonomy: Taxonomy, node_id: str, gateway: LlmGateway,
         raise ValueError(f"exemplar {exemplar_id!r} has no description")
     example = node_payload(exemplar)
     parent = node_payload(taxonomy.node(node.parent_id)) if node.parent_id else {}
-    spec = build_desc_gen_spec(
+    return build_desc_gen_spec(
         label_name=node_payload(node)["name"],
         parent_name=parent.get("name"),
         parent_description=parent.get("description"),
         exemplar_name=example["name"],
         exemplar_description=example["description"],
     )
-    text = gateway.call_with_retry(spec).text.strip()
+
+
+def description_text(node_id: str, reply: ParsedResponse) -> str:
+    """The description a reply to description_spec gives, which must not be empty."""
+    text = reply.text.strip()
     if not text:
         raise DescriptionError(f"empty description generated for node {node_id!r}")
     return text
+
+
+def generate_descriptions(taxonomy: Taxonomy, exemplars: Mapping[str, str],
+                          gateway: LlmGateway) -> dict[str, str]:
+    """A drafted description for each node id of `exemplars`, given its
+    exemplar's id, in node id order.
+
+    Every prompt is sent at once through one CallGroup, and the replies are
+    read in node id order, so a failure raises what asking one node after
+    another would. The taxonomy is not mutated; the caller applies the texts
+    via Taxonomy.with_nodes.
+    """
+    specs = {node_id: description_spec(taxonomy, node_id, exemplars[node_id])
+             for node_id in sorted(exemplars)}
+    with gateway.group() as calls:
+        replies = {node_id: calls.submit(spec) for node_id, spec in specs.items()}
+        return {node_id: description_text(node_id, reply.result())
+                for node_id, reply in replies.items()}
 
 
 def build_selectp_leaf_spec(doc: Document, node: Mapping[str, Any]) -> PromptSpec:
@@ -768,13 +790,16 @@ class Provider(Protocol):
     def complete(self, spec: PromptSpec, reminder: str | None = None) -> str: ...
 
 
-# A CallGroup runs its calls on one process-wide pool per width, the provider
-# config's max_in_flight, so at most that many of them are in flight whatever
-# the number of document workers, gateways or groups. A hosted LLM's call
-# waits on the network, not on local CPUs, so the provider's rate limit is
-# what should set the width.
-_call_pools: dict[int, ThreadPoolExecutor] = {}
+# A CallGroup runs its calls on one process-wide CallPool per width, the
+# provider config's max_in_flight, so at most that many of them are in flight
+# whatever the number of document workers, gateways or groups. A hosted LLM's
+# call waits on the network, not on local CPUs, so the provider's rate limit is
+# what should set the width. Every pool serves the oldest rank first: a
+# document opens one group, so its calls, parent verdicts sent late included,
+# go ahead of every later document's calls.
+_call_pools: dict[int, CallPool] = {}
 _call_pools_lock = threading.Lock()
+_ranks = itertools.count()  # group ranks, process-wide, so shared by every pool
 
 M_ARENA_MAX = -8  # glibc's mallopt parameter number for the malloc arena limit
 MALLOC_ARENAS = 2
@@ -800,15 +825,71 @@ def _cap_malloc_arenas() -> None:
         logger.debug("malloc arena cap not applied: %s", exc)
 
 
-def _call_pool(width: int) -> ThreadPoolExecutor:
+class CallPool:
+    """Up to `width` daemon threads, named taxocat-call-N and started as
+    calls queue up, that run submitted calls in order of (rank, submit
+    number): a call of an older rank starts before any call of a newer one,
+    whenever either was submitted.
+
+    Whatever a call raises, KeyboardInterrupt included, goes on its future
+    and the thread serves on. A future cancelled before its call starts
+    never runs. Threads idle forever on an empty queue and do not hold up
+    interpreter exit.
+    """
+
+    def __init__(self, width: int):
+        self.width = width
+        self._queue: queue.PriorityQueue = queue.PriorityQueue()
+        self._submits = itertools.count()
+        self._idle = threading.Semaphore(0)  # one release per thread waiting on an empty queue
+        self._threads = 0
+        self._threads_lock = threading.Lock()
+
+    def submit(self, fn: Callable[..., T], *args: Any, rank: int | None = None) -> Future:
+        """fn(*args) on the pool; its Future holds the outcome. Without a
+        rank the call takes a new one, so it starts after the calls of every
+        group made before it."""
+        future: Future = Future()
+        self._queue.put((next(_ranks) if rank is None else rank, next(self._submits),
+                         future, fn, args))
+        if not self._idle.acquire(blocking=False):
+            with self._threads_lock:
+                if self._threads < self.width:
+                    self._threads += 1
+                    threading.Thread(target=self._serve, name=f"taxocat-call-{self._threads}",
+                                     daemon=True).start()
+        return future
+
+    def _serve(self) -> None:
+        self._note_if_idle()
+        while True:
+            self._run(*self._queue.get()[2:])
+
+    def _run(self, future: Future, fn: Callable[..., Any], args: tuple) -> None:
+        settle = None
+        if future.set_running_or_notify_cancel():
+            try:
+                settle = partial(future.set_result, fn(*args))
+            except BaseException as exc:  # re-raised where the future is read
+                settle = partial(future.set_exception, exc)
+        # Before the outcome is out, so a caller's next submit finds this thread idle.
+        self._note_if_idle()
+        if settle is not None:
+            settle()
+
+    def _note_if_idle(self) -> None:
+        if self._queue.empty():
+            self._idle.release()
+
+
+def _call_pool(width: int) -> CallPool:
     """The process-wide pool of `width` threads behind every CallGroup, made on first use."""
     with _call_pools_lock:
         pool = _call_pools.get(width)
         if pool is None:
             if not _call_pools:
                 _cap_malloc_arenas()
-            pool = _call_pools[width] = ThreadPoolExecutor(
-                max_workers=width, thread_name_prefix="taxocat-call")
+            pool = _call_pools[width] = CallPool(width)
         return pool
 
 
@@ -889,6 +970,8 @@ class LlmGateway:
 class CallGroup:
     """Calls sent concurrently on the process-wide pool of config.max_in_flight
     threads, used as a context manager: `with gateway.group() as calls:`.
+    A group's calls rank by when the group was made, so an older group's
+    calls start first.
 
     Once one of the group's calls raises a RefusedError, its
     calls that start later raise it too, without sending a request. Leaving
@@ -901,10 +984,12 @@ class CallGroup:
         self._gateway = gateway
         self._futures: list[Future] = []
         self._latched: RefusedError | None = None
+        self._rank = next(_ranks)
 
     def submit(self, spec: PromptSpec) -> Future:
         """gateway.call_with_retry(spec) on the pool; its Future holds the reply."""
-        future = _call_pool(self._gateway.config.max_in_flight).submit(self._call, spec)
+        future = _call_pool(self._gateway.config.max_in_flight).submit(
+            self._call, spec, rank=self._rank)
         self._futures.append(future)
         return future
 

@@ -231,6 +231,32 @@ class TestClassify:
         assert result.returncode == -signal.SIGKILL
         assert killed.read_bytes() == b"".join(full.read_bytes().splitlines(keepends=True)[:3])
 
+    def test_a_pointwise_child_exits_with_its_call_threads_alive(self, workdir):
+        # The call pool's threads idle on after the batch, and must not hold
+        # up the interpreter's exit.
+        tmp, _, _ = workdir
+        args = ["--strategy", "pointwise", "--top-k", "40"]
+        code, inline = self._run(tmp, args, out_name="inline.ndjson")
+        assert code == 0
+        child = textwrap.dedent("""
+            import sys, threading
+            from taxocat import cli
+            code = cli.main(sys.argv[1:])
+            print(sum(t.name.startswith("taxocat-call") for t in threading.enumerate()))
+            sys.exit(code)
+        """)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp / "child.ndjson"
+        result = subprocess.run(
+            [sys.executable, "-c", child, "classify", "--taxonomy", str(tmp / "taxonomy.ndjson"),
+             "--documents", str(tmp / "docs.ndjson"), "--output", str(out), "--mock", *args],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout.split()[-1]) >= 1
+        assert out.read_bytes() == inline.read_bytes()
+
     def test_pointwise_emits_one_to_five_labels(self, workdir):
         tmp, _, docs = workdir
         code, out = self._run(tmp, ["--strategy", "pointwise", "--top-k", "40"])

@@ -7,6 +7,7 @@ import re
 import sys
 import threading
 import time
+from concurrent.futures import wait
 from pathlib import Path
 
 import pytest
@@ -1066,8 +1067,81 @@ class TestCallPools:
 
     def test_one_pool_per_width(self):
         assert gw._call_pool(3) is gw._call_pool(3)
-        assert gw._call_pool(3)._max_workers == 3
+        assert gw._call_pool(3).width == 3
         assert gw._call_pool(4) is not gw._call_pool(3)
+
+    @staticmethod
+    def _held(pool, release: threading.Event):
+        """A call that keeps the pool's one thread busy until `release` is set."""
+        return pool.submit(release.wait, 10)
+
+    def test_an_older_groups_calls_start_first(self, no_pools):
+        started = []
+        gateway = LlmGateway(_FnProvider(started.append), ProviderConfig(max_in_flight=1))
+        release = threading.Event()
+        self._held(gw._call_pool(1), release)
+        with gateway.group() as older, gateway.group() as newer:
+            calls = [older.submit(_wave_spec(0)), newer.submit(_wave_spec(1)),
+                     newer.submit(_wave_spec(2)),
+                     older.submit(_wave_spec(3))]  # queued after the newer group's calls
+            release.set()
+            wait(calls, timeout=10)
+        assert started == [0, 3, 1, 2]
+
+    def test_a_call_outside_any_group_starts_after_the_older_groups(self, no_pools):
+        started = []
+        gateway = LlmGateway(_FnProvider(started.append), ProviderConfig(max_in_flight=1))
+        pool = gw._call_pool(1)
+        release = threading.Event()
+        self._held(pool, release)
+        with gateway.group() as older:
+            older.submit(_wave_spec(0))
+            outside = pool.submit(started.append, "outside")
+            with gateway.group() as newer:
+                calls = [newer.submit(_wave_spec(1)), older.submit(_wave_spec(2))]
+                release.set()
+                wait([outside, *calls], timeout=10)
+        assert started == [0, 2, "outside", 1]
+
+    def test_a_call_raising_keyboard_interrupt_keeps_the_width(self):
+        pool = gw.CallPool(2)
+
+        def interrupted():
+            raise KeyboardInterrupt
+
+        assert isinstance(pool.submit(interrupted).exception(timeout=10), KeyboardInterrupt)
+        barrier = threading.Barrier(2, timeout=10)  # broken unless both threads serve
+        assert sorted(f.result(timeout=10)
+                      for f in [pool.submit(barrier.wait) for _ in range(2)]) == [0, 1]
+
+    def test_sequential_calls_start_one_thread(self):
+        pool = gw.CallPool(4)
+        threads = {pool.submit(threading.current_thread).result(timeout=10) for _ in range(20)}
+        assert len(threads) == 1
+        assert threads.pop().name == "taxocat-call-1"
+
+    def test_threads_stay_within_the_width_under_fast_thread_switching(self):
+        pool = gw.CallPool(3)
+        results = []
+
+        def submitter(k):
+            futures = [pool.submit(lambda i: (i, threading.current_thread()), 100 * k + i)
+                       for i in range(100)]
+            results.extend(f.result(timeout=30) for f in futures)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            submitters = [threading.Thread(target=submitter, args=(k,)) for k in range(4)]
+            for thread in submitters:
+                thread.start()
+            for thread in submitters:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(i for i, _ in results) == list(range(400))
+        assert len({thread for _, thread in results}) <= 3
 
     def test_gateways_of_one_width_share_its_bound(self):
         lock = threading.Lock()
@@ -1115,7 +1189,7 @@ class TestCallPools:
         calls: list = []
         monkeypatch.setattr(gw.ctypes, "CDLL", _fake_libc(calls))
         monkeypatch.setattr(gw.os, "confstr", confstr)
-        assert gw._call_pool(3)._max_workers == 3
+        assert gw._call_pool(3).width == 3
         assert calls == []
 
     @pytest.mark.parametrize("fail", [OSError, AttributeError])

@@ -1,6 +1,7 @@
 """Who may import what: only the command line imports `taxocat.cli`, only the
-gateway imports `requests` or `threading` (the one module with locks), and
-the taxonomy does not import the gateway.
+gateway imports `requests` or `threading` (the one module with locks), only
+the pipeline imports a `ThreadPoolExecutor`, and the taxonomy does not import
+the gateway.
 Also, no function takes a stream where a file is meant: files are paths.
 
 Every module under src/taxocat/ is parsed, and each import is resolved to
@@ -73,6 +74,19 @@ def test_only_the_gateway_imports_requests():
 def test_only_the_gateway_imports_threading():
     # The batch path ranks and writes in one thread and shares no lock.
     assert _importers("threading") == {"gateway.py"}
+
+
+def _uses_thread_pool_executor(path: Path) -> bool:
+    """Whether the module imports ThreadPoolExecutor or reads it off a module."""
+    return (any(name.rsplit(".", 1)[-1] == "ThreadPoolExecutor" for _, name in _imports(path))
+            or any(isinstance(node, ast.Attribute) and node.attr == "ThreadPoolExecutor"
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+
+
+def test_only_the_pipeline_imports_a_thread_pool_executor():
+    # Its document workers; the gateway's calls run on its own CallPool.
+    assert {path.name for path in PACKAGE.rglob("*.py")
+            if _uses_thread_pool_executor(path)} == {"pipeline.py"}
 
 
 def test_taxonomy_does_not_import_the_gateway():

@@ -2,14 +2,23 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taxocat.gateway import generate_description, render_user_text
+from taxocat.gateway import (
+    LlmGateway,
+    MockProvider,
+    ProviderConfig,
+    TransportError,
+    generate_descriptions,
+    render_user_text,
+)
 from taxocat.taxonomy import (
     AcronymMap,
+    DescriptionError,
     Taxonomy,
     TaxonomyIntegrityError,
     TaxonomyNode,
@@ -297,7 +306,7 @@ class TestGenerateDescription:
 
     def test_prompt_carries_label_parent_and_exemplar(self):
         gateway = recording_mock_gateway()
-        generate_description(self._taxonomy(), "c", gateway, exemplar_id="e")
+        generate_descriptions(self._taxonomy(), {"c": "e"}, gateway)
         payload = gateway.provider.calls[0].user_payload
         assert payload["label_name"] == "Auction Design"
         assert payload["parent_name"] == "Game Theory"
@@ -312,7 +321,7 @@ class TestGenerateDescription:
             ]
         )
         gateway = recording_mock_gateway()
-        text = generate_description(tax, "r", gateway, exemplar_id="e")
+        text = generate_descriptions(tax, {"r": "e"}, gateway)["r"]
         assert text
         payload = gateway.provider.calls[0].user_payload
         assert "parent_name" not in payload and "parent_description" not in payload
@@ -328,7 +337,7 @@ class TestGenerateDescription:
             ]
         )
         gateway = recording_mock_gateway()
-        generate_description(tax, "c", gateway, exemplar_id="e")
+        generate_descriptions(tax, {"c": "e"}, gateway)
         lines = render_user_text(gateway.provider.calls[0]).split("\n")
         assert lines[:2] == ["Label Name: Auction theory", "Parent Name: Game Theory"]
         assert lines[2] == "Parent Description: " + " ".join(f"w{i}" for i in range(60))
@@ -336,15 +345,62 @@ class TestGenerateDescription:
             'Example: the label "Bargaining Theory" is described as: Negotiation models']
 
     def test_mock_description_contains_node_name(self, mock_gw):
-        text = generate_description(self._taxonomy(), "c", mock_gw, exemplar_id="e")
+        text = generate_descriptions(self._taxonomy(), {"c": "e"}, mock_gw)["c"]
         assert "Auction Design" in text
 
     def test_preconditions(self, mock_gw):
         tax = self._taxonomy()
         with pytest.raises(ValueError, match="already has"):
-            generate_description(tax, "p", mock_gw, exemplar_id="e")
+            generate_descriptions(tax, {"p": "e"}, mock_gw)
         with pytest.raises(ValueError, match="no description"):
-            generate_description(tax, "c", mock_gw, exemplar_id="c")
+            generate_descriptions(tax, {"c": "c"}, mock_gw)
+
+    @staticmethod
+    def _wide_taxonomy(n: int) -> Taxonomy:
+        """One described root over `n` undescribed children c00, c01, ..."""
+        return Taxonomy([TaxonomyNode(id="r", name="Economics", description="The economy"),
+                         *(TaxonomyNode(id=f"c{i:02d}", name=f"Topic {i}", parent_id="r")
+                           for i in range(n))])
+
+    def test_descriptions_are_asked_at_once(self):
+        class SlowMock(MockProvider):
+            def complete(self, spec, reminder=None):
+                time.sleep(0.05)
+                return super().complete(spec, reminder)
+
+        n = 20
+        tax = self._wide_taxonomy(n)
+        exemplars = {f"c{i:02d}": "r" for i in range(n)}
+        start = time.perf_counter()
+        texts = generate_descriptions(tax, exemplars, LlmGateway(SlowMock(), ProviderConfig()))
+        elapsed = time.perf_counter() - start
+        assert texts == generate_descriptions(tax, exemplars, LlmGateway(MockProvider()))
+        assert list(texts) == sorted(exemplars)
+        assert elapsed < n * 0.05 / 4
+
+    def test_failure_of_the_first_node_in_id_order_is_raised(self):
+        class FailingMock(MockProvider):
+            """Fails the 7th node at once and the 3rd after 50 ms; replies empty to the 5th."""
+
+            def complete(self, spec, reminder=None):
+                label = spec.user_payload["label_name"]
+                if label == "Topic 6":
+                    raise TransportError("7th failed")
+                if label == "Topic 2":
+                    time.sleep(0.05)
+                    raise TransportError("3rd failed")
+                if label == "Topic 4":
+                    return '{"description": ""}'
+                return super().complete(spec, reminder)
+
+        tax = self._wide_taxonomy(10)
+        exemplars = {f"c{i:02d}": "r" for i in range(10)}
+        gateway = LlmGateway(FailingMock(), ProviderConfig(max_retries=0))
+        with pytest.raises(TransportError, match="3rd failed"):
+            generate_descriptions(tax, exemplars, gateway)
+        del exemplars["c02"]
+        with pytest.raises(DescriptionError, match="'c04'"):
+            generate_descriptions(tax, exemplars, gateway)
 
 
 class TestDescriptionExemplars:
