@@ -39,6 +39,15 @@ AGG_CHOICES = {
 }
 ABLATION_CHOICES = ("no-decrease", "no-description", "no-context")
 
+# Every flag that names a file, with True where the command may write that
+# file. No written file may be the file of another flag: they are checked
+# in this order, each against every other file flag the command was given.
+FILE_FLAGS = {
+    "--audit-log": True, "--json-output": True, "--output": True, "--embedding-cache": True,
+    "--taxonomy": False, "--documents": False, "--acronyms": False, "--config": False,
+    "--provider": False, "--judgments": False, "--baseline": False, "--gold": False,
+}
+
 
 class CliError(Exception):
     pass
@@ -211,7 +220,6 @@ def cmd_taxonomy(args: argparse.Namespace) -> int:
         return 0
 
     if args.subcommand == "expand":
-        _require_new_output(args.output, args.taxonomy, args.acronyms)
         loaded = tax.load_taxonomy(args.taxonomy)
         acronyms = tax.load_acronym_map(args.acronyms)
         if args.suggest:
@@ -225,9 +233,6 @@ def cmd_taxonomy(args: argparse.Namespace) -> int:
         return 0
 
     if args.subcommand == "describe":
-        _require_new_output(args.output, args.taxonomy, args.provider)
-        _require_new_output(args.audit_log, args.output, args.taxonomy, args.provider,
-                            flag="--audit-log")
         loaded = tax.load_taxonomy(args.taxonomy)
         gateway = _make_gateway(args, _provider_config(args))
         if all(n.description for n in loaded):
@@ -248,13 +253,13 @@ def cmd_taxonomy(args: argparse.Namespace) -> int:
     raise CliError(f"unknown taxonomy subcommand {args.subcommand!r}")
 
 
-def _require_new_output(output_path: str | None, *input_paths: str | None,
-                        flag: str = "--output") -> None:
-    """Refuse an output path (if given) that resolves to one of the inputs."""
-    if output_path and Path(output_path).resolve() in {
-        Path(path).resolve() for path in input_paths if path
-    }:
-        raise CliError(f"refusing to overwrite the input file; pick a new {flag} path")
+def _require_new_outputs(args: argparse.Namespace) -> None:
+    """Refuse a written file that resolves to the file of another file flag."""
+    paths = {flag: Path(value).resolve() for flag in FILE_FLAGS
+             if (value := getattr(args, flag[2:].replace("-", "_"), None))}
+    for flag, path in paths.items():
+        if FILE_FLAGS[flag] and list(paths.values()).count(path) > 1:
+            raise CliError(f"refusing to overwrite the input file; pick a new {flag} path")
 
 
 # -- classify ---------------------------------------------------------------------
@@ -319,9 +324,6 @@ def run_classification(config: RunConfig, gateway: gw.LlmGateway,
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    inputs = (args.documents, args.taxonomy, args.embedding_cache, args.config, args.provider)
-    _require_new_output(args.output, *inputs)
-    _require_new_output(args.audit_log, args.output, *inputs, flag="--audit-log")
     config = _resolve_run_config(args)
     provider = _provider_config(args)
     gateway = _make_gateway(args, provider)
@@ -377,7 +379,6 @@ def _percentage(value: Any) -> float:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    _require_new_output(args.json_output, args.judgments, args.baseline, flag="--json-output")
     judgments = evaluation.load_judgments(args.judgments)
     reports = list(evaluation.compute_metrics(judgments).values())
     if args.baseline:
@@ -412,8 +413,6 @@ def _parse_depths(text: str | None) -> tuple[int, ...]:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    _require_new_output(args.json_output, args.taxonomy, args.documents, args.gold,
-                        args.embedding_cache, args.provider, flag="--json-output")
     loaded = tax.load_taxonomy(args.taxonomy)
     docs = load_documents(args.documents)
     gold = retrieval.load_gold_labels(args.gold)
@@ -446,6 +445,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _require_new_outputs(args)
         if args.command == "taxonomy":
             return cmd_taxonomy(args)
         if args.command == "classify":

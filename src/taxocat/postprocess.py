@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from . import gateway as gw
@@ -20,6 +21,7 @@ from .taxonomy import Taxonomy
 logger = logging.getLogger(__name__)
 
 FLAG_DECREASE_FALLBACK = "decrease-fallback"
+FLAG_EMPTY_RESULT = "empty-result"
 FLAG_NEEDS_REVIEW = "needs-review"
 
 
@@ -102,49 +104,41 @@ def enforce_sibling_diversity(
 ) -> LabelSet:
     """Cap how many selected labels may share one direct parent.
 
-    For each over-represented parent the first `cap` labels (input order)
-    stay; the excess is swapped for the best not-yet-selected leaves from
-    the pruned-taxonomy ranking whose own parent stays within the cap.
-    Without a pruned taxonomy (traversal strategy) the excess is dropped.
+    One rule admits every label: a leaf is admitted when it is top-level or
+    fewer than `cap` admitted leaves share its parent. The selected labels
+    pass it first, in input order. When some are dropped, the pruned
+    taxonomy's leaves that were not selected pass it next, in ranking order,
+    until as many are admitted as were dropped. Without a pruned taxonomy
+    (traversal strategy) the excess is dropped.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    selected = list(labels.leaf_ids)
-    parent_of = {nid: taxonomy.node(nid).parent_id for nid in selected}
+    admitted_per_parent: Counter[str] = Counter()
 
-    kept: list[str] = []
-    per_parent: dict[str, int] = {}
-    dropped = 0
-    for node_id in selected:
-        parent_id = parent_of[node_id]
+    def admit(node_id: str) -> bool:
+        parent_id = taxonomy.node(node_id).parent_id
         if parent_id is None:
-            kept.append(node_id)
-            continue
-        if per_parent.get(parent_id, 0) >= cap:
-            dropped += 1
-            continue
-        per_parent[parent_id] = per_parent.get(parent_id, 0) + 1
-        kept.append(node_id)
+            return True
+        if admitted_per_parent[parent_id] >= cap:
+            return False
+        admitted_per_parent[parent_id] += 1
+        return True
+
+    kept = [node_id for node_id in labels.leaf_ids if admit(node_id)]
+    dropped = len(labels.leaf_ids) - len(kept)
     if not dropped:
         return labels
 
+    # A dropped label cannot pass again: its parent is still at the cap.
     replacements: list[str] = []
     if pt is not None:
-        chosen = set(kept)
         for candidate in pt.leaf_ids:
-            if len(replacements) >= dropped:
+            if len(replacements) == dropped:
                 break
-            if candidate in chosen:
-                continue
-            parent_id = taxonomy.node(candidate).parent_id
-            if parent_id is not None and per_parent.get(parent_id, 0) >= cap:
-                continue
-            if parent_id is not None:
-                per_parent[parent_id] = per_parent.get(parent_id, 0) + 1
-            replacements.append(candidate)
-            chosen.add(candidate)
+            if candidate not in labels.leaf_ids and admit(candidate):
+                replacements.append(candidate)
 
-    diversity = {"dropped": dropped, "replacements": list(replacements)}
+    diversity = {"dropped": dropped, "replacements": replacements}
     return replace(labels, leaf_ids=tuple(kept + replacements),
                    provenance={**labels.provenance, "sibling_diversity": diversity})
 
@@ -160,11 +154,12 @@ def postprocess_chain(
 ) -> LabelSet:
     """Full refinement chain: decrease to max_labels, then sibling diversity.
 
-    Non-empty input of any method always lands in [1, max_labels]; empty
-    input passes through flagged for review.
+    Non-empty input of any method always lands in [1, max_labels]. This is
+    the one place an empty result is flagged: it passes through with
+    empty-result, then needs-review.
     """
     if not labels.leaf_ids:
-        return with_flags(labels, FLAG_NEEDS_REVIEW)
+        return with_flags(labels, FLAG_EMPTY_RESULT, FLAG_NEEDS_REVIEW)
     out = labels
     if len(out.leaf_ids) > config.max_labels:
         if config.random_decrease:

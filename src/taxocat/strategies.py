@@ -6,8 +6,9 @@
 * select_pointwise — independent per-leaf verdicts gated by parent verdicts
 
 Every strategy returns a LabelSet whose provenance records the verdicts or
-scores that justified each label, and whose flags surface degenerate
-outcomes instead of silently emitting empty output.
+scores that justified each label, and whose flags record what the strategy
+itself could not do. An empty result is flagged by post-processing, which
+every strategy's labels pass through.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ from .taxonomy import Taxonomy
 
 logger = logging.getLogger(__name__)
 
-FLAG_EMPTY_RESULT = "empty-result"
 FLAG_SHORTFALL = "shortfall"
 FLAG_ANCESTOR_SCORES_UNAVAILABLE = "ancestor-scores-unavailable"
 
@@ -94,14 +94,11 @@ def classify_trav_select(
     frontier = list(taxonomy.roots)
     selected: list[str] = []
     rounds: list[dict[str, Any]] = []
-    flags: list[str] = []
     while frontier:
         nodes = [gw.node_payload(taxonomy.node(nid)) for nid in frontier]
         parsed = gateway.call_with_retry(gw.doc_spec(gw.TemplateId.TRAV_SELECT, doc, nodes))
         chosen = known_ids(parsed.ids, set(frontier), f"trav_select[{doc.doc_id}]")
         rounds.append({"frontier": list(frontier), "selected": list(chosen)})
-        if len(rounds) == 1 and not chosen:
-            flags.append(FLAG_EMPTY_RESULT)
         next_frontier: list[str] = []
         for node_id in chosen:
             if taxonomy.is_leaf(node_id):
@@ -110,14 +107,11 @@ def classify_trav_select(
             else:
                 next_frontier.extend(taxonomy.children(node_id))
         frontier = next_frontier
-    if not selected and FLAG_EMPTY_RESULT not in flags:
-        flags.append(FLAG_EMPTY_RESULT)
     return LabelSet(
         doc_id=doc.doc_id,
         leaf_ids=tuple(selected),
         method=Method.TRAV_SELECT,
         provenance={"rounds": rounds},
-        flags=tuple(flags),
     )
 
 
@@ -155,13 +149,11 @@ def classify_select_one_pass(
     nodes = _pruned_tree_payloads(taxonomy, pt)
     parsed = gateway.call_with_retry(gw.doc_spec(gw.TemplateId.SELECT_ONE_PASS, doc, nodes))
     kept = known_ids(parsed.ids, set(pt.leaf_ids), f"select_one_pass[{doc.doc_id}]")
-    flags = (FLAG_EMPTY_RESULT,) if not kept else ()
     return LabelSet(
         doc_id=doc.doc_id,
         leaf_ids=tuple(kept),
         method=Method.SELECT_ONE_PASS,
         provenance={"raw_ids": list(parsed.ids)},
-        flags=flags,
     )
 
 
@@ -401,11 +393,6 @@ def classify_select_pointwise(
         parent_verdicts=parent_verdicts,
     )
     leaf_ids, backfilled, shortfall = adjust_label_count(trace, label_range)
-    flags: list[str] = []
-    if shortfall:
-        flags.append(FLAG_SHORTFALL)
-    if not leaf_ids:
-        flags.append(FLAG_EMPTY_RESULT)
     provenance = {
         "leaf_verdicts": {
             lid: {"label_fit": v.label_fit, "main_focus": v.main_focus}
@@ -426,7 +413,7 @@ def classify_select_pointwise(
         leaf_ids=leaf_ids,
         method=Method.SELECT_POINTWISE,
         provenance=provenance,
-        flags=tuple(flags),
+        flags=(FLAG_SHORTFALL,) if shortfall else (),
     )
 
 

@@ -229,7 +229,9 @@ def save_taxonomy(taxonomy: Taxonomy, target: str | Path) -> None:
 
 @dataclass(frozen=True)
 class AcronymMap:
-    """Whole-token acronym -> expansion mapping applied to node names."""
+    """Acronym -> expansion mapping applied to node names. A key is one
+    token and may hold punctuation (`U.S.`, `C++`); it matches where no word
+    character touches it on either side."""
 
     entries: Mapping[str, str]
 
@@ -253,7 +255,12 @@ def load_acronym_map(source: str | Path) -> AcronymMap:
 
 
 def expand_acronyms(taxonomy: Taxonomy, acronyms: AcronymMap) -> Taxonomy:
-    """Replace whole-token acronym matches in node names; idempotent.
+    """Replace acronym matches in node names; idempotent.
+
+    A key matches where neither the character before it nor the one after
+    it is a word character, so `AI` expands in `AI Ethics` but not inside
+    `MAIL`, and `U.S.` and `C++` expand before a space. For a key that
+    begins and ends with a word character this is where `\\b` would match.
 
     Expanded text is never re-scanned (single alternation pass), and nodes
     already flagged acronym_expanded are left untouched, so applying the
@@ -262,7 +269,7 @@ def expand_acronyms(taxonomy: Taxonomy, acronyms: AcronymMap) -> Taxonomy:
     if not acronyms.entries:
         return taxonomy
     keys = sorted(acronyms.entries, key=len, reverse=True)
-    pattern = re.compile("|".join(rf"\b{re.escape(key)}\b" for key in keys))
+    pattern = re.compile("|".join(rf"(?<!\w){re.escape(key)}(?!\w)" for key in keys))
     changed = []
     for node in taxonomy:
         if node.acronym_expanded:

@@ -1247,8 +1247,9 @@ class TestEvaluateAndRank:
 
 
 class TestOutputsAreNotInputs:
-    """No command writes its --json-output, --audit-log or --output over one
-    of its input files (or its audit log over its output)."""
+    """No command writes its --json-output, --audit-log, --output or
+    --embedding-cache over one of its input files (or one written file over
+    another)."""
 
     CASES = [("evaluate", "--json-output", "--judgments"), ("evaluate", "--json-output", "--baseline")]
     CASES += [("rank", "--json-output", flag) for flag in
@@ -1256,6 +1257,11 @@ class TestOutputsAreNotInputs:
     CASES += [("classify", "--audit-log", flag) for flag in
               ("--output", "--taxonomy", "--documents", "--embedding-cache", "--config", "--provider")]
     CASES += [("describe", "--audit-log", flag) for flag in ("--output", "--taxonomy", "--provider")]
+    # The embedding cache is rewritten when stale, so it is a written file too.
+    CASES += [("rank", "--embedding-cache", flag) for flag in
+              ("--taxonomy", "--documents", "--gold", "--provider")]
+    CASES += [("classify", "--embedding-cache", flag) for flag in
+              ("--taxonomy", "--documents", "--config", "--provider")]
 
     @pytest.mark.parametrize(("command", "output", "target"), CASES)
     def test_output_may_not_overwrite_an_input(self, workdir, capsys, command, output, target):
@@ -1296,6 +1302,37 @@ class TestOutputsAreNotInputs:
         err = capsys.readouterr().err
         assert err == f"error: refusing to overwrite the input file; pick a new {output} path\n"
         assert {flag: Path(paths[flag]).read_bytes() for flag in used} == before
+
+    def test_an_empty_documents_file_given_as_the_cache_is_kept(self, workdir, capsys):
+        # An empty file loads as no cache, so it would be written as a new one.
+        tmp, _, _ = workdir
+        (tmp / "docs.ndjson").write_text("")
+        argv = ["classify", "--strategy", "one-pass", "--mock",
+                "--taxonomy", str(tmp / "taxonomy.ndjson"), "--output", str(tmp / "out.ndjson"),
+                "--documents", str(tmp / "docs.ndjson"),
+                "--embedding-cache", str(tmp / "docs.ndjson")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: refusing to overwrite the input file; pick a new --embedding-cache path\n")
+        assert (tmp / "docs.ndjson").read_text() == ""
+        assert not (tmp / "out.ndjson").exists()
+
+    # String flags that take a value and name no file.
+    NOT_FILES = {"--depths"}
+
+    def test_every_string_flag_is_a_file_flag_or_listed(self):
+        def walk(parser):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from walk(sub)
+                elif (action.option_strings and action.nargs != 0 and action.type is None
+                      and action.choices is None):
+                    yield action.option_strings[-1]
+
+        flags = set(walk(cli.build_parser()))
+        assert flags - set(cli.FILE_FLAGS) - self.NOT_FILES == set()
+        assert set(cli.FILE_FLAGS) <= flags
 
 
 class TestUnreadableFiles:

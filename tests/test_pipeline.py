@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from taxocat import cli, gateway as gw, pipeline, postprocess, retrieval, strategies
 from taxocat.documents import document_text, load_documents
-from taxocat.taxonomy import load_taxonomy, save_taxonomy
+from taxocat.taxonomy import Taxonomy, load_taxonomy, save_taxonomy
 
 from .util import (
     CountingEmbedder,
@@ -158,6 +158,24 @@ def test_classify_batch_writes_the_command_lines_bytes(inputs, tmp_path):
     assert failures == 0
     digest = hashlib.sha256(config.output_path.read_bytes()).hexdigest()
     assert digest == DIGESTS["one-pass", "no-description"]
+
+
+@pytest.mark.parametrize("strategy", sorted(cli.STRATEGY_CHOICES))
+def test_every_strategys_empty_record_carries_the_same_flags(tmp_path, strategy):
+    # Post-processing flags an empty result, whichever strategy made it;
+    # pointwise also reports that it fell short of its minimum.
+    flags = ["shortfall"] * (strategy == "pointwise") + ["empty-result", "needs-review"]
+    taxonomy = Taxonomy([])
+    embedder = retrieval.HashBagEmbedder()
+    config = cli._resolve_run_config(cli.build_parser().parse_args(
+        ["classify", "--taxonomy", str(tmp_path), "--documents", str(tmp_path),
+         "--output", str(tmp_path / "out.ndjson"), "--strategy", strategy, "--mock"]))
+    failures = pipeline.classify_batch(
+        [make_doc("d1", "auction markets")], taxonomy,
+        retrieval.embed_taxonomy_leaves(taxonomy, embedder), embedder, gw.mock_gateway(), config)
+    assert failures == 0
+    [record] = [json.loads(line) for line in config.output_path.read_text().splitlines()]
+    assert (record["labels"], record["flags"]) == ([], flags)
 
 
 @pytest.mark.parametrize("strategy", ["one-pass", "pointwise"])

@@ -19,6 +19,7 @@ from taxocat.gateway import (
 from taxocat.pipeline import RunConfig, classify_batch
 from taxocat.postprocess import (
     FLAG_DECREASE_FALLBACK,
+    FLAG_EMPTY_RESULT,
     FLAG_NEEDS_REVIEW,
     PostProcessConfig,
     decrease_labels,
@@ -39,6 +40,7 @@ from .util import (
     ScriptedProvider,
     make_doc,
     o_overlap,
+    random_forest,
     recording_mock_gateway,
     ternary_taxonomy,
     vocab_doc,
@@ -241,6 +243,54 @@ class TestSiblingDiversity:
             assert len(out.leaf_ids) <= len(picked)
             assert set(out.leaf_ids) <= set(leaves)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 3), st.booleans())
+    def test_matches_brute_force_reference(self, seed, n_nodes, cap, with_pt):
+        rng = random.Random(seed)
+        forest = random_forest(rng, n_nodes, max_depth=rng.randint(2, 4))
+        # A random forest's roots rarely stay childless: add top-level leaves.
+        tops = [TaxonomyNode(id=f"top{i}", name=f"top {i}") for i in range(rng.randint(0, 3))]
+        tax = Taxonomy([*forest, *tops])
+        leaves = list(tax.leaf_ids())
+        picked = rng.sample(leaves, rng.randint(1, len(leaves)))
+        pt = None
+        if with_pt:
+            pt = _pt_for(tax, leaf_order=rng.sample(leaves, rng.randint(1, len(leaves))))
+        out = enforce_sibling_diversity(_labels(picked), tax, pt, cap=cap)
+        expected = _sibling_reference(tax, picked, pt and pt.leaf_ids, cap)
+        if expected is None:
+            assert out.leaf_ids == tuple(picked)
+            assert "sibling_diversity" not in out.provenance
+        else:
+            kept, replacements = expected
+            assert out.leaf_ids == tuple(kept + replacements)
+            assert out.provenance["sibling_diversity"] == {
+                "dropped": len(picked) - len(kept), "replacements": replacements}
+
+
+def _sibling_reference(taxonomy, picked, candidates, cap):
+    """Brute force: a leaf is admitted when it has no parent or fewer than
+    `cap` admitted leaves share its parent, counted from scratch each time.
+    Returns None when every picked leaf is admitted, else (kept, replacements)."""
+    def fits(leaf, admitted):
+        parent = taxonomy.node(leaf).parent_id
+        siblings = [other for other in admitted if taxonomy.node(other).parent_id == parent]
+        return parent is None or len(siblings) < cap
+
+    kept = []
+    for leaf in picked:
+        if fits(leaf, kept):
+            kept.append(leaf)
+    if len(kept) == len(picked):
+        return None
+    replacements = []
+    for leaf in candidates or ():
+        if len(replacements) == len(picked) - len(kept):
+            break
+        if leaf not in kept + replacements and fits(leaf, kept + replacements):
+            replacements.append(leaf)
+    return kept, replacements
+
 
 class TestChain:
     def test_empty_input_flagged_for_review(self, mock_gw):
@@ -250,7 +300,7 @@ class TestChain:
             rng=random.Random(0),
         )
         assert out.leaf_ids == ()
-        assert FLAG_NEEDS_REVIEW in out.flags
+        assert out.flags == (FLAG_EMPTY_RESULT, FLAG_NEEDS_REVIEW)
 
     def test_bounds_hold_for_nonempty_inputs(self, mock_gw):
         rng = random.Random(11)

@@ -23,11 +23,11 @@ from taxocat.gateway import (
     TransportError,
     mock_gateway,
 )
+from taxocat.postprocess import FLAG_EMPTY_RESULT, PostProcessConfig, postprocess_chain
 from taxocat.retrieval import LeafRanking, PrunedTaxonomy, build_pruned_taxonomy
 from taxocat.strategies import (
     AggregationFunction,
     FLAG_ANCESTOR_SCORES_UNAVAILABLE,
-    FLAG_EMPTY_RESULT,
     LabelSet,
     Method,
     PointwiseTrace,
@@ -161,9 +161,12 @@ class TestTravSelect:
 
     def test_empty_first_round_flagged(self, mock_gw):
         doc = make_doc("d", "completely unrelated words")
-        labels = classify_trav_select(doc, self._two_branch_taxonomy(), mock_gw)
+        tax = self._two_branch_taxonomy()
+        labels = classify_trav_select(doc, tax, mock_gw)
         assert labels.leaf_ids == ()
-        assert FLAG_EMPTY_RESULT in labels.flags
+        out = postprocess_chain(doc, labels, tax, None, mock_gw, PostProcessConfig(),
+                                rng=random.Random(0))
+        assert FLAG_EMPTY_RESULT in out.flags
 
     def test_rounds_bounded_by_depth_and_no_repeats(self):
         # Depth-6 chain where everything matches: full traversal.
@@ -207,10 +210,13 @@ class TestSelectOnePass:
 
     def test_all_unknown_flags_empty(self, ternary):
         pt = full_pt(ternary)
+        doc = make_doc("d", "anything")
         gateway, _ = scripted_gateway('{"best_labels": ["bogus"]}')
-        labels = classify_select_one_pass(make_doc("d", "anything"), ternary, pt, gateway)
+        labels = classify_select_one_pass(doc, ternary, pt, gateway)
         assert labels.leaf_ids == ()
-        assert FLAG_EMPTY_RESULT in labels.flags
+        out = postprocess_chain(doc, labels, ternary, pt, gateway, PostProcessConfig(),
+                                rng=random.Random(0))
+        assert FLAG_EMPTY_RESULT in out.flags
 
     def test_matches_overlap_oracle_on_full_pt(self, ternary, mock_gw):
         rng = random.Random(31)

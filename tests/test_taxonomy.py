@@ -265,6 +265,20 @@ class TestExpandAcronyms:
         out = expand_acronyms(tax, AcronymMap({"SCA": "Supply Chain Analytics"}))
         assert out.node("x").name == "SCAB and Supply Chain Analytics topics"
 
+    def test_keys_that_begin_or_end_with_punctuation(self):
+        tax = Taxonomy([
+            TaxonomyNode(id="a", name="U.S. Law"),
+            TaxonomyNode(id="b", name="C++ Tools"),
+            TaxonomyNode(id="c", name="AI Ethics"),
+            TaxonomyNode(id="d", name="MAIL and U.S.A. and C++x"),
+        ])
+        mapping = AcronymMap({"U.S.": "United States", "C++": "C plus plus",
+                              "AI": "Artificial Intelligence"})
+        out = expand_acronyms(tax, mapping)
+        assert [out.node(nid).name for nid in "abcd"] == [
+            "United States Law", "C plus plus Tools", "Artificial Intelligence Ethics",
+            "MAIL and U.S.A. and C++x"]
+
     def test_structure_preserved(self):
         tax = random_forest(random.Random(3), 200)
         out = expand_acronyms(tax, AcronymMap({"markets": "open markets"}))
