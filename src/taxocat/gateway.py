@@ -4,11 +4,11 @@ chat and embedding requests share.
 
 Prompt templates live as text assets under taxocat/prompts, keyed by
 template id, so they can be versioned and audited independently of code.
-Every prompt about a document is built by doc_spec, and every taxonomy node
-a prompt shows is shaped by node_payload and drawn by one line rule. Every
-provider response is funneled through extract_response, which reads the
-reply its template asks for; callers only ever see typed ParsedResponse
-values.
+Every prompt about a document is built by doc_spec, every taxonomy node a
+prompt shows is shaped by node_payload and drawn by one line rule, and a
+prompt's texts are rendered when it is built. Every provider response is
+funneled through extract_response, which reads the reply its template asks
+for; callers only ever see typed ParsedResponse values.
 """
 from __future__ import annotations
 
@@ -137,23 +137,19 @@ def _fill(template: str, count: int | None) -> str:
 
 @dataclass(frozen=True)
 class PromptSpec:
+    """A prompt as a provider sees it. Both texts are rendered when the spec
+    is built, so a payload its template cannot draw raises there, and a
+    spec's bytes are known before its first attempt."""
+
     template_id: TemplateId
     user_payload: Mapping[str, Any]
     count: int | None = None  # how many labels the prompt names, its template's {count}
     system_text: str = field(init=False)
+    user_text: str = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "system_text", _fill(load_template(self.template_id), self.count))
-
-    @property
-    def user_text(self) -> str:
-        """The user message a provider sees, rendered once, on first use."""
-        # Not functools.cached_property: before Python 3.12 its lock is shared
-        # by every spec, so concurrent calls would wait on each other's render.
-        text = self.__dict__.get("_user_text")
-        if text is None:
-            text = self.__dict__["_user_text"] = _render_user_text(self)
-        return text
+        object.__setattr__(self, "user_text", _render_user_text(self))
 
 
 # -- parsed responses ------------------------------------------------------------
@@ -267,25 +263,23 @@ def _label_line(node: Mapping[str, Any], prefix: str) -> str:
 
 
 def render_user_text(spec: PromptSpec) -> str:
-    """Flatten the structured payload into the user message a provider sees."""
+    """The user message a provider sees, rendered when the spec was built."""
     return spec.user_text
 
 
 def _render_user_text(spec: PromptSpec) -> str:
+    """Flatten the structured payload into the user message a provider sees."""
     payload = spec.user_payload
     tid = spec.template_id
     if tid is TemplateId.DESC_GEN:
-        lines = [f"Label Name: {payload['label_name']}"]
-        if payload.get("parent_name"):
-            lines.append(f"Parent Name: {payload['parent_name']}")
-        if payload.get("parent_description"):
-            lines.append(f"Parent Description: {payload['parent_description']}")
-        exemplar = payload.get("exemplar")
-        if exemplar:
-            lines.append(
-                f"Example: the label \"{exemplar['name']}\" is described as: "
-                f"{exemplar['description']}"
-            )
+        node, *parent, exemplar = payload["nodes"]  # no parent for a top-level node
+        lines = [f"Label Name: {node['name']}"]
+        for above in parent:
+            lines.append(f"Parent Name: {above['name']}")
+            if above["description"]:
+                lines.append(f"Parent Description: {above['description']}")
+        lines.append(f"Example: the label \"{exemplar['name']}\" is described as: "
+                     f"{exemplar['description']}")
         return "\n".join(lines)
     if tid in (TemplateId.TRAV_SELECT, TemplateId.RERANK, TemplateId.DECREASE_LABELS):
         labels = [_label_line(node, "- ") for node in payload["nodes"]]
@@ -348,28 +342,12 @@ def doc_spec(template_id: TemplateId, doc: Document, nodes: Sequence[Mapping[str
                       len(nodes) if count is None else count)
 
 
-def build_desc_gen_spec(
-    label_name: str,
-    parent_name: str | None,
-    parent_description: str | None,
-    exemplar_name: str,
-    exemplar_description: str,
-) -> PromptSpec:
-    payload: dict[str, Any] = {"label_name": label_name}
-    if parent_name:
-        payload["parent_name"] = parent_name
-    if parent_description:
-        payload["parent_description"] = parent_description
-    payload["exemplar"] = {"name": exemplar_name, "description": exemplar_description}
-    return PromptSpec(template_id=TemplateId.DESC_GEN, user_payload=payload)
-
-
 def description_spec(taxonomy: Taxonomy, node_id: str, exemplar_id: str) -> PromptSpec:
     """The prompt that asks for a description of a node lacking one.
 
-    It carries the label name, the parent name and description when
-    available, and one exemplar node (similar depth, existing description)
-    as a few-shot sample, each as node_payload shapes it.
+    Its nodes, each as node_payload shapes it, are the node, then its parent
+    when it has one, then one exemplar node (similar depth, existing
+    description) as a few-shot sample.
     """
     node = taxonomy.node(node_id)
     if node.description:
@@ -377,15 +355,9 @@ def description_spec(taxonomy: Taxonomy, node_id: str, exemplar_id: str) -> Prom
     exemplar = taxonomy.node(exemplar_id)
     if not exemplar.description:
         raise ValueError(f"exemplar {exemplar_id!r} has no description")
-    example = node_payload(exemplar)
-    parent = node_payload(taxonomy.node(node.parent_id)) if node.parent_id else {}
-    return build_desc_gen_spec(
-        label_name=node_payload(node)["name"],
-        parent_name=parent.get("name"),
-        parent_description=parent.get("description"),
-        exemplar_name=example["name"],
-        exemplar_description=example["description"],
-    )
+    parent = [taxonomy.node(node.parent_id)] if node.parent_id else []
+    nodes = [node_payload(shown) for shown in (node, *parent, exemplar)]
+    return PromptSpec(TemplateId.DESC_GEN, {"nodes": nodes})
 
 
 def description_text(node_id: str, reply: ParsedResponse) -> str:
@@ -595,13 +567,9 @@ def mock_complete(spec: PromptSpec, threshold: float = DEFAULT_OVERLAP_THRESHOLD
     payload = spec.user_payload
     tid = spec.template_id
     if tid is TemplateId.DESC_GEN:
-        label = payload["label_name"]
-        parent = payload.get("parent_name")
-        if parent:
-            text = f"Research and scholarship on {label}, within the broader area of {parent}."
-        else:
-            text = f"Research and scholarship on {label}."
-        return json.dumps({"description": text})
+        node, *parent, _exemplar = payload["nodes"]
+        area = "".join(f", within the broader area of {above['name']}" for above in parent)
+        return json.dumps({"description": f"Research and scholarship on {node['name']}{area}."})
 
     doc_tokens = _payload_doc_tokens(payload)
     if tid in (TemplateId.SELECTP_LEAF, TemplateId.SELECTP_PARENT):

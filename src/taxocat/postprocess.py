@@ -63,8 +63,10 @@ def decrease_labels(
     payloads = []
     for node_id in candidates:
         node = taxonomy.node(node_id)
-        parent = taxonomy.node(node.parent_id) if node.parent_id is not None else None
-        payloads.append(gw.node_payload(node, parent_name=parent and parent.name))
+        # The parent's name as node_payload shapes every name, on one line.
+        parent_name = (gw.node_payload(taxonomy.node(node.parent_id))["name"]
+                       if node.parent_id is not None else None)
+        payloads.append(gw.node_payload(node, parent_name=parent_name))
 
     returned: list[str] = []
     kept: list[str] = []

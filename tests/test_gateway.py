@@ -38,7 +38,7 @@ from taxocat.gateway import (
     ScoreRangeError,
     TemplateId,
     TransportError,
-    build_desc_gen_spec,
+    description_spec,
     doc_spec,
     extract_response,
     load_provider_config,
@@ -54,7 +54,14 @@ from taxocat.retrieval import HttpEmbedder
 from taxocat.strategies import LabelSet, Method
 from taxocat.taxonomy import Taxonomy, TaxonomyNode
 
-from .util import ScriptedProvider, ask_in_order, make_doc, o_jaccard, o_tokens
+from .util import (
+    ScriptedProvider,
+    ask_in_order,
+    make_doc,
+    o_jaccard,
+    o_tokens,
+    recording_mock_gateway,
+)
 
 
 class TestTemplatesAndSpecs:
@@ -63,7 +70,8 @@ class TestTemplatesAndSpecs:
             assert load_template(template_id).strip()
 
     def test_spec_autofills_system_text(self):
-        spec = PromptSpec(template_id=TemplateId.SELECTP_LEAF, user_payload={})
+        spec = doc_spec(TemplateId.SELECTP_LEAF, make_doc("d", "auctions"),
+                        [{"id": "n1", "name": "Markets"}])
         assert spec.system_text == load_template(TemplateId.SELECTP_LEAF)
 
     def test_rerank_spec_fills_counts(self):
@@ -85,9 +93,20 @@ class TestTemplatesAndSpecs:
         doc = make_doc("d", "auctions")
         for n in range(3):
             doc_spec(TemplateId.RERANK, doc, [{"id": f"n{i}", "name": "x"} for i in range(n + 1)])
-            PromptSpec(template_id=TemplateId.SELECTP_LEAF, user_payload={})
+            doc_spec(TemplateId.SELECTP_LEAF, doc, [{"id": "n1", "name": "x"}])
         info = load_template.cache_info()
         assert (info.misses, info.hits) == (2, 4)
+
+    @pytest.mark.parametrize(("template_id", "nodes", "error"), [
+        (TemplateId.SELECTP_LEAF, [{"id": "a", "name": "x"}, {"id": "b", "name": "y"}],
+         ValueError),  # a pointwise prompt shows one node
+        (TemplateId.SELECT_ONE_PASS, [{"id": "a", "name": "x", "is_leaf": True}],
+         KeyError),  # a tree node has a depth
+    ])
+    def test_undrawable_payload_raises_where_the_spec_is_built(self, template_id, nodes, error):
+        # Raised by doc_spec itself, in the caller's thread, before any call is sent.
+        with pytest.raises(error):
+            doc_spec(template_id, make_doc("d", "auctions"), nodes)
 
     def test_user_text_rendered_once_per_spec(self, monkeypatch):
         rendered = []
@@ -195,24 +214,35 @@ class TestNodeLines:
         listed = render_user_text(doc_spec(TemplateId.RERANK, make_doc("d", "auctions"), [node]))
         assert listed.endswith("Labels:\n- n1 | Market design | Auctions and matching markets.")
 
-    @given(st.text().filter(str.strip), st.none() | st.text())
+    @given(st.text().filter(str.strip), st.none() | st.text(), st.text().filter(str.strip))
     @settings(max_examples=300)
-    def test_every_node_is_one_prompt_line(self, name, description):
-        node = node_payload(TaxonomyNode(id="n1", name=name, description=description), depth=1,
-                            is_leaf=True, parent_name=None)
+    def test_every_node_is_one_prompt_line(self, name, description, parent_name):
+        node = TaxonomyNode(id="n1", name=name, description=description, parent_id="p")
+        shaped = node_payload(node, depth=1, is_leaf=True)
         doc = make_doc("d", "auctions")
         for template_id, heading in [(TemplateId.TRAV_SELECT, "Labels:"),
-                                     (TemplateId.DECREASE_LABELS, "Labels:"),
                                      (TemplateId.SELECT_ONE_PASS, "Taxonomy:")]:
-            text = render_user_text(doc_spec(template_id, doc, [node]))
+            text = render_user_text(doc_spec(template_id, doc, [shaped]))
             assert len(text.split(f"\n{heading}\n")[1].splitlines()) == 1
+        # The decrease prompt also draws each candidate's parent name.
+        tax = Taxonomy([TaxonomyNode(id="p", name=parent_name), node,
+                        TaxonomyNode(id="n2", name="Bids", parent_id="p")])
+        gateway = recording_mock_gateway()
+        labels = LabelSet(doc_id="d", leaf_ids=("n1", "n2"), method=Method.SELECT_ONE_PASS)
+        decrease_labels(doc, labels, tax, gateway, max_labels=1)
+        [spec] = gateway.provider.calls
+        lines = spec.user_text.split("\nLabels:\n")[1].splitlines()
+        assert len(lines) == 2
+        assert lines[1] == f"- n2 | Bids (parent: {' '.join(parent_name.split())})"
 
 
 _NODES = [{"id": "n1", "name": "auction design", "description": "bids"},
           {"id": "n2", "name": "ecology", "description": None}]
 _DOC = make_doc("d", "auction design", keywords=["bids"])
 _SPECS = {
-    TemplateId.DESC_GEN: build_desc_gen_spec("Auctions", None, None, "Bids", "About bids."),
+    TemplateId.DESC_GEN: description_spec(
+        Taxonomy([TaxonomyNode(id="a", name="Auctions"),
+                  TaxonomyNode(id="b", name="Bids", description="About bids.")]), "a", "b"),
     TemplateId.TRAV_SELECT: doc_spec(TemplateId.TRAV_SELECT, _DOC, _NODES),
     TemplateId.SELECT_ONE_PASS: doc_spec(
         TemplateId.SELECT_ONE_PASS, _DOC, [dict(n, depth=0, is_leaf=True) for n in _NODES]),
@@ -254,7 +284,8 @@ def test_template_holds_no_brace_but_its_count(template_id):
     # Every system text is its template with the count in place of {count}.
     text = load_template(template_id)
     assert not re.search("[{}]", text.replace("{count}", ""))
-    assert PromptSpec(template_id, {}, count=37).system_text == text.replace("{count}", "37")
+    spec = PromptSpec(template_id, _SPECS[template_id].user_payload, count=37)
+    assert spec.system_text == text.replace("{count}", "37")
 
 
 @pytest.mark.parametrize("count", [1, 3, 7, 40])
@@ -452,13 +483,15 @@ class TestMockProvider:
         title = data.draw(st.text("xyz q1", min_size=1, max_size=10).filter(lambda s: s.strip()))
         nodes = [
             {"id": f"n{i}", "name": (words[i % len(words)] if words else "w") or "w",
-             "description": None, "is_leaf": i % 2 == 0}
+             "description": None, "depth": i % 3, "is_leaf": i % 2 == 0}
             for i in range(n_nodes)
         ]
         if template_id in (TemplateId.SELECTP_LEAF, TemplateId.SELECTP_PARENT):
             nodes = [{"id": "n0", "name": title, "description": None}]
         if template_id is TemplateId.DESC_GEN:
-            spec = build_desc_gen_spec(title, None, None, "n", "d")
+            spec = description_spec(Taxonomy([TaxonomyNode(id="c", name=title),
+                                              TaxonomyNode(id="e", name="n", description="d")]),
+                                    "c", "e")
         else:
             spec = doc_spec(template_id, make_doc("d", title, keywords=words), nodes)
         parsed = extract_response(mock_complete(spec), spec.template_id)

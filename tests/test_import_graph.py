@@ -1,7 +1,7 @@
 """Who may import what: only the command line imports `taxocat.cli`, only the
 gateway imports `requests` or `threading` (the one module with locks), only
-the pipeline imports a `ThreadPoolExecutor`, and the taxonomy does not import
-the gateway.
+the pipeline imports a `ThreadPoolExecutor`, the taxonomy does not import
+the gateway, and only the gateway builds a `PromptSpec`.
 Also, no function takes a stream where a file is meant: files are paths.
 
 Every module under src/taxocat/ is parsed, and each import is resolved to
@@ -93,6 +93,27 @@ def test_taxonomy_does_not_import_the_gateway():
     assert not [f"taxonomy.py:{line} imports {name}"
                 for line, name in _imports(PACKAGE / "taxonomy.py")
                 if name == "taxocat.gateway" or name.startswith("taxocat.gateway.")]
+
+
+def prompt_spec_calls(source: str) -> list[int]:
+    """The line of every call of `PromptSpec`, by its name or off a module."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and "PromptSpec" in _names(node.func)]
+
+
+@pytest.mark.parametrize("source", [
+    "PromptSpec(t, {})", "gw.PromptSpec(t, {})", "taxocat.gateway.PromptSpec(t, payload, 3)",
+    "specs = [PromptSpec(t, p) for p in payloads]",
+])
+def test_every_spelling_of_a_prompt_spec_call_is_seen(source):
+    assert prompt_spec_calls(source) == [1]
+
+
+def test_only_the_gateway_builds_a_prompt_spec():
+    # One prompt layer: every other module asks gateway.doc_spec or description_spec.
+    assert [f"{path.name}:{line}" for path in sorted(PACKAGE.rglob("*.py"))
+            if path.name != "gateway.py"
+            for line in prompt_spec_calls(path.read_text(encoding="utf-8"))] == []
 
 
 STREAM_TYPES = {"IO", "TextIO", "BinaryIO", "StringIO"}

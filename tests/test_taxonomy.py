@@ -14,6 +14,7 @@ from taxocat.gateway import (
     ProviderConfig,
     TransportError,
     generate_descriptions,
+    node_payload,
     render_user_text,
 )
 from taxocat.taxonomy import (
@@ -191,6 +192,13 @@ class TestHierarchyStats:
             assert 1 <= stats.avg_children <= stats.max_children
         assert 1 <= stats.avg_leaf_depth <= stats.max_leaf_depth
 
+    @pytest.mark.parametrize("max_depth", [1, 2, 3])
+    def test_random_forest_keeps_its_max_depth(self, max_depth):
+        for seed in range(20):
+            tax = random_forest(random.Random(seed), 30, max_depth=max_depth)
+            assert len(tax) == 30
+            assert all(1 <= tax.depth(node.id) <= max_depth for node in tax)
+
     def test_counts_partition_at_ten_thousand_nodes(self):
         tax = random_forest(random.Random(10_000), 10_000)
         stats = hierarchy_stats(tax)
@@ -319,13 +327,14 @@ class TestGenerateDescription:
         )
 
     def test_prompt_carries_label_parent_and_exemplar(self):
+        tax = self._taxonomy()
         gateway = recording_mock_gateway()
-        generate_descriptions(self._taxonomy(), {"c": "e"}, gateway)
+        generate_descriptions(tax, {"c": "e"}, gateway)
         payload = gateway.provider.calls[0].user_payload
-        assert payload["label_name"] == "Auction Design"
-        assert payload["parent_name"] == "Game Theory"
-        assert payload["parent_description"] == "Strategic interaction"
-        assert payload["exemplar"]["name"] == "Bargaining Theory"
+        assert payload == {"nodes": [node_payload(tax.node(i)) for i in ("c", "p", "e")]}
+        assert [node["name"] for node in payload["nodes"]] == [
+            "Auction Design", "Game Theory", "Bargaining Theory"]
+        assert payload["nodes"][1]["description"] == "Strategic interaction"
 
     def test_top_level_node_omits_parent_fields(self):
         tax = Taxonomy(
@@ -338,7 +347,10 @@ class TestGenerateDescription:
         text = generate_descriptions(tax, {"r": "e"}, gateway)["r"]
         assert text
         payload = gateway.provider.calls[0].user_payload
-        assert "parent_name" not in payload and "parent_description" not in payload
+        assert payload == {"nodes": [node_payload(tax.node(i)) for i in ("r", "e")]}
+        assert render_user_text(gateway.provider.calls[0]).split("\n") == [
+            "Label Name: Ecology",
+            'Example: the label "Biology" is described as: Living systems']
 
     def test_prompt_nodes_are_shaped_like_every_other_prompt(self):
         tax = Taxonomy(
@@ -397,7 +409,7 @@ class TestGenerateDescription:
             """Fails the 7th node at once and the 3rd after 50 ms; replies empty to the 5th."""
 
             def complete(self, spec, reminder=None):
-                label = spec.user_payload["label_name"]
+                label = spec.user_payload["nodes"][0]["name"]
                 if label == "Topic 6":
                     raise TransportError("7th failed")
                 if label == "Topic 2":

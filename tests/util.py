@@ -69,9 +69,10 @@ def vocab_doc(rng: random.Random, doc_id: str) -> Document:
 
 
 def random_forest(rng: random.Random, n_nodes: int, max_depth: int = 9) -> Taxonomy:
-    """Random forest of n_nodes; parents drawn among shallower earlier nodes."""
-    assert n_nodes >= 1
-    n_roots = rng.randint(1, max(1, n_nodes // 10))
+    """Random forest of n_nodes; parents drawn among shallower earlier nodes.
+    At max_depth 1 no node can be a parent, so every node is top-level."""
+    assert n_nodes >= 1 and max_depth >= 1
+    n_roots = n_nodes if max_depth == 1 else rng.randint(1, max(1, n_nodes // 10))
     nodes = []
     depths = []
     for i in range(n_nodes):
