@@ -196,7 +196,7 @@ class ProviderConfig:
     temperature: float = 0.0
     max_retries: int = 3
     timeout: float = 60.0
-    max_in_flight: int = 32  # calls sent through call groups in flight at once, at most
+    max_in_flight: int = 32  # LLM requests in flight at once, at most
     credentials: str | None = None  # environment variable naming the secret
     embedding_endpoint: str | None = None  # the CLI's document and leaf embedder
     embedding_model: str = "default"
@@ -758,13 +758,13 @@ class Provider(Protocol):
     def complete(self, spec: PromptSpec, reminder: str | None = None) -> str: ...
 
 
-# A CallGroup runs its calls on one process-wide CallPool per width, the
-# provider config's max_in_flight, so at most that many of them are in flight
-# whatever the number of document workers, gateways or groups. A hosted LLM's
-# call waits on the network, not on local CPUs, so the provider's rate limit is
-# what should set the width. Every pool serves the oldest rank first: a
-# document opens one group, so its calls, parent verdicts sent late included,
-# go ahead of every later document's calls.
+# One process-wide CallPool per width, the provider config's max_in_flight,
+# runs the CallGroups' concurrent calls, and every LLM request holds one of
+# its units, so at most that many are in flight whatever the number of
+# document workers, gateways or groups. A hosted LLM's call waits on the
+# network, not on local CPUs, so the provider's rate limit should set the
+# width. Every pool serves the oldest rank first: a document has one group,
+# made in input order, so its calls go ahead of every later document's.
 _call_pools: dict[int, CallPool] = {}
 _call_pools_lock = threading.Lock()
 _ranks = itertools.count()  # group ranks, process-wide, so shared by every pool
@@ -807,19 +807,18 @@ class CallPool:
 
     def __init__(self, width: int):
         self.width = width
+        self.units = threading.BoundedSemaphore(width)  # one per provider request out
         self._queue: queue.PriorityQueue = queue.PriorityQueue()
         self._submits = itertools.count()
         self._idle = threading.Semaphore(0)  # one release per thread waiting on an empty queue
         self._threads = 0
         self._threads_lock = threading.Lock()
 
-    def submit(self, fn: Callable[..., T], *args: Any, rank: int | None = None) -> Future:
-        """fn(*args) on the pool; its Future holds the outcome. Without a
-        rank the call takes a new one, so it starts after the calls of every
-        group made before it."""
+    def submit(self, fn: Callable[..., T], *args: Any, rank: int) -> Future:
+        """fn(*args) on the pool, after every queued call of an older rank
+        (a CallGroup's); its Future holds the outcome."""
         future: Future = Future()
-        self._queue.put((next(_ranks) if rank is None else rank, next(self._submits),
-                         future, fn, args))
+        self._queue.put((rank, next(self._submits), future, fn, args))
         if not self._idle.acquire(blocking=False):
             with self._threads_lock:
                 if self._threads < self.width:
@@ -875,6 +874,7 @@ class LlmGateway:
     ):
         self.provider = provider
         self.config = config or ProviderConfig()
+        self.pool = _call_pool(self.config.max_in_flight)  # its groups' calls and request units
         self.audit_log = audit_log
         self._counter_lock = threading.Lock()
         self.calls_made = 0
@@ -905,7 +905,8 @@ class LlmGateway:
         def send(attempt: int) -> ParsedResponse:
             nonlocal reminder
             try:
-                raw = self.provider.complete(spec, reminder=reminder)
+                with self.pool.units:  # held while the request is out, never in a backoff
+                    raw = self.provider.complete(spec, reminder=reminder)
             except ProviderError as exc:
                 self._audit(spec, doc_id, attempt, f"provider_error:{type(exc).__name__}")
                 raise
@@ -925,7 +926,7 @@ class LlmGateway:
         return with_retries(send, self.config.max_retries)
 
     def group(self) -> CallGroup:
-        """A new CallGroup, the one way to send this gateway's calls concurrently."""
+        """A new CallGroup, the one way to send this gateway's calls: one per document."""
         return CallGroup(self)
 
     def _audit(self, spec: PromptSpec, doc_id: str | None, attempt: int, outcome: str) -> None:
@@ -936,10 +937,10 @@ class LlmGateway:
 
 
 class CallGroup:
-    """Calls sent concurrently on the process-wide pool of config.max_in_flight
-    threads, used as a context manager: `with gateway.group() as calls:`.
-    A group's calls rank by when the group was made, so an older group's
-    calls start first.
+    """One document's calls, in a block: `with gateway.group() as calls:`.
+    `submit` sends a call on the process-wide pool of max_in_flight threads,
+    an older group's calls first; `call` sends one in this thread, and its
+    request waits for a unit of the width in arrival order, not rank order.
 
     Once one of the group's calls raises a RefusedError, its
     calls that start later raise it too, without sending a request. Leaving
@@ -955,13 +956,13 @@ class CallGroup:
         self._rank = next(_ranks)
 
     def submit(self, spec: PromptSpec) -> Future:
-        """gateway.call_with_retry(spec) on the pool; its Future holds the reply."""
-        future = _call_pool(self._gateway.config.max_in_flight).submit(
-            self._call, spec, rank=self._rank)
+        """call(spec) on the pool; its Future holds the reply."""
+        future = self._gateway.pool.submit(self.call, spec, rank=self._rank)
         self._futures.append(future)
         return future
 
-    def _call(self, spec: PromptSpec) -> ParsedResponse:
+    def call(self, spec: PromptSpec) -> ParsedResponse:
+        """gateway.call_with_retry(spec) in this thread, unless the group is latched."""
         if self._latched is not None:
             raise self._latched
         try:

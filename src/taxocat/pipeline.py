@@ -102,11 +102,12 @@ def classify_document(
     doc: Document,
     taxonomy: Taxonomy,
     ranking: retrieval.LeafRanking | Exception | None,
-    gateway: gw.LlmGateway,
+    calls: gw.CallGroup,
     config: RunConfig,
 ) -> dict[str, Any]:
     """One output record for `doc`, from its top-k leaf ranking or the error
-    ranking it raised (`ranked`); trav-select takes None.
+    ranking it raised (`ranked`); trav-select takes None. Every LLM call goes
+    through `calls`, held open around all the document's work.
 
     Any failure becomes a `hard-failure` record, so one document cannot
     kill the batch; a RefusedError is raised instead, because every later
@@ -115,28 +116,29 @@ def classify_document(
     method = config.method
     try:
         pt = None
-        if method is strategies.Method.TRAV_SELECT:
-            labels = strategies.classify_trav_select(doc, taxonomy, gateway)
-        else:
-            if isinstance(ranking, Exception):
-                raise ranking
-            pt = retrieval.build_pruned_taxonomy(taxonomy, ranking, config.top_k)
-            if method is strategies.Method.SELECT_ONE_PASS:
-                labels = strategies.classify_select_one_pass(doc, taxonomy, pt, gateway)
-            elif method is strategies.Method.RERANK:
-                labels = strategies.classify_rerank(
-                    doc, taxonomy, pt, gateway,
-                    fn=config.aggregation, top_n=config.postprocess.max_labels,
-                )
+        with calls:
+            if method is strategies.Method.TRAV_SELECT:
+                labels = strategies.classify_trav_select(doc, taxonomy, calls)
             else:
-                labels = strategies.classify_select_pointwise(
-                    doc, taxonomy, pt, gateway,
-                    label_range=config.label_range, contextualize=config.contextualize,
-                )
-        labels = postprocess.postprocess_chain(
-            doc, labels, taxonomy, pt, gateway, config.postprocess,
-            rng=_doc_rng(config.seed, doc.doc_id),
-        )
+                if isinstance(ranking, Exception):
+                    raise ranking
+                pt = retrieval.build_pruned_taxonomy(taxonomy, ranking, config.top_k)
+                if method is strategies.Method.SELECT_ONE_PASS:
+                    labels = strategies.classify_select_one_pass(doc, taxonomy, pt, calls)
+                elif method is strategies.Method.RERANK:
+                    labels = strategies.classify_rerank(
+                        doc, taxonomy, pt, calls,
+                        fn=config.aggregation, top_n=config.postprocess.max_labels,
+                    )
+                else:
+                    labels = strategies.classify_select_pointwise(
+                        doc, taxonomy, pt, calls,
+                        label_range=config.label_range, contextualize=config.contextualize,
+                    )
+            labels = postprocess.postprocess_chain(
+                doc, labels, taxonomy, pt, calls, config.postprocess,
+                rng=_doc_rng(config.seed, doc.doc_id),
+            )
     except gw.RefusedError:
         raise
     except Exception as exc:
@@ -191,7 +193,7 @@ def classify_batch(
     and return the number of hard failures. This thread ranks the documents
     and writes each record, flushed, as soon as it is next, so a batch that
     stops or is killed keeps every finished document; `config.parallelism`
-    workers classify them."""
+    workers classify them, each in a call group this thread makes in input order."""
     if not config.include_descriptions:
         # The one place the no-description ablation applies: no prompt sees a
         # description, while the store, embedded from the full taxonomy, does.
@@ -200,14 +202,15 @@ def classify_batch(
             else ranked(docs, taxonomy, store, embedder, config.top_k))
     failures = 0
 
-    def classify_one(item: tuple[Document, Any]) -> dict[str, Any]:
-        return classify_document(item[0], taxonomy, item[1], gateway, config)
+    def classify_one(item: tuple[Document, Any, gw.CallGroup]) -> dict[str, Any]:
+        return classify_document(item[0], taxonomy, item[1], item[2], config)
 
     def counted(record: dict[str, Any]) -> dict[str, Any]:
         nonlocal failures
         failures += FLAG_HARD_FAILURE in record["flags"]
         return record
 
-    with closing(_in_order(classify_one, work, config.parallelism)) as records:
+    admitted = ((doc, ranking, gateway.group()) for doc, ranking in work)
+    with closing(_in_order(classify_one, admitted, config.parallelism)) as records:
         ndjson.write_records(config.output_path, map(counted, records), DocumentError, "output")
     return failures

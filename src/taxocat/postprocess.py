@@ -43,7 +43,7 @@ def decrease_labels(
     doc: Document,
     labels: LabelSet,
     taxonomy: Taxonomy,
-    gateway: gw.LlmGateway,
+    calls: gw.CallGroup,
     max_labels: int = 5,
 ) -> LabelSet:
     """Reduce an oversized label set to exactly max_labels.
@@ -72,7 +72,7 @@ def decrease_labels(
     kept: list[str] = []
     try:
         spec = gw.doc_spec(gw.TemplateId.DECREASE_LABELS, doc, payloads, max_labels)
-        returned = list(gateway.call_with_retry(spec).ids)
+        returned = list(calls.call(spec).ids)
         kept = known_ids(returned, set(candidates), f"decrease[{doc.doc_id}]")[:max_labels]
     except (gw.RetryExhaustedError, gw.TransportError):
         logger.warning("decrease[%s]: provider failed, falling back to input order", doc.doc_id)
@@ -150,7 +150,7 @@ def postprocess_chain(
     labels: LabelSet,
     taxonomy: Taxonomy,
     pt: PrunedTaxonomy | None,
-    gateway: gw.LlmGateway,
+    calls: gw.CallGroup,
     config: PostProcessConfig,
     rng: random.Random,
 ) -> LabelSet:
@@ -167,7 +167,7 @@ def postprocess_chain(
         if config.random_decrease:
             out = random_decrease(out, config.max_labels, rng)
         else:
-            out = decrease_labels(doc, out, taxonomy, gateway, config.max_labels)
+            out = decrease_labels(doc, out, taxonomy, calls, config.max_labels)
     if config.apply_sibling:
         out = enforce_sibling_diversity(out, taxonomy, pt, config.sibling_cap)
     return out

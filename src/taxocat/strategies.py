@@ -83,7 +83,7 @@ def known_ids(ids: Iterable[str], known: set[str], context: str) -> list[str]:
 def classify_trav_select(
     doc: Document,
     taxonomy: Taxonomy,
-    gateway: gw.LlmGateway,
+    calls: gw.CallGroup,
 ) -> LabelSet:
     """Layer-by-layer traversal: present each frontier, descend into chosen parents.
 
@@ -96,7 +96,7 @@ def classify_trav_select(
     rounds: list[dict[str, Any]] = []
     while frontier:
         nodes = [gw.node_payload(taxonomy.node(nid)) for nid in frontier]
-        parsed = gateway.call_with_retry(gw.doc_spec(gw.TemplateId.TRAV_SELECT, doc, nodes))
+        parsed = calls.call(gw.doc_spec(gw.TemplateId.TRAV_SELECT, doc, nodes))
         chosen = known_ids(parsed.ids, set(frontier), f"trav_select[{doc.doc_id}]")
         rounds.append({"frontier": list(frontier), "selected": list(chosen)})
         next_frontier: list[str] = []
@@ -143,11 +143,11 @@ def classify_select_one_pass(
     doc: Document,
     taxonomy: Taxonomy,
     pt: PrunedTaxonomy,
-    gateway: gw.LlmGateway,
+    calls: gw.CallGroup,
 ) -> LabelSet:
     """Single prompt over the whole pruned taxonomy; keep returned leaf ids."""
     nodes = _pruned_tree_payloads(taxonomy, pt)
-    parsed = gateway.call_with_retry(gw.doc_spec(gw.TemplateId.SELECT_ONE_PASS, doc, nodes))
+    parsed = calls.call(gw.doc_spec(gw.TemplateId.SELECT_ONE_PASS, doc, nodes))
     kept = known_ids(parsed.ids, set(pt.leaf_ids), f"select_one_pass[{doc.doc_id}]")
     return LabelSet(
         doc_id=doc.doc_id,
@@ -214,7 +214,7 @@ def classify_rerank(
     doc: Document,
     taxonomy: Taxonomy,
     pt: PrunedTaxonomy,
-    gateway: gw.LlmGateway,
+    calls: gw.CallGroup,
     fn: AggregationFunction = AggregationFunction.LEAF_ONLY,
     top_n: int = 5,
 ) -> LabelSet:
@@ -227,7 +227,7 @@ def classify_rerank(
     scores from both replies. If the second call cannot be completed, the
     leaf's direct-parent score stands in for the ancestors it would have
     scored, and the result is flagged. A RefusedError from either call is
-    raised.
+    raised; the caller's `with calls:` then cancels a second call not started.
     """
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
@@ -243,18 +243,14 @@ def classify_rerank(
     deeper_scores: dict[str, float] = {}
     # The deeper ancestors are known before any reply, so their call goes
     # out on the shared pool while this thread asks for the rest.
-    with gateway.group() as calls:
-        deeper_call = calls.submit(_rerank_spec(doc, taxonomy, deeper)) if deeper else None
-        scores = _read_scores(
-            doc, first_ids, gateway.call_with_retry(_rerank_spec(doc, taxonomy, first_ids))
-        )
-        # Read inside the block: leaving it cancels a deeper call still queued.
-        if deeper_call is not None:
-            try:
-                deeper_scores = _read_scores(doc, deeper, deeper_call.result())
-            except (gw.RetryExhaustedError, gw.TransportError, ScoringIncompleteError):
-                logger.warning("rerank[%s]: ancestor scoring unavailable", doc.doc_id)
-                flags.append(FLAG_ANCESTOR_SCORES_UNAVAILABLE)
+    deeper_call = calls.submit(_rerank_spec(doc, taxonomy, deeper)) if deeper else None
+    scores = _read_scores(doc, first_ids, calls.call(_rerank_spec(doc, taxonomy, first_ids)))
+    if deeper_call is not None:
+        try:
+            deeper_scores = _read_scores(doc, deeper, deeper_call.result())
+        except (gw.RetryExhaustedError, gw.TransportError, ScoringIncompleteError):
+            logger.warning("rerank[%s]: ancestor scoring unavailable", doc.doc_id)
+            flags.append(FLAG_ANCESTOR_SCORES_UNAVAILABLE)
 
     known = {**deeper_scores, **scores}
     final = {
@@ -339,7 +335,7 @@ def classify_select_pointwise(
     doc: Document,
     taxonomy: Taxonomy,
     pt: PrunedTaxonomy,
-    gateway: gw.LlmGateway,
+    calls: gw.CallGroup,
     label_range: tuple[int, int] = (1, 5),
     contextualize: bool = True,
 ) -> LabelSet:
@@ -349,13 +345,13 @@ def classify_select_pointwise(
     both positive (contextualization); each parent is assessed once per
     document. With contextualize off, leaf verdicts alone decide.
 
-    Every leaf verdict is asked at once through one call group, and a
-    parent's as soon as the first fitting leaf under it is known, so no
-    parent waits for the slowest leaf. Replies are read in leaf order, then
-    in the order of each parent's first fitting leaf, so the first failure
-    raised is the one asking leaves and then parents in that order would
-    raise. The group's rules hold: after a RefusedError, calls not
-    yet started send nothing, and no call outlives the document.
+    Every leaf verdict is submitted at once to the document's call group,
+    and a parent's as soon as the first fitting leaf under it is known, so
+    no parent waits for the slowest leaf. Replies are read in leaf order,
+    then in the order of each parent's first fitting leaf, so the first
+    failure raised is the one asking leaves and then parents in that order
+    would raise. After a RefusedError, calls not yet started send nothing,
+    and when this raises, the caller's `with calls:` cancels them.
     """
     parent_of = {leaf_id: taxonomy.node(leaf_id).parent_id for leaf_id in pt.leaf_ids}
 
@@ -364,27 +360,26 @@ def classify_select_pointwise(
 
     parent_calls: dict[str, Future] = {}
     parent_verdicts: dict[str, gw.ParentVerdict] = {}
-    with gateway.group() as calls:
-        leaf_calls = {leaf_id: calls.submit(spec(gw.TemplateId.SELECTP_LEAF, leaf_id))
-                      for leaf_id in pt.leaf_ids}
-        if contextualize:
-            leaf_of = {call: leaf_id for leaf_id, call in leaf_calls.items()}
-            for call in as_completed(leaf_of):
-                if call.exception() is not None:
-                    break  # the document fails; reading in leaf order raises
-                parent_id = parent_of[leaf_of[call]]
-                if (call.result().label_fit and parent_id is not None
-                        and parent_id not in parent_calls):
-                    parent_calls[parent_id] = calls.submit(
-                        spec(gw.TemplateId.SELECTP_PARENT, parent_id))
-        leaf_verdicts = {leaf_id: call.result() for leaf_id, call in leaf_calls.items()}
-        if contextualize:
-            fitting_parents = dict.fromkeys(
-                parent_of[leaf_id]
-                for leaf_id in pt.leaf_ids
-                if leaf_verdicts[leaf_id].label_fit and parent_of[leaf_id] is not None
-            )
-            parent_verdicts = {pid: parent_calls[pid].result() for pid in fitting_parents}
+    leaf_calls = {leaf_id: calls.submit(spec(gw.TemplateId.SELECTP_LEAF, leaf_id))
+                  for leaf_id in pt.leaf_ids}
+    if contextualize:
+        leaf_of = {call: leaf_id for leaf_id, call in leaf_calls.items()}
+        for call in as_completed(leaf_of):
+            if call.exception() is not None:
+                break  # the document fails; reading in leaf order raises
+            parent_id = parent_of[leaf_of[call]]
+            if (call.result().label_fit and parent_id is not None
+                    and parent_id not in parent_calls):
+                parent_calls[parent_id] = calls.submit(
+                    spec(gw.TemplateId.SELECTP_PARENT, parent_id))
+    leaf_verdicts = {leaf_id: call.result() for leaf_id, call in leaf_calls.items()}
+    if contextualize:
+        fitting_parents = dict.fromkeys(
+            parent_of[leaf_id]
+            for leaf_id in pt.leaf_ids
+            if leaf_verdicts[leaf_id].label_fit and parent_of[leaf_id] is not None
+        )
+        parent_verdicts = {pid: parent_calls[pid].result() for pid in fitting_parents}
 
     trace = PointwiseTrace(
         leaf_order=tuple(pt.leaf_ids),

@@ -33,9 +33,13 @@ class TaxonomyIntegrityError(TaxonomyError):
 class TaxonomyNode:
     id: str
     name: str
-    description: str | None = None
+    description: str | None = None  # None for an empty or all-whitespace one
     parent_id: str | None = None
     acronym_expanded: bool = False
+
+    def __post_init__(self):
+        if self.description is not None and not self.description.strip():
+            object.__setattr__(self, "description", None)
 
 
 @dataclass(frozen=True)

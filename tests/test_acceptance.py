@@ -187,13 +187,13 @@ def test_criterion_3_mock_oracle_equivalence():
         order = rng.sample(list(tax.leaf_ids()), 27)
         pt = build_pruned_taxonomy(tax, _ranking_for(order, doc.doc_id), 40)
 
-        pointwise = classify_select_pointwise(doc, tax, pt, gateway)
+        pointwise = classify_select_pointwise(doc, tax, pt, gateway.group())
         assert list(pointwise.leaf_ids) == oracle_pointwise(doc, tax, pt, THRESHOLD)
 
-        one_pass = classify_select_one_pass(doc, tax, pt, gateway)
+        one_pass = classify_select_one_pass(doc, tax, pt, gateway.group())
         assert set(one_pass.leaf_ids) == oracle_one_pass(doc, tax, pt, THRESHOLD)
 
-        traversal = classify_trav_select(doc, tax, gateway)
+        traversal = classify_trav_select(doc, tax, gateway.group())
         assert list(traversal.leaf_ids) == oracle_trav_select(doc, tax, THRESHOLD)
         matches += 1
     elapsed = time.perf_counter() - started
@@ -231,7 +231,7 @@ def test_criterion_4_aggregation_correctness():
         for trial in range(10):
             table = {node.id: round(rng.uniform(0.01, 1.0), 2) for node in tax}
             gateway = LlmGateway(TableProvider(table), ProviderConfig())
-            labels = classify_rerank(make_doc("d", "x"), tax, pt, gateway, fn=fn, top_n=27)
+            labels = classify_rerank(make_doc("d", "x"), tax, pt, gateway.group(), fn=fn, top_n=27)
             final = {}
             for leaf_id in pt.leaf_ids:
                 chain = tax.path_to_root(leaf_id)[1:]
@@ -271,7 +271,7 @@ def test_criterion_5_postprocess_bounds():
         picked = rng.sample(leaves, size)
         pt = build_pruned_taxonomy(tax, _ranking_for(rng.sample(leaves, len(leaves))), 72)
         labels = LabelSet(doc_id="d", leaf_ids=tuple(picked), method=Method.SELECT_ONE_PASS)
-        out = postprocess_chain(doc, labels, tax, pt, gateway, config, rng=rng)
+        out = postprocess_chain(doc, labels, tax, pt, gateway.group(), config, rng=rng)
         assert len(out.leaf_ids) <= config.max_labels
         if size == 0:
             assert FLAG_NEEDS_REVIEW in out.flags
@@ -317,7 +317,7 @@ def test_criterion_6_trav_select_termination():
         provider = RecordingMockProvider(threshold=0.0 if trial == 0 else THRESHOLD)
         gateway = LlmGateway(provider, ProviderConfig())
         doc = make_doc("d", "alpha beta topic")
-        classify_trav_select(doc, tax, gateway)
+        classify_trav_select(doc, tax, gateway.group())
         transcript = [c for c in provider.calls if c.template_id is TemplateId.TRAV_SELECT]
         assert len(transcript) <= 9
         presented = [n["id"] for call in transcript for n in call.user_payload["nodes"]]

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taxocat import gateway as gw
+from taxocat import cli, gateway as gw, pipeline, retrieval
 from taxocat.gateway import (
     AuditLog,
     AuthError,
@@ -60,7 +60,9 @@ from .util import (
     make_doc,
     o_jaccard,
     o_tokens,
+    random_forest,
     recording_mock_gateway,
+    vocab_doc,
 )
 
 
@@ -229,7 +231,7 @@ class TestNodeLines:
                         TaxonomyNode(id="n2", name="Bids", parent_id="p")])
         gateway = recording_mock_gateway()
         labels = LabelSet(doc_id="d", leaf_ids=("n1", "n2"), method=Method.SELECT_ONE_PASS)
-        decrease_labels(doc, labels, tax, gateway, max_labels=1)
+        decrease_labels(doc, labels, tax, gateway.group(), max_labels=1)
         [spec] = gateway.provider.calls
         lines = spec.user_text.split("\nLabels:\n")[1].splitlines()
         assert len(lines) == 2
@@ -729,7 +731,7 @@ class TestHttpProvider:
                           for lid in leaves)])
         labels = LabelSet(doc_id="d", leaf_ids=tuple(leaves), method=Method.SELECT_ONE_PASS)
         session = _ScriptedSession(_FakeResponse(content=None))
-        out = decrease_labels(make_doc("d", "t"), labels, tax, _http_gateway(session))
+        out = decrease_labels(make_doc("d", "t"), labels, tax, _http_gateway(session).group())
         assert session.posts == 4
         assert out.leaf_ids == tuple(leaves[:5])
         assert out.flags == (FLAG_DECREASE_FALLBACK,)
@@ -968,7 +970,8 @@ class TestCallGroup:
                 raise RuntimeError("body failed")
         assert open_calls == 0
         assert [future.cancelled() for future in futures] == [False] * width + [True] * 3
-        gw._call_pool(width).submit(lambda: None).result(timeout=10)  # the queue is worked off
+        # The queue is worked off.
+        gw._call_pool(width).submit(lambda: None, rank=next(gw._ranks)).result(timeout=10)
         assert gateway.provider.calls == width
 
     def test_two_groups_on_one_gateway_do_not_share_a_latch(self):
@@ -1106,7 +1109,7 @@ class TestCallPools:
     @staticmethod
     def _held(pool, release: threading.Event):
         """A call that keeps the pool's one thread busy until `release` is set."""
-        return pool.submit(release.wait, 10)
+        return pool.submit(release.wait, 10, rank=0)
 
     def test_an_older_groups_calls_start_first(self, no_pools):
         started = []
@@ -1121,35 +1124,22 @@ class TestCallPools:
             wait(calls, timeout=10)
         assert started == [0, 3, 1, 2]
 
-    def test_a_call_outside_any_group_starts_after_the_older_groups(self, no_pools):
-        started = []
-        gateway = LlmGateway(_FnProvider(started.append), ProviderConfig(max_in_flight=1))
-        pool = gw._call_pool(1)
-        release = threading.Event()
-        self._held(pool, release)
-        with gateway.group() as older:
-            older.submit(_wave_spec(0))
-            outside = pool.submit(started.append, "outside")
-            with gateway.group() as newer:
-                calls = [newer.submit(_wave_spec(1)), older.submit(_wave_spec(2))]
-                release.set()
-                wait([outside, *calls], timeout=10)
-        assert started == [0, 2, "outside", 1]
-
     def test_a_call_raising_keyboard_interrupt_keeps_the_width(self):
         pool = gw.CallPool(2)
 
         def interrupted():
             raise KeyboardInterrupt
 
-        assert isinstance(pool.submit(interrupted).exception(timeout=10), KeyboardInterrupt)
+        assert isinstance(pool.submit(interrupted, rank=0).exception(timeout=10),
+                          KeyboardInterrupt)
         barrier = threading.Barrier(2, timeout=10)  # broken unless both threads serve
         assert sorted(f.result(timeout=10)
-                      for f in [pool.submit(barrier.wait) for _ in range(2)]) == [0, 1]
+                      for f in [pool.submit(barrier.wait, rank=1) for _ in range(2)]) == [0, 1]
 
     def test_sequential_calls_start_one_thread(self):
         pool = gw.CallPool(4)
-        threads = {pool.submit(threading.current_thread).result(timeout=10) for _ in range(20)}
+        threads = {pool.submit(threading.current_thread, rank=i).result(timeout=10)
+                   for i in range(20)}
         assert len(threads) == 1
         assert threads.pop().name == "taxocat-call-1"
 
@@ -1158,7 +1148,7 @@ class TestCallPools:
         results = []
 
         def submitter(k):
-            futures = [pool.submit(lambda i: (i, threading.current_thread()), 100 * k + i)
+            futures = [pool.submit(lambda i: (i, threading.current_thread()), 100 * k + i, rank=k)
                        for i in range(100)]
             results.extend(f.result(timeout=30) for f in futures)
 
@@ -1231,3 +1221,146 @@ class TestCallPools:
         monkeypatch.setattr(gw.os, "confstr", lambda name: "glibc 2.36")
         gateway = LlmGateway(_FnProvider(), ProviderConfig(max_in_flight=3))
         assert ask_in_order(gateway, [_wave_spec(1)]) == [BestLabels(ids=("d1",))]
+
+
+class _InFlightMock:
+    """The mock's replies, each after `sleep_s`; records the most calls in
+    flight at once and the thread each call was sent from."""
+
+    def __init__(self, sleep_s: float = 0.0):
+        self.sleep_s = sleep_s
+        self.open = self.peak = 0
+        self.threads: list[threading.Thread] = []
+        self._lock = threading.Lock()
+
+    def complete(self, spec, reminder=None):
+        with self._lock:
+            self.open += 1
+            self.peak = max(self.peak, self.open)
+            self.threads.append(threading.current_thread())
+        try:
+            time.sleep(self.sleep_s)
+            return mock_complete(spec)
+        finally:
+            with self._lock:
+                self.open -= 1
+
+
+def _batch_docs():
+    rng = random.Random(13)
+    return [vocab_doc(rng, f"d{i:02d}") for i in range(12)]
+
+
+def _run_batch(out: Path, strategy: str, provider, parallelism: int,
+               max_in_flight: int = 32) -> tuple[bytes, LlmGateway]:
+    """The output bytes and gateway of a 12-document batch over a 300-node
+    forest at top-k 20. Rerank aggregates over all ancestors, so it sends
+    its second call, and some pointwise results are decreased."""
+    taxonomy = random_forest(random.Random(2), 300)
+    embedder = retrieval.HashBagEmbedder()
+    agg = ["--agg", "harmonic-all-ancestors"] if strategy == "rerank" else []
+    config = cli._resolve_run_config(cli.build_parser().parse_args(
+        ["classify", "--taxonomy", str(out), "--documents", str(out), "--output", str(out),
+         "--strategy", strategy, "--mock", "--top-k", "20", "--seed", "5",
+         "--parallelism", str(parallelism), *agg]))
+    gateway = LlmGateway(provider, ProviderConfig(max_in_flight=max_in_flight))
+    assert pipeline.classify_batch(_batch_docs(), taxonomy,
+                                   retrieval.embed_taxonomy_leaves(taxonomy, embedder),
+                                   embedder, gateway, config) == 0
+    return out.read_bytes(), gateway
+
+
+def _counters(gateway: LlmGateway) -> tuple[int, int, int]:
+    return gateway.calls_made, gateway.characters_out, gateway.characters_in
+
+
+class TestOneCallPath:
+    """Every call of a document goes through its group, and every provider
+    request holds a unit of the max_in_flight width."""
+
+    @pytest.mark.parametrize("strategy", sorted(cli.STRATEGY_CHOICES))
+    def test_calls_in_flight_never_exceed_max_in_flight(self, tmp_path, strategy):
+        width = 2
+        provider = _InFlightMock(sleep_s=0.005)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more workers than cores, switching often
+        try:
+            out, gateway = _run_batch(tmp_path / "wide.ndjson", strategy, provider,
+                                      parallelism=8, max_in_flight=width)
+        finally:
+            sys.setswitchinterval(interval)
+        assert 1 < provider.peak <= width
+        assert strategy != "pointwise" or b'"decrease"' in out  # its one lone call
+        alone, reference = _run_batch(tmp_path / "alone.ndjson", strategy, _InFlightMock(),
+                                      parallelism=1)
+        assert out == alone
+        assert _counters(gateway) == _counters(reference)
+
+    @pytest.mark.parametrize("strategy", ["one-pass", "trav-select"])
+    def test_one_worker_sends_every_call_from_its_own_thread(self, tmp_path, strategy):
+        # A call made alone is not handed to a pool thread and waited for.
+        provider = _InFlightMock()
+        _run_batch(tmp_path / "out.ndjson", strategy, provider, parallelism=1)
+        assert provider.threads
+        assert set(provider.threads) == {threading.current_thread()}
+
+    @pytest.mark.parametrize("strategy", sorted(cli.STRATEGY_CHOICES))
+    def test_each_documents_group_is_made_by_the_batch_in_input_order(
+            self, tmp_path, monkeypatch, strategy):
+        made = []
+        given = {}
+        group = LlmGateway.group
+        classify_document = pipeline.classify_document
+
+        def recorded_group(self):
+            made.append((threading.current_thread(), group(self)))
+            return made[-1][1]
+
+        def recorded_classify(doc, taxonomy, ranking, calls, config):
+            given[doc.doc_id] = calls
+            return classify_document(doc, taxonomy, ranking, calls, config)
+
+        monkeypatch.setattr(LlmGateway, "group", recorded_group)
+        monkeypatch.setattr(pipeline, "classify_document", recorded_classify)
+        _run_batch(tmp_path / "out.ndjson", strategy, _InFlightMock(), parallelism=4)
+        assert {thread for thread, _ in made} == {threading.current_thread()}
+        assert [calls for _, calls in made] == [given[doc.doc_id] for doc in _batch_docs()]
+
+    def test_backoff_holds_no_unit(self, monkeypatch):
+        units = gw._call_pool(1).units
+        free_in_backoff = []
+
+        def sleep(seconds):
+            free = units.acquire(blocking=False)
+            free_in_backoff.append(free)
+            if free:
+                units.release()
+
+        monkeypatch.setattr("taxocat.gateway.time.sleep", sleep)
+        session = _ScriptedSession(_HTTP_500, _OK)
+        _http_gateway(session, max_in_flight=1).group().call(_empty_spec())
+        assert session.posts == 2
+        assert free_in_backoff == [True]
+
+    def test_a_lone_call_waits_for_a_unit_held_by_a_pooled_call(self):
+        pooled_started = threading.Event()
+        release = threading.Event()
+        sent_after_release = []
+
+        def before(i):
+            if i == 0:
+                pooled_started.set()
+                release.wait(timeout=10)
+            else:
+                sent_after_release.append(release.is_set())
+
+        gateway = LlmGateway(_FnProvider(before), ProviderConfig(max_in_flight=1))
+        with gateway.group() as calls:
+            pooled = calls.submit(_wave_spec(0))
+            assert pooled_started.wait(timeout=10)
+            timer = threading.Timer(0.05, release.set)
+            timer.start()
+            assert calls.call(_wave_spec(1)) == BestLabels(ids=("d1",))
+            timer.join()
+        assert pooled.result() == BestLabels(ids=("d0",))
+        assert sent_after_release == [True]

@@ -1,8 +1,10 @@
 """Who may import what: only the command line imports `taxocat.cli`, only the
 gateway imports `requests` or `threading` (the one module with locks), only
 the pipeline imports a `ThreadPoolExecutor`, the taxonomy does not import
-the gateway, and only the gateway builds a `PromptSpec`.
-Also, no function takes a stream where a file is meant: files are paths.
+the gateway, and only the gateway builds a `PromptSpec`. One call path: only
+the gateway calls `call_with_retry`, and only the gateway and the pipeline
+open a call group. Also, no function takes a stream where a file is meant:
+files are paths.
 
 Every module under src/taxocat/ is parsed, and each import is resolved to
 the absolute module names it can bind. Imports under `TYPE_CHECKING` and
@@ -114,6 +116,44 @@ def test_only_the_gateway_builds_a_prompt_spec():
     assert [f"{path.name}:{line}" for path in sorted(PACKAGE.rglob("*.py"))
             if path.name != "gateway.py"
             for line in prompt_spec_calls(path.read_text(encoding="utf-8"))] == []
+
+
+def method_calls(source: str, method: str) -> list[int]:
+    """The line of every call of `.method()` off any object; a call of
+    `.group` counts only without arguments, as a regex match's does not."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == method and (method != "group" or not node.args)]
+
+
+@pytest.mark.parametrize(("source", "method"), [
+    ("gateway.call_with_retry(spec)", "call_with_retry"),
+    ("self._gateway.call_with_retry(spec)", "call_with_retry"),
+    ("replies = [gw.call_with_retry(s) for s in specs]", "call_with_retry"),
+    ("with gateway.group() as calls: pass", "group"),
+    ("groups = (gateway.group() for doc in docs)", "group"),
+])
+def test_every_spelling_of_a_method_call_is_seen(source, method):
+    assert method_calls(source, method) == [1]
+
+
+def test_a_regex_match_group_is_not_a_call_group():
+    assert method_calls("name = match.group(0)", "group") == []
+
+
+def _callers(method: str) -> set[str]:
+    return {path.name for path in PACKAGE.rglob("*.py")
+            if method_calls(path.read_text(encoding="utf-8"), method)}
+
+
+def test_only_the_gateway_calls_call_with_retry():
+    # Every other module sends its calls through a document's CallGroup.
+    assert _callers("call_with_retry") == {"gateway.py"}
+
+
+def test_only_the_gateway_and_the_pipeline_open_call_groups():
+    # The pipeline makes one per document; the gateway one per describe run.
+    assert _callers("group") == {"gateway.py", "pipeline.py"}
 
 
 STREAM_TYPES = {"IO", "TextIO", "BinaryIO", "StringIO"}

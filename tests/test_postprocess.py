@@ -82,7 +82,7 @@ class TestDecreaseLabels:
         tax = _fanout_taxonomy()
         candidates = list(tax.leaf_ids())[:7]
         doc = make_doc("d", "auction markets risk pricing")
-        out = decrease_labels(doc, _labels(candidates), tax, mock_gw, max_labels=5)
+        out = decrease_labels(doc, _labels(candidates), tax, mock_gw.group(), max_labels=5)
         # Oracle: top 5 candidates by mock overlap, ties by id.
         ranked = sorted(candidates, key=lambda lid: (-o_overlap(doc, tax.node(lid)), lid))
         assert set(out.leaf_ids) == set(ranked[:5])
@@ -91,7 +91,7 @@ class TestDecreaseLabels:
     def test_at_limit_is_identity(self, mock_gw):
         tax = _fanout_taxonomy()
         labels = _labels(list(tax.leaf_ids())[:5])
-        assert decrease_labels(make_doc("d", "x"), labels, tax, mock_gw) is labels
+        assert decrease_labels(make_doc("d", "x"), labels, tax, mock_gw.group()) is labels
 
     def test_partial_return_filled_by_input_order(self):
         tax = _fanout_taxonomy()
@@ -101,7 +101,7 @@ class TestDecreaseLabels:
             '{"best_labels": %s}' % str(returned + ["unknown"]).replace("'", '"')
         )
         gateway = LlmGateway(provider, ProviderConfig())
-        out = decrease_labels(make_doc("d", "x"), _labels(candidates), tax, gateway)
+        out = decrease_labels(make_doc("d", "x"), _labels(candidates), tax, gateway.group())
         assert len(out.leaf_ids) == 5
         assert set(returned) <= set(out.leaf_ids)
         # Fifth slot is the first candidate not already kept, in input order.
@@ -115,9 +115,9 @@ class TestDecreaseLabels:
     ], ids=["more", "exact", "fewer"])
     def test_reply_filtered_then_taken_in_input_order(self, caplog, reply, kept, fallback):
         # Each reply holds an unknown id (9) and a duplicate, which a parsed
-        # reply cannot, so a stub gateway hands it over as it is.
+        # reply cannot, so a stub call group hands it over as it is.
         class Replying:
-            def call_with_retry(self, spec):
+            def call(self, spec):
                 return BestLabels(ids=tuple(candidates[i] for i in reply))
 
         tax = _fanout_taxonomy()
@@ -140,7 +140,7 @@ class TestDecreaseLabels:
             ["auction", "markets", "risk", "climate", "welfare", "pricing", "labor", "credit"]),
             min_size=1, max_size=5))
         doc = make_doc("d", " ".join(words))
-        out = decrease_labels(doc, _labels(candidates), tax, mock_gateway(), max_labels)
+        out = decrease_labels(doc, _labels(candidates), tax, mock_gateway().group(), max_labels)
         # Oracle: the mock's best max_labels by overlap, ties by id, in input order.
         best = sorted(candidates, key=lambda lid: (-o_overlap(doc, tax.node(lid)), lid))
         assert list(out.leaf_ids) == [lid for lid in candidates if lid in best[:max_labels]]
@@ -152,7 +152,8 @@ class TestDecreaseLabels:
         reply = ["unknown"] + [candidates[i] for i in (8, 1, 6, 0, 2, 5)]
         provider = ScriptedProvider(json.dumps({"best_labels": reply}))
         gateway = LlmGateway(provider, ProviderConfig())
-        out = decrease_labels(make_doc("d", "x"), _labels(candidates), tax, gateway, max_labels=3)
+        out = decrease_labels(make_doc("d", "x"), _labels(candidates), tax, gateway.group(),
+                              max_labels=3)
         assert list(out.leaf_ids) == [candidates[i] for i in (1, 6, 8)]
         assert out.flags == ()
         [(spec, _reminder)] = provider.calls
@@ -162,7 +163,7 @@ class TestDecreaseLabels:
         tax = _fanout_taxonomy()
         candidates = list(tax.leaf_ids())[:8]
         gateway = LlmGateway(ScriptedProvider('{"best_labels": []}'), ProviderConfig())
-        out = decrease_labels(make_doc("d", "x"), _labels(candidates), tax, gateway)
+        out = decrease_labels(make_doc("d", "x"), _labels(candidates), tax, gateway.group())
         assert list(out.leaf_ids) == candidates[:5]
         assert out.provenance["decrease"] == {"returned": [], "kept": candidates[:5]}
         assert out.flags == (FLAG_DECREASE_FALLBACK,)
@@ -175,14 +176,14 @@ class TestDecreaseLabels:
         tax = _fanout_taxonomy()
         candidates = list(tax.leaf_ids())[:9]
         gateway = LlmGateway(FailingProvider(), ProviderConfig(max_retries=0))
-        out = decrease_labels(make_doc("d", "x"), _labels(candidates), tax, gateway)
+        out = decrease_labels(make_doc("d", "x"), _labels(candidates), tax, gateway.group())
         assert list(out.leaf_ids) == candidates[:5]
         assert FLAG_DECREASE_FALLBACK in out.flags
 
     def test_never_invents_labels(self, mock_gw):
         tax = _fanout_taxonomy()
         candidates = list(tax.leaf_ids())[:8]
-        out = decrease_labels(make_doc("d", "auction"), _labels(candidates), tax, mock_gw)
+        out = decrease_labels(make_doc("d", "auction"), _labels(candidates), tax, mock_gw.group())
         assert set(out.leaf_ids) <= set(candidates)
 
     def test_random_decrease_is_seeded(self):
@@ -296,8 +297,8 @@ class TestChain:
     def test_empty_input_flagged_for_review(self, mock_gw):
         tax = _fanout_taxonomy()
         out = postprocess_chain(
-            make_doc("d", "x"), _labels([]), tax, _pt_for(tax), mock_gw, PostProcessConfig(),
-            rng=random.Random(0),
+            make_doc("d", "x"), _labels([]), tax, _pt_for(tax), mock_gw.group(),
+            PostProcessConfig(), rng=random.Random(0),
         )
         assert out.leaf_ids == ()
         assert out.flags == (FLAG_EMPTY_RESULT, FLAG_NEEDS_REVIEW)
@@ -311,7 +312,7 @@ class TestChain:
         for _ in range(200):
             picked = rng.sample(leaves, rng.randint(1, len(leaves)))
             pt = _pt_for(tax, leaf_order=rng.sample(leaves, len(leaves)))
-            out = postprocess_chain(doc, _labels(picked), tax, pt, mock_gw, config, rng=rng)
+            out = postprocess_chain(doc, _labels(picked), tax, pt, mock_gw.group(), config, rng=rng)
             assert 1 <= len(out.leaf_ids) <= config.max_labels
 
     @pytest.mark.parametrize("random_decrease", [False, True], ids=["llm", "no-decrease"])
@@ -322,7 +323,7 @@ class TestChain:
         picked = [f"p{i}l0" for i in range(6)]
         config = PostProcessConfig(apply_sibling=False, random_decrease=random_decrease)
         out = postprocess_chain(make_doc("d", "auction markets"), _labels(picked, method=method),
-                                tax, _pt_for(tax), mock_gw, config, rng=random.Random(0))
+                                tax, _pt_for(tax), mock_gw.group(), config, rng=random.Random(0))
         assert len(out.leaf_ids) == config.max_labels
         assert set(out.leaf_ids) <= set(picked)
         assert out.provenance["decrease"]["kept"] == list(out.leaf_ids)

@@ -147,7 +147,7 @@ class TestTravSelect:
 
     def test_single_forced_path(self, mock_gw):
         doc = make_doc("d", "auction design")
-        labels = classify_trav_select(doc, self._two_branch_taxonomy(), mock_gw)
+        labels = classify_trav_select(doc, self._two_branch_taxonomy(), mock_gw.group())
         assert labels.leaf_ids == ("b1l1",)
         assert labels.method is Method.TRAV_SELECT
         assert labels.flags == ()
@@ -155,16 +155,16 @@ class TestTravSelect:
     def test_two_branches_union_matches_oracle(self, mock_gw):
         doc = make_doc("d", "auction volcano")
         tax = self._two_branch_taxonomy()
-        labels = classify_trav_select(doc, tax, mock_gw)
+        labels = classify_trav_select(doc, tax, mock_gw.group())
         assert list(labels.leaf_ids) == oracle_trav_select(doc, tax, THRESHOLD)
         assert set(labels.leaf_ids) == {"b1l1", "b2l1"}
 
     def test_empty_first_round_flagged(self, mock_gw):
         doc = make_doc("d", "completely unrelated words")
         tax = self._two_branch_taxonomy()
-        labels = classify_trav_select(doc, tax, mock_gw)
+        labels = classify_trav_select(doc, tax, mock_gw.group())
         assert labels.leaf_ids == ()
-        out = postprocess_chain(doc, labels, tax, None, mock_gw, PostProcessConfig(),
+        out = postprocess_chain(doc, labels, tax, None, mock_gw.group(), PostProcessConfig(),
                                 rng=random.Random(0))
         assert FLAG_EMPTY_RESULT in out.flags
 
@@ -180,7 +180,7 @@ class TestTravSelect:
         tax = Taxonomy(nodes)
         provider = RecordingMockProvider(threshold=THRESHOLD)
         gateway = LlmGateway(provider, ProviderConfig())
-        classify_trav_select(make_doc("d", "alpha"), tax, gateway)
+        classify_trav_select(make_doc("d", "alpha"), tax, gateway.group())
         trav_calls = [c for c in provider.calls if c.template_id is TemplateId.TRAV_SELECT]
         assert len(trav_calls) <= max(tax.depth(node.id) for node in tax)
         presented = [n["id"] for call in trav_calls for n in call.user_payload["nodes"]]
@@ -188,7 +188,8 @@ class TestTravSelect:
 
     def test_unknown_ids_dropped(self):
         gateway, _ = scripted_gateway('{"best_labels": ["b1", "nonsense"]}', '{"best_labels": []}')
-        labels = classify_trav_select(make_doc("d", "x"), self._two_branch_taxonomy(), gateway)
+        labels = classify_trav_select(make_doc("d", "x"), self._two_branch_taxonomy(),
+                                      gateway.group())
         assert labels.leaf_ids == ()
 
 
@@ -197,14 +198,14 @@ class TestSelectOnePass:
         pt = full_pt(ternary)
         target = pt.leaf_ids[2]
         gateway, _ = scripted_gateway('{"best_labels": ["%s"]}' % target)
-        labels = classify_select_one_pass(make_doc("d", "anything"), ternary, pt, gateway)
+        labels = classify_select_one_pass(make_doc("d", "anything"), ternary, pt, gateway.group())
         assert labels.leaf_ids == (target,)
 
     def test_unknown_id_dropped_with_result_kept(self, ternary):
         pt = full_pt(ternary)
         target = pt.leaf_ids[0]
         gateway, _ = scripted_gateway('{"best_labels": ["%s", "bogus"]}' % target)
-        labels = classify_select_one_pass(make_doc("d", "anything"), ternary, pt, gateway)
+        labels = classify_select_one_pass(make_doc("d", "anything"), ternary, pt, gateway.group())
         assert labels.leaf_ids == (target,)
         assert labels.provenance["raw_ids"] == [target, "bogus"]
 
@@ -212,9 +213,9 @@ class TestSelectOnePass:
         pt = full_pt(ternary)
         doc = make_doc("d", "anything")
         gateway, _ = scripted_gateway('{"best_labels": ["bogus"]}')
-        labels = classify_select_one_pass(doc, ternary, pt, gateway)
+        labels = classify_select_one_pass(doc, ternary, pt, gateway.group())
         assert labels.leaf_ids == ()
-        out = postprocess_chain(doc, labels, ternary, pt, gateway, PostProcessConfig(),
+        out = postprocess_chain(doc, labels, ternary, pt, gateway.group(), PostProcessConfig(),
                                 rng=random.Random(0))
         assert FLAG_EMPTY_RESULT in out.flags
 
@@ -223,7 +224,7 @@ class TestSelectOnePass:
         for i in range(25):
             doc = vocab_doc(rng, f"d{i}")
             pt = full_pt(ternary, doc_id=doc.doc_id)
-            labels = classify_select_one_pass(doc, ternary, pt, mock_gw)
+            labels = classify_select_one_pass(doc, ternary, pt, mock_gw.group())
             assert set(labels.leaf_ids) == oracle_one_pass(doc, ternary, pt, THRESHOLD)
 
     def test_tree_rendering_indents_and_truncates(self, ternary):
@@ -235,7 +236,7 @@ class TestSelectOnePass:
             ]
         )
         gateway = recording_mock_gateway()
-        classify_select_one_pass(make_doc("d", "root"), tax, full_pt(tax), gateway)
+        classify_select_one_pass(make_doc("d", "root"), tax, full_pt(tax), gateway.group())
         (spec,) = gateway.provider.calls
         tree = spec.user_text.split("\nTaxonomy:\n")[1].splitlines()
         assert tree == ["r | root node | " + " ".join(f"w{i}" for i in range(60)),
@@ -337,7 +338,8 @@ def _call_pool_occupied(release: threading.Event):
         release.wait(timeout=10)
 
     pool = gw._call_pool(ProviderConfig().max_in_flight)
-    blockers = [pool.submit(block) for _ in range(ProviderConfig().max_in_flight)]
+    blockers = [pool.submit(block, rank=next(gw._ranks))
+                for _ in range(ProviderConfig().max_in_flight)]
     try:
         assert all(started.acquire(timeout=10) for _ in blockers)
         yield pool
@@ -353,7 +355,7 @@ class TestRerank:
         table = {nid: 0.10 for nid in [n.id for n in tax]}
         table["g0p0l1"] = 0.90
         gateway = LlmGateway(TableProvider(table), ProviderConfig())
-        labels = classify_rerank(make_doc("d", "x"), tax, pt, gateway,
+        labels = classify_rerank(make_doc("d", "x"), tax, pt, gateway.group(),
                                  fn=AggregationFunction.LEAF_ONLY, top_n=1)
         assert labels.leaf_ids == ("g0p0l1",)
 
@@ -364,7 +366,7 @@ class TestRerank:
         table["g0p0l0"], table["g0p0l1"] = 0.80, 0.70
         table["g0p0"] = 0.01  # terrible parent must not matter for leaf_only
         gateway = LlmGateway(TableProvider(table), ProviderConfig())
-        labels = classify_rerank(make_doc("d", "x"), tax, pt, gateway, top_n=2)
+        labels = classify_rerank(make_doc("d", "x"), tax, pt, gateway.group(), top_n=2)
         assert labels.leaf_ids == ("g0p0l0", "g0p0l1")
 
     @pytest.mark.parametrize("fn", list(AggregationFunction))
@@ -376,7 +378,7 @@ class TestRerank:
             table = {n.id: round(rng.uniform(0.01, 1.0), 2) for n in tax}
             provider = TableProvider(table)
             gateway = LlmGateway(provider, ProviderConfig())
-            labels = classify_rerank(make_doc("d", "x"), tax, pt, gateway, fn=fn, top_n=5)
+            labels = classify_rerank(make_doc("d", "x"), tax, pt, gateway.group(), fn=fn, top_n=5)
             expected, final = _rerank_oracle(tax, pt, table, fn, 5)
             assert list(labels.leaf_ids) == expected
             for lid in pt.leaf_ids:
@@ -391,7 +393,7 @@ class TestRerank:
         pt = full_pt(tax, k=k)
         table = {n.id: round(rng.uniform(0.01, 1.0), 2) for n in tax}
         gateway = LlmGateway(TableProvider(table), ProviderConfig())
-        labels = classify_rerank(make_doc("d", "x"), tax, pt, gateway, fn=fn, top_n=5)
+        labels = classify_rerank(make_doc("d", "x"), tax, pt, gateway.group(), fn=fn, top_n=5)
         expected, final = _rerank_oracle(tax, pt, table, fn, 5)
         assert list(labels.leaf_ids) == expected
         assert labels.provenance["final_scores"] == final
@@ -410,7 +412,7 @@ class TestRerank:
         table = {"r": 0.4, "g": 0.9, "p": 0.2, "l1": 0.5, "l2": 0.3}
         provider = TableProvider(table, fail_ids={"r"})
         gateway = LlmGateway(provider, ProviderConfig(max_retries=0))
-        labels = classify_rerank(make_doc("d", "x"), tax, pt, gateway,
+        labels = classify_rerank(make_doc("d", "x"), tax, pt, gateway.group(),
                                  fn=AggregationFunction.AVG_ALL_ANCESTORS)
         sent = sorted(sorted(n["id"] for n in spec.user_payload["nodes"])
                       for spec in provider.calls)
@@ -430,7 +432,7 @@ class TestRerank:
         table = {n.id: 0.50 for n in tax}
         provider = TableProvider(table)
         gateway = LlmGateway(provider, ProviderConfig())
-        classify_rerank(make_doc("d", "x"), tax, pt, gateway,
+        classify_rerank(make_doc("d", "x"), tax, pt, gateway.group(),
                         fn=AggregationFunction.AVG_ALL_ANCESTORS)
         sent = sorted(sorted(n["id"] for n in spec.user_payload["nodes"])
                       for spec in provider.calls)
@@ -441,14 +443,14 @@ class TestRerank:
         tax = _chain_taxonomy()
         provider = TableProvider({n.id: 0.5 for n in tax})
         gateway = LlmGateway(provider, ProviderConfig())
-        classify_rerank(make_doc("d", "x"), tax, full_pt(tax), gateway)
+        classify_rerank(make_doc("d", "x"), tax, full_pt(tax), gateway.group())
         assert len(provider.calls) == 1
 
     def test_avg_direct_parent_sends_one_call(self):
         tax = _chain_taxonomy()
         provider = TableProvider({n.id: 0.5 for n in tax})
         gateway = LlmGateway(provider, ProviderConfig())
-        classify_rerank(make_doc("d", "x"), tax, full_pt(tax), gateway,
+        classify_rerank(make_doc("d", "x"), tax, full_pt(tax), gateway.group(),
                         fn=AggregationFunction.AVG_DIRECT_PARENT)
         assert len(provider.calls) == 1
 
@@ -463,7 +465,7 @@ class TestRerank:
 
         provider = Meeting({n.id: 0.5 for n in tax})
         labels = classify_rerank(make_doc("d", "x"), tax, full_pt(tax),
-                                 LlmGateway(provider, ProviderConfig()),
+                                 LlmGateway(provider, ProviderConfig()).group(),
                                  fn=AggregationFunction.HARMONIC_ALL_ANCESTORS)
         assert len(provider.calls) == 2
         assert labels.flags == () and labels.provenance["ancestor_scores"] == {"g0": 0.5, "g1": 0.5}
@@ -487,8 +489,9 @@ class TestRerank:
         provider = Slow({n.id: 0.5 for n in tax}, fail_ids={"g0p0l0"})
         gateway = LlmGateway(provider, ProviderConfig(max_retries=0))
         with pytest.raises(TransportError, match="scripted failure"):
-            classify_rerank(make_doc("d", "x"), tax, full_pt(tax), gateway,
-                            fn=AggregationFunction.AVG_ALL_ANCESTORS)
+            with gateway.group() as calls:
+                classify_rerank(make_doc("d", "x"), tax, full_pt(tax), calls,
+                                fn=AggregationFunction.AVG_ALL_ANCESTORS)
         assert len(provider.calls) == 2
         assert running == []
 
@@ -498,10 +501,10 @@ class TestRerank:
         gateway = LlmGateway(provider, ProviderConfig(max_retries=0))
         # Every thread of the call pool is busy, so the deeper call stays queued.
         with _call_pool_occupied(threading.Event()) as pool:
-            with pytest.raises(TransportError):
-                classify_rerank(make_doc("d", "x"), tax, full_pt(tax), gateway,
+            with pytest.raises(TransportError), gateway.group() as calls:
+                classify_rerank(make_doc("d", "x"), tax, full_pt(tax), calls,
                                 fn=AggregationFunction.AVG_ALL_ANCESTORS)
-        pool.submit(lambda: None).result()  # the queue has been worked off
+        pool.submit(lambda: None, rank=next(gw._ranks)).result()  # the queue has been worked off
         assert len(provider.calls) == 1  # the deeper call was never sent
         assert "g0" not in {n["id"] for n in provider.calls[0].user_payload["nodes"]}
 
@@ -515,7 +518,7 @@ class TestRerank:
         with _call_pool_occupied(release):
             timer.start()
             labels = classify_rerank(make_doc("d", "x"), tax, full_pt(tax),
-                                     LlmGateway(provider, ProviderConfig()),
+                                     LlmGateway(provider, ProviderConfig()).group(),
                                      fn=AggregationFunction.AVG_ALL_ANCESTORS)
         timer.join()
         assert len(provider.calls) == 2
@@ -528,7 +531,7 @@ class TestRerank:
         table = {n.id: round(rng.uniform(0.01, 1.0), 2) for n in tax}
         provider = TableProvider(table, fail_ids={"g0", "g1"})
         gateway = LlmGateway(provider, ProviderConfig(max_retries=0))
-        labels = classify_rerank(make_doc("d", "x"), tax, pt, gateway,
+        labels = classify_rerank(make_doc("d", "x"), tax, pt, gateway.group(),
                                  fn=AggregationFunction.HARMONIC_ALL_ANCESTORS, top_n=5)
         assert FLAG_ANCESTOR_SCORES_UNAVAILABLE in labels.flags
         expected, _ = _rerank_oracle(tax, pt, table,
@@ -550,7 +553,7 @@ class TestRerank:
                 return super().complete(spec, reminder)
 
         gateway = LlmGateway(Garbled(table), ProviderConfig(max_retries=1))
-        labels = classify_rerank(make_doc("d", "x"), tax, pt, gateway,
+        labels = classify_rerank(make_doc("d", "x"), tax, pt, gateway.group(),
                                  fn=AggregationFunction.AVG_ALL_ANCESTORS, top_n=5)
         assert labels.flags == (FLAG_ANCESTOR_SCORES_UNAVAILABLE,)
         assert labels.provenance["ancestor_scores"] == {}
@@ -563,8 +566,8 @@ class TestRerank:
         tax = _chain_taxonomy()
         provider = TableProvider({n.id: 0.5 for n in tax}, fail_ids={"g0", "g1"}, error=error)
         gateway = LlmGateway(provider, ProviderConfig())
-        with pytest.raises(error):
-            classify_rerank(make_doc("d", "x"), tax, full_pt(tax), gateway,
+        with pytest.raises(error), gateway.group() as calls:
+            classify_rerank(make_doc("d", "x"), tax, full_pt(tax), calls,
                             fn=AggregationFunction.HARMONIC_ALL_ANCESTORS)
 
     def test_missing_scores_default_to_floor(self):
@@ -574,7 +577,8 @@ class TestRerank:
         removed = "g1p1l2"
         del table[removed]
         gateway = LlmGateway(TableProvider(table), ProviderConfig())
-        labels = classify_rerank(make_doc("d", "x"), tax, pt, gateway, top_n=len(pt.leaf_ids))
+        labels = classify_rerank(make_doc("d", "x"), tax, pt, gateway.group(),
+                                 top_n=len(pt.leaf_ids))
         assert labels.provenance["raw_scores"][removed] == 0.01
         assert labels.leaf_ids[-1] == removed
 
@@ -585,7 +589,7 @@ class TestRerank:
         sparse = {leaves[0]: 0.5}  # far fewer than half of leaves + parents
         gateway = LlmGateway(TableProvider(sparse), ProviderConfig())
         with pytest.raises(ScoringIncompleteError):
-            classify_rerank(make_doc("d", "x"), tax, pt, gateway)
+            classify_rerank(make_doc("d", "x"), tax, pt, gateway.group())
 
 
 def _ask(gateway, template_id, doc, nodes):
@@ -617,7 +621,7 @@ class TestPointwiseAssessments:
         tax = random_forest(random.Random(8), 120)
         pt = full_pt(tax, k=40)
         doc = make_doc("d", "markets risk", keywords=["credit", "pricing"])
-        labels = classify_select_pointwise(doc, tax, pt, mock_gw, contextualize=False)
+        labels = classify_select_pointwise(doc, tax, pt, mock_gw.group(), contextualize=False)
         verdicts = labels.provenance["leaf_verdicts"]
         assert len(pt.leaf_ids) == 40 and sorted(verdicts) == sorted(pt.leaf_ids)
         for leaf_id in pt.leaf_ids:
@@ -798,7 +802,8 @@ class TestSelectPointwise:
     def test_two_fitting_leaves_with_fitting_parents(self, mock_gw):
         tax = _three_leaf_taxonomy()
         doc = make_doc("d", "auction design pricing markets")
-        labels = classify_select_pointwise(doc, tax, full_pt(tax), mock_gw, label_range=(1, 5))
+        labels = classify_select_pointwise(doc, tax, full_pt(tax), mock_gw.group(),
+                                           label_range=(1, 5))
         assert set(labels.leaf_ids) == {"L1", "L2"}
         assert labels.method is Method.SELECT_POINTWISE
         assert labels.provenance["backfilled"] == []
@@ -820,7 +825,7 @@ class TestSelectPointwise:
 
         gateway = LlmGateway(ByNodeProvider(), ProviderConfig())
         labels = classify_select_pointwise(
-            make_doc("d", "x"), tax, full_pt(tax), gateway, label_range=(1, 5)
+            make_doc("d", "x"), tax, full_pt(tax), gateway.group(), label_range=(1, 5)
         )
         assert labels.leaf_ids == ("L1",)
 
@@ -829,14 +834,14 @@ class TestSelectPointwise:
         provider = RecordingMockProvider(threshold=THRESHOLD)
         gateway = LlmGateway(provider, ProviderConfig())
         doc = make_doc("d", "auction design pricing markets")
-        classify_select_pointwise(doc, tax, full_pt(tax), gateway, contextualize=False)
+        classify_select_pointwise(doc, tax, full_pt(tax), gateway.group(), contextualize=False)
         assert all(c.template_id is not TemplateId.SELECTP_PARENT for c in provider.calls)
 
     def test_parents_assessed_once_per_document(self, ternary):
         provider = RecordingMockProvider(threshold=0.0)  # everything fits: max parent pressure
         gateway = LlmGateway(provider, ProviderConfig())
         doc = make_doc("d", "auction")
-        classify_select_pointwise(doc, ternary, full_pt(ternary), gateway)
+        classify_select_pointwise(doc, ternary, full_pt(ternary), gateway.group())
         parent_calls = [
             c.user_payload["nodes"][0]["id"]
             for c in provider.calls
@@ -849,7 +854,7 @@ class TestSelectPointwise:
         for i in range(25):
             doc = vocab_doc(rng, f"d{i}")
             pt = full_pt(ternary, doc_id=doc.doc_id)
-            labels = classify_select_pointwise(doc, ternary, pt, mock_gw)
+            labels = classify_select_pointwise(doc, ternary, pt, mock_gw.group())
             assert list(labels.leaf_ids) == oracle_pointwise(doc, ternary, pt, THRESHOLD)
 
 
@@ -899,9 +904,9 @@ class TestEagerParents:
             pt = full_pt(ternary, doc_id=doc.doc_id)
             gateway = LlmGateway(_JitteryMock(seed=width * 10 + i),
                                  ProviderConfig(max_in_flight=width))
-            labels = classify_select_pointwise(doc, ternary, pt, gateway)
+            labels = classify_select_pointwise(doc, ternary, pt, gateway.group())
             reference = self._wave_order(doc, ternary, pt)
-            assert labels == classify_select_pointwise(doc, ternary, pt, mock_gateway())
+            assert labels == classify_select_pointwise(doc, ternary, pt, mock_gateway().group())
             assert list(labels.leaf_ids) == oracle_pointwise(doc, ternary, pt, THRESHOLD)
             assert _call_multiset(gateway.provider.calls) == _call_multiset(
                 reference.provider.calls)
@@ -924,9 +929,9 @@ class TestEagerParents:
 
         doc = make_doc("d", "auction design markets")  # L1 and p1 fit, L3 does not
         gateway = LlmGateway(HoldLastLeaf(THRESHOLD), ProviderConfig(max_in_flight=8))
-        labels = classify_select_pointwise(doc, tax, full_pt(tax), gateway)
+        labels = classify_select_pointwise(doc, tax, full_pt(tax), gateway.group())
         assert waited == [True]
-        assert labels == classify_select_pointwise(doc, tax, full_pt(tax), mock_gateway())
+        assert labels == classify_select_pointwise(doc, tax, full_pt(tax), mock_gateway().group())
 
     @pytest.mark.parametrize("slow", [1, 3])
     def test_failing_leaves_raise_the_first_failure_in_leaf_order(self, ternary, slow):
@@ -944,7 +949,8 @@ class TestEagerParents:
 
         gateway = LlmGateway(Failing(threshold=0.0), ProviderConfig(max_retries=0))
         with pytest.raises(TransportError, match=f"^fail {pt.leaf_ids[1]}$"):
-            classify_select_pointwise(make_doc("d", "auction"), ternary, pt, gateway)
+            with gateway.group() as calls:
+                classify_select_pointwise(make_doc("d", "auction"), ternary, pt, calls)
 
     def test_non_retryable_error_stops_unstarted_parent_calls(self, ternary):
         pt = full_pt(ternary)
@@ -968,8 +974,8 @@ class TestEagerParents:
         # Everything fits, so every parent is asked; on one thread they queue.
         provider = FirstParentRejected(threshold=0.0)
         gateway = LlmGateway(provider, ProviderConfig(max_in_flight=1))
-        with pytest.raises(AuthError):
-            classify_select_pointwise(make_doc("d", "auction"), ternary, pt, gateway)
+        with pytest.raises(AuthError), gateway.group() as calls:
+            classify_select_pointwise(make_doc("d", "auction"), ternary, pt, calls)
         templates = [c.template_id for c in provider.calls]
         assert templates.count(TemplateId.SELECTP_PARENT) == 1
         assert templates.count(TemplateId.SELECTP_LEAF) == len(pt.leaf_ids)
@@ -985,13 +991,13 @@ class TestLeafOnlyOutputs:
             doc = vocab_doc(rng, f"d{trial}")
             pt = full_pt(tax, doc_id=doc.doc_id, k=17)
             outputs = [
-                classify_trav_select(doc, tax, mock_gw),
-                classify_select_one_pass(doc, tax, pt, mock_gw),
-                classify_select_pointwise(doc, tax, pt, mock_gw),
+                classify_trav_select(doc, tax, mock_gw.group()),
+                classify_select_one_pass(doc, tax, pt, mock_gw.group()),
+                classify_select_pointwise(doc, tax, pt, mock_gw.group()),
             ]
             table = {n.id: round(rng.uniform(0.01, 1.0), 2) for n in tax}
             gateway = LlmGateway(TableProvider(table), ProviderConfig())
-            outputs.append(classify_rerank(doc, tax, pt, gateway))
+            outputs.append(classify_rerank(doc, tax, pt, gateway.group()))
             for labels in outputs:
                 assert set(labels.leaf_ids) <= leaf_set
                 assert len(set(labels.leaf_ids)) == len(labels.leaf_ids)

@@ -1,6 +1,7 @@
 """Taxonomy loading, validation, statistics, traversal, and enrichment."""
 from __future__ import annotations
 
+import json
 import random
 import time
 
@@ -32,6 +33,8 @@ from taxocat.taxonomy import (
     save_taxonomy,
     suggest_acronyms,
 )
+
+from taxocat.retrieval import node_text
 
 from .util import random_forest, recording_mock_gateway
 
@@ -456,3 +459,12 @@ class TestDescriptionExemplars:
             TaxonomyNode(id="a", name="Bottom", parent_id="m", description="bottom"),
         ])
         assert description_exemplars(tax) == {"m": "a"}
+
+    @pytest.mark.parametrize("blank", ["", "  \n ", "\t"], ids=["empty", "newline", "tab"])
+    def test_a_blank_description_is_read_as_absent(self, tmp_path, blank):
+        tax = _load(tmp_path, json.dumps({"id": "r", "name": "Biology", "description": blank})
+                    + '\n{"id": "e", "name": "Ecology", "parent_id": "r"}\n'
+                    '{"id": "g", "name": "Genetics", "parent_id": "r", "description": "genes"}\n')
+        assert tax.node("r").description is None
+        assert description_exemplars(tax) == {"e": "g", "r": "g"}  # r drafted, never an exemplar
+        assert node_text(tax.node("r")) == "Biology"
